@@ -14,6 +14,7 @@ from .statespace import (
     StateSpace,
     SystemState,
     TrafficSpec,
+    Transitions,
     backlog,
     build_state_space,
     cardinality_bound,
@@ -76,6 +77,7 @@ __all__ = [
     "FilterConfig",
     "SystemState",
     "StateSpace",
+    "Transitions",
     "enumerate_strings",
     "count_strings",
     "cardinality_bound",

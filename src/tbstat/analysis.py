@@ -293,12 +293,12 @@ def class_metrics(
     result: StationaryResult,
     part: PartitionedGenerator | None = None,
     tol: float = 1e-12,
+    averaged: np.ndarray | None = None,
 ) -> list[ClassMetrics]:
     """Loss, backlog, wait and throughput for every traffic class."""
     space = result.space
-    if part is None:
-        part = build_partitioned_generator(space)
-    averaged = time_average_distribution(result, part, tol)
+    if averaged is None:
+        averaged = time_average_distribution(result, part, tol)
     rate = space.traffic.rate
     out = []
     for size, prob in zip(space.traffic.sizes, space.traffic.probs):

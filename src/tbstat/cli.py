@@ -275,7 +275,7 @@ def _analytic_block(scenario: Scenario) -> tuple[dict, np.ndarray, list]:
     part = build_partitioned_generator(space)
     averaged = time_average_distribution(result, part)
     table = occupancy_table(result, part, averaged=averaged)
-    metrics = class_metrics(result, part)
+    metrics = class_metrics(result, part, averaged=averaged)
     wall = time.perf_counter() - began
     block = {
         "states": space.n_states,

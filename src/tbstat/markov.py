@@ -2,9 +2,10 @@
 
 Between token grants the variable-size filter is a continuous-time chain
 driven by Poisson arrivals; each grant applies a deterministic jump.  This
-module builds the pieces: the arrival rate matrix, the 0/1 replenishment
-matrix, small per-period chains for the unit-size filter, and a partitioned
-form of the rate matrix that exploits the block structure of the dynamics.
+module builds the pieces: the arrival rate matrix and the 0/1 replenishment
+matrix, both read off the state space's transition table, small per-period
+chains for the unit-size filter, and a partitioned form of the rate matrix
+that exploits the block structure of the dynamics.
 Matrix exponential actions use uniformization, and stationary distributions
 come from power iteration on the embedded per-period operator, with a dense
 linear solve kept as an independent cross-check for small chains.
@@ -17,20 +18,23 @@ The assembled generator for level T therefore acts on the idle block, the
 level-T occupied block, and one explicit overflow coordinate that absorbs
 the flow leaving idle states toward other levels' queues.  The overflow
 coordinate keeps every row sum at zero, which the exponential kernels
-require, without touching the dynamics of the tracked coordinates.
+require, without touching the dynamics of the tracked coordinates.  The
+blocks are slices of the rate matrix: occupied rows at every level carry the
+same block, so the level-0 slice stands for all of them, and each level's
+generator is assembled from the slices when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .statespace import StateSpace
-from .dynamics import md1_step, periodic_transfer_step, var_replenish
+from .dynamics import md1_step, periodic_transfer_step
 
 __all__ = [
     "ArrivalDistribution",
@@ -85,81 +89,49 @@ class ArrivalDistribution:
 
 def build_replenishment_matrix(space: StateSpace) -> sp.csr_matrix:
     """Deterministic token-grant jump as a 0/1 stochastic matrix."""
-    bucket = space.config.bucket
-    cols = np.empty(space.n_states, dtype=np.int64)
-    for i in range(space.n_states):
-        cols[i] = space.index_of(var_replenish(space.state_at(i), bucket))
-    rows = np.arange(space.n_states, dtype=np.int64)
-    data = np.ones(space.n_states)
-    return sp.csr_matrix((data, (rows, cols)), shape=(space.n_states,) * 2)
+    n = space.n_states
+    return sp.csr_matrix(
+        (np.ones(n), (np.arange(n), space.transitions.grant)), shape=(n, n)
+    )
 
 
 def build_rate_matrix(space: StateSpace) -> sp.csr_matrix:
     """Generator of the arrival process between token grants.
 
-    From an idle buffer a packet either pays from the bucket and leaves, or
-    opens the queue at the same token level.  From an occupied buffer a
-    packet joins the tail when it fits; a drop leaves the state unchanged
-    and so contributes nothing.  Each diagonal entry balances its row.
+    Each traffic class moves a state to its arrival target at rate
+    ``probability * rate``.  A dropped packet leaves the state unchanged and
+    so contributes nothing.  Each diagonal entry balances its row, summing
+    the class rates in class order, and no explicit zero is stored.
     """
-    traffic = space.traffic
-    lam = traffic.rate
-    buffer_cap = space.config.buffer
-    n_str = space.n_strings
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for level in range(space.config.bucket + 1):
-        base = level * n_str
-        for j, z in enumerate(space.strings):
-            i = base + j
-            out_rate = 0.0
-            if j == 0:
-                for size, prob in zip(traffic.sizes, traffic.probs):
-                    rate = prob * lam
-                    if level >= size:
-                        target = (level - size) * n_str
-                    else:
-                        target = base + space.string_index[(size,)]
-                    rows.append(i)
-                    cols.append(target)
-                    data.append(rate)
-                    out_rate += rate
-            else:
-                room = buffer_cap - space.string_backlogs[j]
-                for size, prob in zip(traffic.sizes, traffic.probs):
-                    if size <= room:
-                        rate = prob * lam
-                        rows.append(i)
-                        cols.append(base + space.string_index[z + (size,)])
-                        data.append(rate)
-                        out_rate += rate
-            if out_rate != 0.0:
-                rows.append(i)
-                cols.append(i)
-                data.append(-out_rate)
-    mat = sp.csr_matrix(
-        (data, (rows, cols)), shape=(space.n_states,) * 2
-    )
-    return mat
+    arrive = space.transitions.arrive
+    n, n_classes = arrive.shape
+    rows = np.repeat(np.arange(n), n_classes)
+    cols = arrive.ravel()
+    data = np.tile(space.traffic.rate * np.asarray(space.traffic.probs), n)
+    moves = cols != rows
+    rows, data = rows[moves], data[moves]
+    jumps = sp.csr_matrix((data, (rows, cols[moves])), shape=(n, n))
+    # Sparse subtraction prunes zero results, so silent rows store nothing.
+    return jumps - sp.diags(np.bincount(rows, weights=data, minlength=n), format="csr")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionedGenerator:
     """Blockwise view of the rate matrix.
 
+    ``idle_rows`` are the rate matrix's rows of the idle-buffer states.
     ``idle_block`` couples the idle-buffer states across token levels,
     ``queue_block`` couples occupied buffer strings (shared by every level),
     and ``coupling(level)`` injects idle-state probability into that level's
-    queue.  ``gamma(level)`` assembles the three into one conservative
-    generator with a trailing overflow coordinate; see the module docstring.
+    queue.  All three are slices of the rate matrix.  ``gamma(level)``
+    assembles them into one conservative generator with a trailing overflow
+    coordinate; see the module docstring.
     """
 
     space: StateSpace
+    idle_rows: sp.csr_matrix
     idle_block: np.ndarray
     queue_block: sp.csr_matrix
-    _couplings: list[sp.csr_matrix]
-    _gammas: list[sp.csr_matrix] = field(default_factory=list)
 
     @property
     def n_idle(self) -> int:
@@ -174,80 +146,33 @@ class PartitionedGenerator:
         return self.n_idle + self.n_queue
 
     def coupling(self, level: int) -> sp.csr_matrix:
-        return self._couplings[level]
+        return self.idle_rows[:, self.space.nonempty_slice(level)]
 
     def gamma(self, level: int) -> sp.csr_matrix:
-        return self._gammas[level]
+        idle = sp.csr_matrix(self.idle_block)
+        coupling = self.coupling(level)
+        leak = -np.asarray(idle.sum(axis=1) + coupling.sum(axis=1))
+        return sp.bmat(
+            [
+                [idle, coupling, sp.csr_matrix(leak)],
+                [None, self.queue_block, None],
+                [None, None, sp.csr_matrix((1, 1))],
+            ],
+            format="csr",
+        )
 
 
 def build_partitioned_generator(space: StateSpace) -> PartitionedGenerator:
     """Split the rate matrix into idle, queue and per-level coupling blocks."""
-    traffic = space.traffic
-    lam = traffic.rate
-    bucket = space.config.bucket
-    buffer_cap = space.config.buffer
-    n_idle = bucket + 1
-    n_queue = space.n_strings - 1
-
-    idle = np.zeros((n_idle, n_idle))
-    idle_out = np.zeros(n_idle)
-    for level in range(n_idle):
-        out_rate = 0.0
-        for size, prob in zip(traffic.sizes, traffic.probs):
-            rate = prob * lam
-            if level >= size:
-                idle[level, level - size] += rate
-            out_rate += rate
-        idle[level, level] = -out_rate
-        idle_out[level] = out_rate
-
-    q_rows: list[int] = []
-    q_cols: list[int] = []
-    q_data: list[float] = []
-    for j in range(1, space.n_strings):
-        z = space.strings[j]
-        room = buffer_cap - space.string_backlogs[j]
-        out_rate = 0.0
-        for size, prob in zip(traffic.sizes, traffic.probs):
-            if size <= room:
-                rate = prob * lam
-                q_rows.append(j - 1)
-                q_cols.append(space.string_index[z + (size,)] - 1)
-                q_data.append(rate)
-                out_rate += rate
-        if out_rate != 0.0:
-            q_rows.append(j - 1)
-            q_cols.append(j - 1)
-            q_data.append(-out_rate)
-    queue = sp.csr_matrix((q_data, (q_rows, q_cols)), shape=(n_queue, n_queue))
-
-    couplings: list[sp.csr_matrix] = []
-    for level in range(n_idle):
-        c_cols: list[int] = []
-        c_data: list[float] = []
-        for size, prob in zip(traffic.sizes, traffic.probs):
-            if level < size:
-                c_cols.append(space.string_index[(size,)] - 1)
-                c_data.append(prob * lam)
-        rows = [level] * len(c_cols)
-        couplings.append(
-            sp.csr_matrix((c_data, (rows, c_cols)), shape=(n_idle, n_queue))
-        )
-
-    dim = n_idle + n_queue + 1
-    gammas: list[sp.csr_matrix] = []
-    for level in range(n_idle):
-        g = sp.lil_matrix((dim, dim))
-        g[:n_idle, :n_idle] = idle
-        g[:n_idle, n_idle:-1] = couplings[level]
-        g[n_idle:-1, n_idle:-1] = queue
-        leak = -np.asarray(g.sum(axis=1)).ravel()
-        for r in range(n_idle):
-            if leak[r] != 0.0:
-                g[r, dim - 1] = leak[r]
-        gammas.append(g.tocsr())
-
-    return PartitionedGenerator(space, idle, queue, couplings, gammas)
+    rates = build_rate_matrix(space)
+    idle_rows = rates[space.empty_indices]
+    queue = space.nonempty_slice(0)
+    return PartitionedGenerator(
+        space,
+        idle_rows,
+        idle_rows[:, space.empty_indices].toarray(),
+        rates[queue, queue],
+    )
 
 
 def _chain_from_step(

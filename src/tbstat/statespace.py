@@ -25,6 +25,7 @@ __all__ = [
     "cardinality_bound",
     "backlog",
     "class_count",
+    "Transitions",
     "StateSpace",
     "build_state_space",
     "reachable_indices",
@@ -127,14 +128,14 @@ def enumerate_strings(sizes: Iterable[int], limit: int) -> list[tuple[int, ...]]
     if limit < 0:
         raise ValueError("limit must be >= 0")
     out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], total: int) -> None:
+    # Depth-first, children pushed largest first so the smallest pops next.
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        prefix, total = stack.pop()
         out.append(prefix)
-        for s in alphabet:
+        for s in reversed(alphabet):
             if total + s <= limit:
-                grow(prefix + (s,), total + s)
-
-    grow((), 0)
+                stack.append((prefix + (s,), total + s))
     return out
 
 
@@ -174,6 +175,18 @@ def backlog(buf: tuple[int, ...]) -> int:
 def class_count(size: int, buf: tuple[int, ...]) -> int:
     """How many queued packets have the given size."""
     return buf.count(size)
+
+
+class Transitions(NamedTuple):
+    """Where each state goes under each move of the dynamics, by index.
+
+    ``arrive[i, k]`` is the state after a packet of the k-th traffic size
+    reaches state ``i`` (``i`` itself when the packet is dropped), and
+    ``grant[i]`` the state after one token grant.
+    """
+
+    arrive: np.ndarray
+    grant: np.ndarray
 
 
 class StateSpace:
@@ -223,6 +236,30 @@ class StateSpace:
     def states(self) -> list[SystemState]:
         return [self.state_at(i) for i in range(self.n_states)]
 
+    @cached_property
+    def transitions(self) -> Transitions:
+        """The arrival and grant rules of ``dynamics``, tabulated once.
+
+        Every matrix and graph of the chain derives from this table, so the
+        rules themselves are stated only in ``dynamics``.
+        """
+        from .dynamics import var_arrive, var_replenish  # dynamics imports us
+
+        bucket = self.config.bucket
+        buffer_cap = self.config.buffer
+        sizes = self.traffic.sizes
+        arrive = []
+        grant = []
+        for i in range(self.n_states):
+            state = self.state_at(i)
+            grant.append(self.index_of(var_replenish(state, bucket)))
+            arrive.append(
+                [self.index_of(var_arrive(state, s, buffer_cap)[0]) for s in sizes]
+            )
+        return Transitions(
+            np.array(arrive, dtype=np.intp), np.array(grant, dtype=np.intp)
+        )
+
     def level_slice(self, level: int) -> slice:
         """All states at one token level, idle-buffer state first."""
         if not 0 <= level <= self.config.bucket:
@@ -256,28 +293,23 @@ def build_state_space(traffic: TrafficSpec, config: FilterConfig) -> StateSpace:
 
 
 def reachable_indices(space: StateSpace) -> np.ndarray:
-    """Indices reachable from the full-bucket idle state.
+    """Sorted indices reachable from the full-bucket idle state.
 
-    Optional pruning aid; the solvers run on the full enumerated space and
-    simply leave zero mass on states the dynamics cannot reach.
+    A breadth-first search over the transition table, following both
+    arrivals and grants.  Optional pruning aid; the solvers run on the full
+    enumerated space and simply leave zero mass on states the dynamics
+    cannot reach.
     """
-    from . import dynamics
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
 
-    bucket = space.config.bucket
-    buffer_cap = space.config.buffer
-    start = space.index_of(SystemState(bucket, ()))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        idx = frontier.pop()
-        state = space.state_at(idx)
-        nexts = [dynamics.var_replenish(state, bucket)]
-        for size in space.traffic.sizes:
-            nxt, _ = dynamics.var_arrive(state, size, buffer_cap)
-            nexts.append(nxt)
-        for nxt in nexts:
-            j = space.index_of(nxt)
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return np.array(sorted(seen))
+    table = space.transitions
+    targets = np.column_stack([table.arrive, table.grant])
+    sources = np.repeat(np.arange(space.n_states), targets.shape[1])
+    graph = csr_matrix(
+        (np.ones(targets.size), (sources, targets.ravel())),
+        shape=(space.n_states,) * 2,
+    )
+    start = space.index_of(SystemState(space.config.bucket, ()))
+    order = breadth_first_order(graph, start, return_predecessors=False)
+    return np.sort(order).astype(np.intp)

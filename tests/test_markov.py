@@ -23,6 +23,7 @@ from tbstat import (
     integrate_expm_action,
     stationary_dense,
     stationary_power,
+    var_arrive,
     var_replenish,
 )
 from tbstat.markov import ArrivalDistribution, row_sum_defect
@@ -101,6 +102,31 @@ class TestRateMatrix:
         assert mat[i, space.index_of(SystemState(2, (3, 2)))] == pytest.approx(0.15)
         # a 3 or 4 would overflow the remaining two units
         assert mat[i, i] == pytest.approx(-0.35)
+
+    @pytest.mark.parametrize("bucket", [5, 0])
+    def test_rows_agree_with_the_transition_function(self, bucket):
+        space = build_state_space(reference_traffic(0.5), FilterConfig(bucket, 5, 1.0))
+        mat = build_rate_matrix(space)
+        traffic = space.traffic
+        for i, state in enumerate(space.states):
+            want: dict[int, float] = {}
+            for size, prob in zip(traffic.sizes, traffic.probs):
+                nxt, kept = var_arrive(state, size, space.config.buffer)
+                if kept:
+                    j = space.index_of(nxt)
+                    want[j] = want.get(j, 0.0) + prob * traffic.rate
+            if want:
+                want[i] = -sum(want.values())
+            lo, hi = mat.indptr[i], mat.indptr[i + 1]
+            got = dict(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist()))
+            assert got == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("rate", [0.5, 0.0])
+    def test_stores_no_explicit_zeros(self, reference_config, rate):
+        mat = build_rate_matrix(
+            build_state_space(reference_traffic(rate), reference_config)
+        )
+        assert mat.nnz == np.count_nonzero(mat.data)
 
     def test_generator_structure(self, reference_space):
         mat = build_rate_matrix(reference_space)

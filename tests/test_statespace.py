@@ -16,6 +16,8 @@ from tbstat import (
     count_strings,
     enumerate_strings,
     reachable_indices,
+    var_arrive,
+    var_replenish,
 )
 from tests.conftest import reference_traffic
 
@@ -86,6 +88,11 @@ class TestEnumerateStrings:
         for z in enumerate_strings((2, 3), 8):
             assert sum(z) <= 8
             assert all(s in (2, 3) for s in z)
+
+    def test_long_strings_do_not_exhaust_the_stack(self):
+        out = enumerate_strings((1,), 1500)
+        assert len(out) == count_strings((1,), 1500) == 1501
+        assert out[-1] == (1,) * 1500
 
 
 class TestCountStrings:
@@ -192,6 +199,15 @@ class TestReachability:
         space = build_state_space(reference_traffic(0.5), reference_config)
         reachable = set(reachable_indices(space))
         assert space.index_of(SystemState(5, ())) in reachable
+
+    def test_reference_set_is_closed_under_the_dynamics(self, reference_config):
+        space = build_state_space(reference_traffic(0.5), reference_config)
+        reachable = {space.state_at(i) for i in reachable_indices(space)}
+        assert len(reachable) == 58
+        for state in reachable:
+            assert var_replenish(state, 5) in reachable
+            for size in space.traffic.sizes:
+                assert var_arrive(state, size, 5)[0] in reachable
 
     def test_waiting_head_always_outprices_tokens(self, reference_config):
         # a queued head the bucket could pay for can never arise
