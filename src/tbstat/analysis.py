@@ -2,7 +2,8 @@
 
 The embedded chain observes the system immediately after each token grant;
 its stationary vector feeds time averages over one replenishment period,
-taken blockwise through the partitioned generator.  Because arrivals are
+integrated through the arrival generator (blockwise through the partitioned
+generator for the time spent in a chosen set of states).  Because arrivals are
 Poisson, an arriving packet sees exactly those time-averaged probabilities,
 so the blocking probability of a size class is the time-averaged mass of
 the states whose buffer cannot fit one more packet of that size.  Waiting
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import StateSpace, SystemState
+from .statespace import StateSpace, reachable_indices
 from .markov import (
     PartitionedGenerator,
-    build_partitioned_generator,
     build_rate_matrix,
     build_replenishment_matrix,
     expm_action,
@@ -41,6 +41,15 @@ __all__ = [
     "ClassMetrics",
     "class_metrics",
 ]
+
+
+# Krylov basis size of the stationary solve; the basis costs
+# (restart + 1) * n * 8 bytes.
+_GMRES_RESTART = 80
+# Restart cycles before power iteration takes over.  Convergent solves need
+# one or two; more only help when ``tol / 100`` lies below what the kernel
+# tolerance lets GMRES resolve, and there they stagnate.
+_GMRES_CYCLES = 10
 
 
 @dataclass
@@ -72,12 +81,25 @@ def solve_stationary(
     max_iters: int = 1_000_000,
     kernel_tol: float | None = None,
 ) -> StationaryResult:
-    """Stationary vector of the per-period operator by power iteration.
+    """Stationary vector of the per-period operator, certified by power steps.
 
     One step propagates through the arrival generator for a full period and
-    then applies the token grant.  Iteration starts from the full-bucket
-    idle state, so states the dynamics cannot reach keep zero mass.
+    then applies the token grant.  On the states reachable from the
+    full-bucket idle state, which the dynamics never leave, GMRES solves the
+    balance equations with the normalization added, ``x - P^T x + (1^T x) u
+    = u`` for the uniform vector ``u``, matrix-free.  Its answer, clipped at
+    zero, renormalized and scattered back with zero mass on every other
+    state, starts power iteration on the full space, which stops at the
+    first iterate that one step moves by at most ``tol`` in L1.  So
+    ``residual`` is verified on the full operator whatever GMRES reached,
+    and power iteration finishes the job should GMRES fall short.
+    ``iterations`` counts both kinds of period-operator application;
+    ``max_iters`` bounds the power steps.
     """
+    # Imported here: at module level scipy.sparse.linalg adds over 0.1 s to
+    # ``import tbstat``, which every CLI call pays.
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     rate_matrix = build_rate_matrix(space)
     grant_t = build_replenishment_matrix(space).T.tocsr()
     period = space.config.period
@@ -87,12 +109,30 @@ def solve_stationary(
         moved = expm_action(rate_matrix, vec, period, ktol)
         return grant_t @ moved
 
-    start = space.index_of(SystemState(space.config.bucket, ()))
     began = time.perf_counter()
+    keep = reachable_indices(space)
+    n = len(keep)
+    kept_rate = rate_matrix[keep][:, keep]
+    kept_grant_t = grant_t[keep][:, keep]
+    uniform = np.full(n, 1.0 / n)
+    matvecs = 0
+
+    def balance(vec: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        moved = kept_grant_t @ expm_action(kept_rate, vec, period, ktol)
+        return vec - moved + vec.sum() * uniform
+
+    op = LinearOperator((n, n), matvec=balance, dtype=float)
+    kept, _ = gmres(op, uniform, x0=uniform, rtol=tol / 100, atol=0.0,
+                    restart=min(n, _GMRES_RESTART), maxiter=_GMRES_CYCLES)
+    kept = np.clip(kept, 0.0, None)
+    start = np.zeros(space.n_states)
+    start[keep] = kept / kept.sum()
     solve = stationary_power(step, space.n_states, start, tol, max_iters)
     elapsed = time.perf_counter() - began
     return StationaryResult(
-        space, solve.pi, solve.iterations, solve.residual, elapsed
+        space, solve.pi, matvecs + solve.iterations, solve.residual, elapsed
     )
 
 
@@ -138,21 +178,14 @@ def time_average_distribution(
 ) -> np.ndarray:
     """Time-averaged probability of every state over one period.
 
-    The occupied-buffer mass of each token level comes from that level's
-    block propagation; the idle-state mass evolves autonomously and is read
-    from any one block (level 0 here).
+    One integration of the stationary vector through the arrival generator.
+    ``part`` is unused and kept for callers that pass it; the blockwise
+    propagation it describes gives the same vector (see ``time_average``).
     """
     space = result.space
-    if part is None:
-        part = build_partitioned_generator(space)
-    n_idle = part.n_idle
-    levels = list(range(n_idle))
-    integrals = _level_integrals(result, part, levels, tol)
-    avg = np.zeros(space.n_states)
-    for level in levels:
-        avg[space.nonempty_slice(level)] = integrals[level][n_idle:-1]
-    avg[space.empty_indices] = integrals[0][:n_idle]
-    return avg
+    return integrate_expm_action(
+        build_rate_matrix(space), result.pi, space.config.period, tol
+    )
 
 
 def _membership(space: StateSpace, members) -> np.ndarray:

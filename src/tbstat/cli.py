@@ -41,7 +41,6 @@ from .analysis import (
     solve_stationary,
     time_average_distribution,
 )
-from .markov import build_partitioned_generator
 from .des import InsufficientData, batch_confidence, simulate
 
 __all__ = ["main", "load_scenario", "parse_scenario", "run_scenario", "ScenarioError"]
@@ -272,10 +271,9 @@ def _analytic_block(scenario: Scenario) -> tuple[dict, np.ndarray, list]:
     space = build_state_space(scenario.traffic, scenario.config)
     began = time.perf_counter()
     result = solve_stationary(space, tol=scenario.tolerance)
-    part = build_partitioned_generator(space)
-    averaged = time_average_distribution(result, part)
-    table = occupancy_table(result, part, averaged=averaged)
-    metrics = class_metrics(result, part, averaged=averaged)
+    averaged = time_average_distribution(result)
+    table = occupancy_table(result, averaged=averaged)
+    metrics = class_metrics(result, averaged=averaged)
     wall = time.perf_counter() - began
     block = {
         "states": space.n_states,

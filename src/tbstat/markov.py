@@ -6,9 +6,11 @@ module builds the pieces: the arrival rate matrix and the 0/1 replenishment
 matrix, both read off the state space's transition table, small per-period
 chains for the unit-size filter, and a partitioned form of the rate matrix
 that exploits the block structure of the dynamics.
-Matrix exponential actions use uniformization, and stationary distributions
-come from power iteration on the embedded per-period operator, with a dense
-linear solve kept as an independent cross-check for small chains.
+Matrix exponential actions use uniformization.  ``stationary_power`` iterates
+a per-period operator to a verified fixed point from a start index or a start
+vector, so a fast approximate solve (see ``analysis.solve_stationary``) can
+hand it a near-exact law to certify; a dense linear solve is kept as an
+independent cross-check for small chains.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
 the buffer can only gain packets, never lose them, so probability flows from
@@ -328,23 +330,31 @@ class ConvergenceError(RuntimeError):
 def stationary_power(
     step: Callable[[np.ndarray], np.ndarray],
     dim: int,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     tol: float = 1e-10,
     max_iters: int = 1_000_000,
 ) -> StationarySolve:
     """Fixed point of a stochastic map by power iteration.
 
-    Returns the first iterate whose image moves it by at most ``tol`` in L1,
-    along with the verified residual.  Periodic chains never settle: the
-    residual stalls at a positive value until ``max_iters`` trips and a
-    ConvergenceError carrying that residual is raised.
+    ``start`` is a state index (a point mass there) or a start vector of
+    length ``dim``.  Returns the first iterate whose image moves it by at
+    most ``tol`` in L1, along with the verified residual, so a start that is
+    already a fixed point comes back after one verifying step.  Periodic
+    chains never settle from a point mass: the residual stalls at a positive
+    value until ``max_iters`` trips and a ConvergenceError carrying that
+    residual is raised.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    if not 0 <= start < dim:
-        raise ValueError("start index outside state range")
-    current = np.zeros(dim)
-    current[start] = 1.0
+    if isinstance(start, np.ndarray):
+        if start.shape != (dim,):
+            raise ValueError("start vector must have length dim")
+        current = start.astype(float, copy=True)
+    else:
+        if not 0 <= start < dim:
+            raise ValueError("start index outside state range")
+        current = np.zeros(dim)
+        current[start] = 1.0
     residual = math.inf
     for iteration in range(1, max_iters + 1):
         nxt = step(current)

@@ -296,20 +296,18 @@ def reachable_indices(space: StateSpace) -> np.ndarray:
     """Sorted indices reachable from the full-bucket idle state.
 
     A breadth-first search over the transition table, following both
-    arrivals and grants.  Optional pruning aid; the solvers run on the full
-    enumerated space and simply leave zero mass on states the dynamics
-    cannot reach.
+    arrivals and grants, one frontier at a time.  The set is closed under
+    the dynamics, so the stationary solver restricts the chain to it and
+    states outside it carry zero mass.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
     table = space.transitions
-    targets = np.column_stack([table.arrive, table.grant])
-    sources = np.repeat(np.arange(space.n_states), targets.shape[1])
-    graph = csr_matrix(
-        (np.ones(targets.size), (sources, targets.ravel())),
-        shape=(space.n_states,) * 2,
-    )
-    start = space.index_of(SystemState(space.config.bucket, ()))
-    order = breadth_first_order(graph, start, return_predecessors=False)
-    return np.sort(order).astype(np.intp)
+    seen = np.zeros(space.n_states, dtype=bool)
+    frontier = np.array([space.index_of(SystemState(space.config.bucket, ()))])
+    seen[frontier] = True
+    while frontier.size:
+        targets = np.concatenate(
+            [table.arrive[frontier].ravel(), table.grant[frontier]]
+        )
+        frontier = np.unique(targets[~seen[targets]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tbstat import (
     FilterConfig,
@@ -19,6 +20,7 @@ from tbstat import (
     loss_ratio,
     net_to_backlog_distribution,
     occupancy_table,
+    reachable_indices,
     solve_stationary,
     stationary_dense,
     time_average,
@@ -76,6 +78,22 @@ class TestSolveStationary:
             if state.buffer and state.tokens >= state.buffer[0]:
                 assert result.pi[i] == 0.0
 
+    def test_only_reachable_states_carry_mass(self, solved_reference):
+        space, result, _ = solved_reference
+        outside = np.ones(space.n_states, dtype=bool)
+        outside[reachable_indices(space)] = False
+        assert np.all(result.pi[outside] == 0.0)
+
+    def test_matches_the_dense_embedded_chain_on_the_reachable_set(
+        self, solved_small
+    ):
+        space, result, _ = solved_small
+        keep = reachable_indices(space)
+        rate = build_rate_matrix(space).toarray()[np.ix_(keep, keep)]
+        grant = build_replenishment_matrix(space).toarray()[np.ix_(keep, keep)]
+        chain = scipy.linalg.expm(rate * space.config.period) @ grant
+        assert np.abs(result.pi[keep] - stationary_dense(chain)).max() < 1e-12
+
     def test_partition_views(self, solved_reference):
         space, result, _ = solved_reference
         assert result.idle_distribution().shape == (6,)
@@ -119,6 +137,32 @@ class TestUnitSizeUnification:
         for i, state in enumerate(space.states):
             embedded[len(state.buffer) - state.tokens + 5] += result.pi[i]
         assert np.abs(embedded - pi_net).max() < 1e-8
+
+    def test_near_critical_load_matches_the_transfer_chain(self):
+        # the spectral gap is small here, so a residual of 1e-10 alone would
+        # leave an L1 error near 1e-7
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)
+        )
+        result = solve_stationary(space)
+        pi_net = stationary_dense(build_periodic_transfer_chain(0.99, 40, 20))
+        embedded = np.zeros(61)
+        np.add.at(
+            embedded,
+            space.backlog_of_state - space.token_of_state + 20,
+            result.pi,
+        )
+        assert np.abs(embedded - pi_net).sum() < 1e-9
+
+    def test_unattainable_krylov_tolerance_hands_over_to_power_steps(self):
+        # tol / 100 lies below what the kernel resolves, so GMRES stagnates;
+        # it must stop after a bounded number of restarts, not 10 * n
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)
+        )
+        result = solve_stationary(space, tol=1e-14)
+        assert result.residual <= 1e-14
+        assert result.iterations < 1000
 
 
 class TestTimeAverage:

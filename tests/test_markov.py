@@ -308,6 +308,18 @@ class TestStationarySolvers:
         assert solve.residual == 0.0
         assert solve.iterations <= 1  # just the verifying application
 
+    def test_exact_start_vector_returns_after_one_step(self):
+        chain = build_periodic_transfer_chain(0.5, 2, 2)
+        direct = stationary_dense(chain)
+        solve = stationary_power(lambda v: v @ chain, dim=5, start=direct, tol=1e-12)
+        assert solve.iterations == 1
+        assert np.array_equal(solve.pi, direct)
+        assert solve.residual == np.abs(direct @ chain - direct).sum()
+
+    def test_rejects_start_vector_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            stationary_power(lambda v: v, dim=4, start=np.ones(3) / 3)
+
     def test_periodic_chain_raises_with_diagnostics(self):
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ConvergenceError) as err:
