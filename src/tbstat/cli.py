@@ -285,6 +285,7 @@ def _analytic_block(scenario: Scenario) -> tuple[dict, np.ndarray, list]:
 
 
 def _simulated_block(scenario: Scenario) -> tuple[dict, np.ndarray, dict]:
+    began = time.perf_counter()
     stats = simulate(
         scenario.traffic,
         scenario.config,
@@ -292,6 +293,7 @@ def _simulated_block(scenario: Scenario) -> tuple[dict, np.ndarray, dict]:
         seed=scenario.seed,
         warmup=scenario.warmup,
     )
+    wall = time.perf_counter() - began
     table = stats.occupancy_distribution()
     confidence: dict = {}
     unavailable: dict = {}
@@ -309,6 +311,8 @@ def _simulated_block(scenario: Scenario) -> tuple[dict, np.ndarray, dict]:
         "seed": stats.seed,
         "batches": scenario.batches,
         "events": stats.events,
+        "wall_time_s": _sig(wall),
+        "events_per_s": _sig(stats.events / wall),
         "elapsed_model_time": _sig(stats.elapsed),
     }
     if unavailable:

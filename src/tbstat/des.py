@@ -1,18 +1,21 @@
 """Event-driven simulator for the token bucket filter.
 
-Drives the exact same transition functions as the Markov model: exponential
-interarrival times, sizes drawn i.i.d. from the traffic mix, and one token
-granted at every exact multiple of the period, with simultaneous events
-resolved token first.  Arrival instants and packet sizes come from separate
-seeded substreams, so changing the size mix never perturbs the arrival
-clock.  Statistics are collected time-weighted after a warmup span and
-partitioned into equal-time segments for batch-means confidence intervals.
+Exponential interarrival times, sizes drawn i.i.d. from the traffic mix, and
+one token granted at every exact multiple of the period, with simultaneous
+events resolved token first.  Arrival instants and packet sizes come from
+separate seeded substreams, so changing the size mix never perturbs the
+arrival clock.  Events go in blocks, one draw of the streams at a time: the
+state walks a table of state indices whose rows are read from ``dynamics``,
+the Markov model's transition functions, when a state is first visited, and
+every tally is a ``np.bincount`` over the block's pre- and post-event
+indices.  Waits pair the j-th packet served from the queue with its j-th
+entrant (FIFO).  Statistics are time-weighted after a warmup span and split
+into equal-time segments for batch-means confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +32,8 @@ __all__ = [
     "InsufficientData",
 ]
 
-_CHUNK = 1 << 16
+# Arrivals per draw and most grants per block; the streams do not depend on it.
+_CHUNK = 1 << 14
 _TRACE_LEN = 16
 
 
@@ -157,6 +161,67 @@ class SimStats:
         return self.arrivals_all - self.losses_all - self.departures_all - left
 
 
+class _Unread:
+    """Row of a state the walk has not left yet; reads it on first use."""
+
+    __slots__ = ("table", "s")
+
+    def __init__(self, table: _StateTable, s: int):
+        self.table, self.s = table, s
+
+    def __getitem__(self, code: int) -> int:
+        return self.table.read_row(self.s)[code]
+
+
+class _StateTable:
+    """The states met so far, by index, with their successor rows.
+
+    A state's row (the grant's target, then one arrival target per class) is
+    read from the dynamics the first time the walk leaves it.
+    """
+
+    def __init__(self, traffic: TrafficSpec, config: FilterConfig):
+        self.sizes = traffic.sizes
+        self.bucket, self.buffer_cap = config.bucket, config.buffer
+        self.index: dict[SystemState, int] = {}
+        self.states: list[SystemState] = []
+        self.rows: list = []
+        # cell, packets waiting, head class (0 when idle), packets per class
+        self.features: list[list[int]] = []
+
+    def intern(self, state: SystemState) -> int:
+        s = self.index.get(state)
+        if s is None:
+            s = self.index[state] = len(self.states)
+            buf = state.buffer
+            self.states.append(state)
+            self.rows.append(_Unread(self, s))
+            cell = state.tokens * (self.buffer_cap + 1) + backlog(buf)
+            head = self.sizes.index(buf[0]) if buf else 0
+            self.features.append([cell, len(buf), head, *map(buf.count, self.sizes)])
+        return s
+
+    def read_row(self, s: int) -> list[int]:
+        state = self.states[s]
+        arrive = (var_arrive(state, size, self.buffer_cap)[0] for size in self.sizes)
+        row = [self.intern(t) for t in (var_replenish(state, self.bucket), *arrive)]
+        self.rows[s] = row
+        return row
+
+
+def _check_block(checker, table, times, codes, post) -> None:
+    """Check every post-event state; a violation carries the events up to it."""
+    states = table.states
+    for i, s in enumerate(post):
+        try:
+            checker.check(states[s], [])
+        except InvariantViolation as exc:
+            kinds = ["token", *(f"arrival size {size}" for size in table.sizes)]
+            tail = range(max(0, i + 1 - _TRACE_LEN), i + 1)
+            trace = [(times[j], kinds[codes[j]], f"-> {states[post[j]]}") for j in tail]
+            raise InvariantViolation(exc.args[0], trace) from None
+
+
 def simulate(
     traffic: TrafficSpec,
     config: FilterConfig,
@@ -185,171 +250,106 @@ def simulate(
         raise ValueError("segments must be >= 1")
 
     bucket, buffer_cap, period = config.bucket, config.buffer, config.period
-    lam = traffic.rate
-    sizes = traffic.sizes
-    n_classes = len(sizes)
-    width = buffer_cap + 1
+    n_classes = len(traffic.sizes)
+    cells = (bucket + 1) * (buffer_cap + 1)
 
-    seq_times, seq_sizes = np.random.SeedSequence(seed).spawn(2)
-    rng_times = np.random.default_rng(seq_times)
-    rng_sizes = np.random.default_rng(seq_sizes)
-    probs = np.array(traffic.probs)
+    streams = np.random.SeedSequence(seed).spawn(2)
+    rng_times, rng_sizes = map(np.random.default_rng, streams)
 
     end_t = horizon * period
     warm_t = warmup * period
     span = end_t - warm_t
     seg_len = span / segments
-    last_seg = segments - 1
 
-    occupancy = [[0.0] * width for _ in range(bucket + 1)]
-    embedded = [[0] * width for _ in range(bucket + 1)]
-    arrivals = [0] * n_classes
-    losses = [0] * n_classes
-    departures = [0] * n_classes
-    wait_sum = [0.0] * n_classes
-    class_time = [0.0] * n_classes
-    arrivals_all = [0] * n_classes
-    losses_all = [0] * n_classes
-    departures_all = [0] * n_classes
-    seg_span = [0.0] * segments
-    seg_arrivals = [[0] * n_classes for _ in range(segments)]
-    seg_losses = [[0] * n_classes for _ in range(segments)]
-    seg_departures = [[0] * n_classes for _ in range(segments)]
-    seg_wait = [[0.0] * n_classes for _ in range(segments)]
-    seg_class_time = [[0.0] * n_classes for _ in range(segments)]
+    def segment(t: np.ndarray) -> np.ndarray:  # -1 before the window
+        return np.clip(np.floor((t - warm_t) / seg_len), -1, segments - 1).astype(int)
 
-    state = SystemState(0, ())
-    queue: deque[tuple[float, int]] = deque()
-    counts = [0] * n_classes
-    cur_backlog = 0
+    unit = traffic.sizes == (1,)
+    checker = InvariantChecker(bucket, buffer_cap, unit) if check_invariants else None
+    table = _StateTable(traffic, config)
+    s = table.intern(SystemState(0, ()))
 
-    checker = (
-        InvariantChecker(bucket, buffer_cap, unit_size=sizes == (1,))
-        if check_invariants
-        else None
-    )
-    trace: deque = deque(maxlen=_TRACE_LEN)
-
-    gaps: list[float] = []
-    drawn: list[int] = []
-    cursor = 0
-
-    def refill() -> None:
-        nonlocal gaps, drawn, cursor
-        gaps = rng_times.exponential(1.0 / lam, _CHUNK).tolist()
-        drawn = rng_sizes.choice(n_classes, _CHUNK, p=probs).tolist()
-        cursor = 0
-
-    if lam > 0:
-        refill()
-        next_arr = gaps[0]
-        next_class = drawn[0]
-        cursor = 1
-    else:
-        next_arr = math.inf
-        next_class = -1
-
+    occupancy = np.zeros(cells)
+    embedded = np.zeros(cells, dtype=np.int64)
+    seg_span = np.zeros(segments)
+    seg_class_time = np.zeros((segments, n_classes))
+    # Counts per event outcome and (segment, class) slot, slot row 0 the warmup.
+    # Outcomes: 0 dropped, 1 passed through, 2 queued (arrivals), 3 served from
+    # the queue, 4 served nothing (grants).  Waits go by their departure's slot.
+    slots = (segments + 1) * n_classes
+    tallies = np.zeros(5 * slots, dtype=np.int64)
+    seg_wait = np.zeros(slots)
+    waiting = np.empty(0)  # arrival instants of the queued packets, head first
+    arr_t, arr_k = np.empty(0), np.empty(0, dtype=np.int64)
+    clock = 0.0  # instant of the last arrival drawn
+    last_t = 0.0  # instant of the last event processed
     rep_n = 1
-    next_rep = period
-    last_t = 0.0
-    events = 0
 
-    while True:
-        take_token = rep_n <= horizon and next_rep <= next_arr
-        if not take_token and next_arr >= end_t:
-            break
-        now = next_rep if take_token else next_arr
+    while rep_n <= horizon:
+        if traffic.rate > 0 and not arr_t.size:
+            # a running sum seeded with the previous instant adds the gaps in
+            # the same order, so the instants match stepping one at a time
+            gaps = rng_times.exponential(1.0 / traffic.rate, _CHUNK)
+            arr_t = np.cumsum(np.concatenate(([clock], gaps)))[1:]
+            arr_k = rng_sizes.choice(n_classes, _CHUNK, p=traffic.probs)
+            clock = arr_t[-1]
+        # the block's grants may not pass the last arrival drawn, and its
+        # arrivals end before the next grant, or the horizon
+        grant_t = np.arange(rep_n, min(horizon, rep_n + _CHUNK - 1) + 1) * period
+        if arr_t.size:
+            grant_t = grant_t[grant_t <= arr_t[-1]]
+        rep_n += grant_t.size
+        take = int(np.searchsorted(arr_t, min(rep_n * period, end_t)))
 
-        measured = max(last_t, warm_t)
-        if now > measured:
-            dt = now - measured
-            occupancy[state.tokens][cur_backlog] += dt
-            seg = int((measured - warm_t) / seg_len)
-            if seg > last_seg:
-                seg = last_seg
-            seg_span[seg] += dt
-            row = seg_class_time[seg]
-            for k in range(n_classes):
-                c = counts[k]
-                if c:
-                    class_time[k] += c * dt
-                    row[k] += c * dt
-        last_t = now
-        in_window = now >= warm_t
-        events += 1
+        # merge the events in time order, grants listed first go first on a tie
+        times = np.concatenate((grant_t, arr_t[:take]))
+        codes = np.concatenate((np.zeros(grant_t.size, np.int64), arr_k[:take] + 1))
+        order = np.argsort(times, kind="stable")
+        times, codes, arrival = times[order], codes[order], codes[order] > 0
+        arr_t, arr_k = arr_t[take:], arr_k[take:]
 
-        if take_token:
-            had = len(state.buffer)
-            state = var_replenish(state, bucket)
-            if len(state.buffer) < had:
-                t_arr, k = queue.popleft()
-                cur_backlog -= sizes[k]
-                counts[k] -= 1
-                departures_all[k] += 1
-                if in_window:
-                    departures[k] += 1
-                    wait_sum[k] += now - t_arr
-                    seg = int((now - warm_t) / seg_len)
-                    if seg > last_seg:
-                        seg = last_seg
-                    seg_departures[seg][k] += 1
-                    seg_wait[seg][k] += now - t_arr
-            if in_window:
-                embedded[state.tokens][cur_backlog] += 1
-            rep_n += 1
-            next_rep = rep_n * period
-            if checker:
-                trace.append((now, "token", f"-> {state}"))
-                checker.check(state, list(trace))
-        else:
-            k = next_class
-            size = sizes[k]
-            arrivals_all[k] += 1
-            seg = -1
-            if in_window:
-                arrivals[k] += 1
-                seg = int((now - warm_t) / seg_len)
-                if seg > last_seg:
-                    seg = last_seg
-                seg_arrivals[seg][k] += 1
-            had = len(state.buffer)
-            state, kept = var_arrive(state, size, buffer_cap)
-            if not kept:
-                losses_all[k] += 1
-                if in_window:
-                    losses[k] += 1
-                    seg_losses[seg][k] += 1
-            elif len(state.buffer) == had:
-                departures_all[k] += 1
-                if in_window:
-                    departures[k] += 1
-                    seg_departures[seg][k] += 1
-            else:
-                queue.append((now, k))
-                cur_backlog += size
-                counts[k] += 1
-            if cursor == _CHUNK:
-                refill()
-            next_arr = now + gaps[cursor]
-            next_class = drawn[cursor]
-            cursor += 1
-            if checker:
-                trace.append((now, "arrival", f"size {size} -> {state}"))
-                checker.check(state, list(trace))
+        first, rows = s, table.rows
+        post = np.fromiter((s := rows[s][c] for c in codes.tolist()), np.int64)
+        if checker:
+            _check_block(checker, table, times.tolist(), codes.tolist(), post.tolist())
+        pre = np.append(first, post[:-1])
+        features = np.array(table.features)
+        cell, queued, head, counts = *features[:, :3].T, features[:, 3:]
 
-    if end_t > max(last_t, warm_t):
-        measured = max(last_t, warm_t)
-        dt = end_t - measured
-        occupancy[state.tokens][cur_backlog] += dt
-        seg = int((measured - warm_t) / seg_len)
-        if seg > last_seg:
-            seg = last_seg
-        seg_span[seg] += dt
-        for k in range(n_classes):
-            if counts[k]:
-                class_time[k] += counts[k] * dt
-                seg_class_time[seg][k] += counts[k] * dt
+        # the time since the previous event is held by the pre-event state;
+        # what each state held within a segment feeds its time-weighted sums
+        start = np.maximum(np.concatenate(([last_t], times[:-1])), warm_t)
+        last_t = times[-1]
+        dt = np.maximum(times - start, 0.0)
+        seg = segment(start)
+        bounds = np.flatnonzero(np.diff(seg)) + 1
+        for lo, hi in zip([0, *bounds], [*bounds, None]):
+            held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))
+            occupancy += np.bincount(cell, held, cells)
+            seg_span[seg[lo]] += held.sum()
+            seg_class_time[seg[lo]] += held @ counts
 
+        grew = queued[post] - queued[pre]
+        outcome = np.where(arrival, np.where(post == pre, 0, 1 + grew), 4 + grew)
+        slot = (segment(times) + 1) * n_classes
+        slot += np.where(arrival, codes - 1, head[pre])
+        tallies += np.bincount(outcome * slots + slot, minlength=5 * slots)
+        embedded += np.bincount(cell[post[~arrival & (times >= warm_t)]], None, cells)
+
+        # FIFO: the j-th packet served from the queue is its j-th entrant
+        served = outcome == 3
+        waiting = np.concatenate((waiting, times[outcome == 2]))
+        n_served = np.count_nonzero(served)
+        seg_wait += np.bincount(slot[served], times[served] - waiting[:n_served], slots)
+        waiting = waiting[n_served:]
+
+    tallies = tallies.reshape(5, segments + 1, n_classes)
+    lost, passed, queued, served, _ = tallies[:, 1:]
+    lost_all, passed_all, queued_all, served_all, _ = tallies.sum(axis=1)
+    seg_arrivals = lost + passed + queued
+    seg_departures = passed + served
+    arrivals_all = lost_all + passed_all + queued_all
+    seg_wait = seg_wait.reshape(segments + 1, n_classes)[1:]
     return SimStats(
         traffic=traffic,
         config=config,
@@ -358,24 +358,24 @@ def simulate(
         seed=seed,
         segments=segments,
         elapsed=span,
-        events=events,
-        occupancy_time=np.array(occupancy),
-        embedded_counts=np.array(embedded),
-        arrivals=np.array(arrivals),
-        losses=np.array(losses),
-        departures=np.array(departures),
-        wait_sum=np.array(wait_sum),
-        class_time=np.array(class_time),
-        arrivals_all=np.array(arrivals_all),
-        losses_all=np.array(losses_all),
-        departures_all=np.array(departures_all),
-        final_state=state,
-        seg_span=np.array(seg_span),
-        seg_arrivals=np.array(seg_arrivals),
-        seg_losses=np.array(seg_losses),
-        seg_departures=np.array(seg_departures),
-        seg_wait=np.array(seg_wait),
-        seg_class_time=np.array(seg_class_time),
+        events=horizon + int(arrivals_all.sum()),
+        occupancy_time=occupancy.reshape(bucket + 1, buffer_cap + 1),
+        embedded_counts=embedded.reshape(bucket + 1, buffer_cap + 1),
+        arrivals=seg_arrivals.sum(axis=0),
+        losses=lost.sum(axis=0),
+        departures=seg_departures.sum(axis=0),
+        wait_sum=seg_wait.sum(axis=0),
+        class_time=seg_class_time.sum(axis=0),
+        arrivals_all=arrivals_all,
+        losses_all=lost_all,
+        departures_all=passed_all + served_all,
+        final_state=table.states[s],
+        seg_span=seg_span,
+        seg_arrivals=seg_arrivals,
+        seg_losses=lost,
+        seg_departures=seg_departures,
+        seg_wait=seg_wait,
+        seg_class_time=seg_class_time,
         invariants_checked=checker.events_checked if checker else 0,
     )
 

@@ -4,9 +4,11 @@ Two views of the same device.  The unit-size view tracks (backlog, tokens)
 when every packet costs one token; the variable-size view tracks the token
 count plus the exact string of queued packet sizes.  Replenishment functions
 apply one token grant, arrival functions apply one packet; both are pure and
-total, so the Markov builders and the event simulator share them.  The
-simulator steps with them directly; the chain side reads them once per state
-into ``StateSpace.transitions``, from which every matrix is derived.
+total, so the Markov builders and the event simulator share them.  The chain
+side reads them once per state into ``StateSpace.transitions``, from which
+every matrix is derived.  The simulator reads them into a table of state
+indices of its own, a state's row the first time its walk leaves that state,
+so a run that only simulates never enumerates the state space.
 
 For the unit-size filter, at most one of backlog and tokens is ever positive
 on any trajectory started from a valid state: a packet and a spare token

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .statespace import StateSpace
 from .dynamics import md1_step, periodic_transfer_step
@@ -91,6 +93,8 @@ class ArrivalDistribution:
 
 def build_replenishment_matrix(space: StateSpace) -> sp.csr_matrix:
     """Deterministic token-grant jump as a 0/1 stochastic matrix."""
+    import scipy.sparse as sp
+
     n = space.n_states
     return sp.csr_matrix(
         (np.ones(n), (np.arange(n), space.transitions.grant)), shape=(n, n)
@@ -105,6 +109,8 @@ def build_rate_matrix(space: StateSpace) -> sp.csr_matrix:
     so contributes nothing.  Each diagonal entry balances its row, summing
     the class rates in class order, and no explicit zero is stored.
     """
+    import scipy.sparse as sp
+
     arrive = space.transitions.arrive
     n, n_classes = arrive.shape
     rows = np.repeat(np.arange(n), n_classes)
@@ -151,6 +157,8 @@ class PartitionedGenerator:
         return self.idle_rows[:, self.space.nonempty_slice(level)]
 
     def gamma(self, level: int) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         idle = sp.csr_matrix(self.idle_block)
         coupling = self.coupling(level)
         leak = -np.asarray(idle.sum(axis=1) + coupling.sum(axis=1))

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tbstat
 from tbstat import ConvergenceError
 from tbstat.cli import (
     Scenario,
@@ -266,6 +271,15 @@ class TestRunSimulateAndCompare:
         ]
         assert len(rows) == 2
 
+    def test_simulator_rate_is_reported(self, compare_run):
+        _, report = compare_run
+        block = report["simulation"]
+        assert block["wall_time_s"] > 0.0
+        assert block["events_per_s"] > 0.0
+        assert block["events_per_s"] * block["wall_time_s"] == pytest.approx(
+            block["events"], rel=1e-9
+        )
+
     def test_simulate_mode_skips_analytic_tables(self, tmp_path):
         raw = small_raw(mode="simulate", simulation={"horizon": 5_000})
         report = run_scenario(parse_scenario(raw), tmp_path)
@@ -408,3 +422,20 @@ class TestMainEntry:
         )
         assert code == 0
         assert "1/1 points ok" in capsys.readouterr().out
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # modes without a sparse matrix (simulate, count-states) should not pay
+    # for importing scipy.sparse
+    src = str(Path(tbstat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tbstat.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,12 @@
 """Tests for the discrete-event simulator and its output analysis."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tbstat import des
 from tbstat import (
     FilterConfig,
     InsufficientData,
@@ -15,8 +19,13 @@ from tbstat import (
     build_periodic_transfer_chain,
     simulate,
     stationary_dense,
+    var_replenish,
 )
 from tests.conftest import reference_traffic
+
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "simulate_pinned.json").read_text()
+)
 
 
 def unit_traffic(rate: float) -> TrafficSpec:
@@ -93,6 +102,72 @@ class TestSimulate:
     def test_rejects_bad_horizon(self, reference_config):
         with pytest.raises(ValueError):
             simulate(reference_traffic(0.5), reference_config, 100, warmup=100)
+
+
+class TestPinnedTallies:
+    """Tallies recorded from the event-at-a-time simulator (commit 6ad05ec).
+
+    Each horizon spans many 16,384-arrival draws, and at rates 1 and 5
+    packets are still queued where one block of events ends and the next
+    begins.  Counts match exactly; float sums, whose order of addition
+    changed, within 1e-12 relative.
+    """
+
+    @pytest.mark.parametrize("case", PINNED, ids=[c["label"] for c in PINNED])
+    def test_matches_the_event_at_a_time_run(self, case, reference_config):
+        traffic = TrafficSpec(case["sizes"], case["probs"], case["rate"])
+        stats = simulate(
+            traffic,
+            reference_config,
+            case["horizon"],
+            seed=case["seed"],
+            segments=case["segments"],
+        )
+        assert stats.events == case["events"]
+        tokens, buffer = case["final_state"]
+        assert stats.final_state == SystemState(tokens, tuple(buffer))
+        for name, expected in case["ints"].items():
+            assert getattr(stats, name).dtype.kind == "i", name
+            np.testing.assert_array_equal(getattr(stats, name), expected, name)
+        for name, expected in case["floats"].items():
+            np.testing.assert_allclose(
+                getattr(stats, name), expected, rtol=1e-12, atol=0, err_msg=name
+            )
+
+
+class TestCheckMode:
+    def test_checks_every_event_and_changes_no_tally(self, reference_config):
+        plain = simulate(reference_traffic(1.0), reference_config, 20_000, seed=1)
+        checked = simulate(
+            reference_traffic(1.0),
+            reference_config,
+            20_000,
+            seed=1,
+            check_invariants=True,
+        )
+        assert checked.invariants_checked == checked.events == plain.events
+        assert np.array_equal(checked.occupancy_time, plain.occupancy_time)
+        assert np.array_equal(checked.seg_wait, plain.seg_wait)
+
+    def test_a_broken_grant_rule_is_caught(self, monkeypatch, reference_config):
+        # banks one token more than the bucket holds
+        monkeypatch.setattr(
+            des, "var_replenish", lambda state, bucket: var_replenish(state, bucket + 1)
+        )
+        with pytest.raises(InvariantViolation, match="token count 6") as err:
+            simulate(
+                reference_traffic(0.5),
+                reference_config,
+                10_000,
+                seed=3,
+                check_invariants=True,
+            )
+        assert "last events:" in str(err.value)
+        assert 1 <= len(err.value.trace) <= 16
+        when, kind, detail = err.value.trace[-1]
+        assert kind == "token"
+        assert detail == "-> SystemState(tokens=6, buffer=())"
+        assert when == float(round(when))
 
 
 class TestSimStatsAccessors:
