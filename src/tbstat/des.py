@@ -209,17 +209,28 @@ class _StateTable:
         return row
 
 
-def _check_block(checker, table, times, codes, post) -> None:
-    """Check every post-event state; a violation carries the events up to it."""
+def _check_block(checker, table, times, codes, post, checked: set) -> None:
+    """Check each post-event state the first time the walk reaches it.
+
+    The verdict depends on the state alone, so its first visit stands for
+    every later one; a violation carries the events up to that visit.
+    """
     states = table.states
-    for i, s in enumerate(post):
+    reached, first = np.unique(post, return_index=True)
+    pairs = zip(reached.tolist(), first.tolist())
+    fresh = sorted(i for s, i in pairs if s not in checked)
+    for i in fresh:
+        s = int(post[i])
+        checked.add(s)
         try:
             checker.check(states[s], [])
         except InvariantViolation as exc:
             kinds = ["token", *(f"arrival size {size}" for size in table.sizes)]
-            tail = range(max(0, i + 1 - _TRACE_LEN), i + 1)
-            trace = [(times[j], kinds[codes[j]], f"-> {states[post[j]]}") for j in tail]
+            tail = slice(max(0, i + 1 - _TRACE_LEN), i + 1)
+            events = zip(times[tail].tolist(), codes[tail].tolist(), post[tail])
+            trace = [(t, kinds[c], f"-> {states[s]}") for t, c, s in events]
             raise InvariantViolation(exc.args[0], trace) from None
+    checker.events_checked += post.size - len(fresh)
 
 
 def simulate(
@@ -235,8 +246,9 @@ def simulate(
 
     ``warmup`` periods (default 10% of the horizon) are simulated but not
     measured.  The run starts from an empty system with an empty bucket.
-    With ``check_invariants`` every post-event state is validated and the
-    first violation raises, carrying the most recent events.
+    With ``check_invariants`` every post-event state is validated (each
+    distinct state once, as the verdict depends on it alone) and the first
+    violation raises, carrying the most recent events.
     """
     if max(traffic.sizes) > config.buffer:
         raise ValueError("largest packet size exceeds buffer capacity")
@@ -266,6 +278,7 @@ def simulate(
 
     unit = traffic.sizes == (1,)
     checker = InvariantChecker(bucket, buffer_cap, unit) if check_invariants else None
+    checked: set[int] = set()  # states the checker has passed
     table = _StateTable(traffic, config)
     s = table.intern(SystemState(0, ()))
 
@@ -311,7 +324,7 @@ def simulate(
         first, rows = s, table.rows
         post = np.fromiter((s := rows[s][c] for c in codes.tolist()), np.int64)
         if checker:
-            _check_block(checker, table, times.tolist(), codes.tolist(), post.tolist())
+            _check_block(checker, table, times, codes, post, checked)
         pre = np.append(first, post[:-1])
         features = np.array(table.features)
         cell, queued, head, counts = *features[:, :3].T, features[:, 3:]

@@ -107,12 +107,38 @@ class TestParseScenario:
             ({"bounds": [7, 3]}, "bounds"),
             ({"tolerance": 0.0}, "tolerance"),
             ({"tolerance": 2.0}, "tolerance"),
+            ({"simulation": {"seed": -1}}, "simulation.seed"),
         ],
     )
     def test_field_bounds(self, patch, fieldname):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(small_raw(**patch))
         assert err.value.fieldname == fieldname
+
+    @pytest.mark.parametrize(
+        "sizes,buffer,bucket,count",
+        [
+            # counted: 15,701,951 strings at each of 6 token levels
+            ([1, 2, 3, 4], 25, 5, "has 94,211,706 states"),
+            # over budget on repeats of size 5 alone, so not counted
+            ([5], 6_000_000, 0, "has at least 1,200,001 states"),
+        ],
+    )
+    def test_analytic_chain_over_the_state_budget(self, sizes, buffer, bucket, count):
+        raw = small_raw(mode="compare")
+        raw["traffic"] = {
+            "sizes": sizes,
+            "probs": [1 / len(sizes)] * len(sizes),
+            "rate": 0.5,
+        }
+        raw["filter"].update(buffer=buffer, bucket=bucket)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert count in str(err.value)
+        # the simulator never builds the chain
+        raw["mode"] = "simulate"
+        assert parse_scenario(raw).config.buffer == buffer
 
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -333,6 +359,17 @@ class TestSweep:
         }
         assert combos == {(0.25, 1), (0.25, 2), (0.5, 1), (0.5, 2)}
 
+    def test_point_over_the_state_budget_is_isolated(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"filter.buffer": [3, 26]}))
+        index = run_sweep(scenario, grid, tmp_path / "sweep")
+        assert [e["status"] for e in index["points"]] == ["ok", "error"]
+        # 514,228 strings of total <= 26 over sizes {1, 2}, at 3 token levels
+        assert index["points"][1]["error"].startswith("filter.buffer:")
+        assert "1,542,684 states" in index["points"][1]["error"]
+
     def test_invalid_baseline_fails_fast(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(small_raw(color="red")))
@@ -392,6 +429,34 @@ class TestMainEntry:
         code = main(["run", str(scenario)])
         assert code == 2
         assert "scenario.color" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch,flags,fieldname",
+        [
+            (
+                {"simulation": {"warmup": 1000}},
+                ["--horizon", "500"],
+                "simulation.warmup",
+            ),
+            (
+                {
+                    "mode": "count-states",
+                    "traffic": {"sizes": [1, 9], "probs": [0.6, 0.4], "rate": 0.8},
+                },
+                ["--mode", "analytic"],
+                "traffic.sizes",
+            ),
+            ({}, ["--seed", "-1"], "simulation.seed"),
+        ],
+    )
+    def test_flags_are_validated_like_the_file(
+        self, tmp_path, capsys, patch, flags, fieldname
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw(**patch)))
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert f"scenario error: {fieldname}:" in capsys.readouterr().err
 
     def test_solver_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         scenario = tmp_path / "scenario.json"
