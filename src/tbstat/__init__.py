@@ -19,6 +19,7 @@ from .statespace import (
     build_state_space,
     cardinality_bound,
     class_count,
+    count_by_total,
     count_strings,
     enumerate_strings,
     reachable_indices,
@@ -33,6 +34,7 @@ from .dynamics import (
     state_from_net_coord,
     var_arrive,
     var_replenish,
+    var_table,
 )
 from .markov import (
     ArrivalDistribution,
@@ -80,6 +82,7 @@ __all__ = [
     "Transitions",
     "enumerate_strings",
     "count_strings",
+    "count_by_total",
     "cardinality_bound",
     "backlog",
     "class_count",
@@ -93,6 +96,7 @@ __all__ = [
     "periodic_transfer_step",
     "md1_step",
     "var_replenish",
+    "var_table",
     "var_arrive",
     "ArrivalDistribution",
     "build_replenishment_matrix",

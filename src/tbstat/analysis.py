@@ -1,9 +1,11 @@
 """Stationary performance statistics of the token bucket filter.
 
-The embedded chain observes the system immediately after each token grant;
-its stationary vector feeds time averages over one replenishment period,
-integrated through the arrival generator (blockwise through the partitioned
-generator for the time spent in a chosen set of states).  Because arrivals are
+The embedded chain observes the system immediately after each token grant.
+It is solved on the states reachable from the full-bucket idle state, the
+only ones carrying mass, and its stationary vector feeds time averages over
+one replenishment period, integrated through the arrival generator on the
+same states (blockwise through the partitioned generator for the time spent
+in a chosen set of states).  Because arrivals are
 Poisson, an arriving packet sees exactly those time-averaged probabilities,
 so the blocking probability of a size class is the time-averaged mass of
 the states whose buffer cannot fit one more packet of that size.  Waiting
@@ -14,15 +16,18 @@ rate by Little's law.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .statespace import StateSpace, reachable_indices
 from .markov import (
     PartitionedGenerator,
-    build_rate_matrix,
-    build_replenishment_matrix,
+    _rate_matrix,
     expm_action,
     integrate_expm_action,
     stationary_power,
@@ -52,15 +57,58 @@ _GMRES_RESTART = 80
 _GMRES_CYCLES = 10
 
 
+class ReachableChain(NamedTuple):
+    """The per-period chain on the states reachable from the full bucket.
+
+    ``keep`` lists their indices in the full space, ascending; ``rates`` is
+    the arrival generator and ``grant_t`` the transposed grant map on them,
+    both indexed by position in ``keep``.
+    """
+
+    keep: np.ndarray
+    rates: sp.csr_matrix
+    grant_t: sp.csr_matrix
+
+
+def reachable_chain(space: StateSpace) -> ReachableChain:
+    """Relabel the transition table onto ``reachable_indices`` and build on it.
+
+    The reachable set is closed, so no transition leaves it, and every idle
+    state in it moves at the full arrival rate, so the uniformization rate
+    is that of the full space.
+    """
+    import scipy.sparse as sp
+
+    keep = reachable_indices(space)
+    n = len(keep)
+    label = np.zeros(space.n_states, dtype=np.intp)
+    label[keep] = np.arange(n)
+    table = space.transitions
+    class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
+    rates = _rate_matrix(label[table.arrive[keep]], class_rates)
+    grant_t = sp.csr_matrix(
+        (np.ones(n), (label[table.grant[keep]], np.arange(n))), shape=(n, n)
+    )
+    return ReachableChain(keep, rates, grant_t)
+
+
 @dataclass
 class StationaryResult:
-    """Stationary distribution over the full state space, with diagnostics."""
+    """Stationary distribution over the full state space, with diagnostics.
+
+    ``iterations`` is ``gmres_matvecs + power_steps``, the period-operator
+    applications the solve made; ``chain`` is the reachable chain it was
+    solved on.
+    """
 
     space: StateSpace
     pi: np.ndarray
     iterations: int
     residual: float
     wall_time: float = 0.0
+    gmres_matvecs: int = 0
+    power_steps: int = 0
+    chain: ReachableChain | None = field(default=None, repr=False)
 
     def idle_distribution(self) -> np.ndarray:
         """Mass of the idle-buffer state at each token level."""
@@ -84,15 +132,17 @@ def solve_stationary(
     """Stationary vector of the per-period operator, certified by power steps.
 
     One step propagates through the arrival generator for a full period and
-    then applies the token grant.  On the states reachable from the
-    full-bucket idle state, which the dynamics never leave, GMRES solves the
-    balance equations with the normalization added, ``x - P^T x + (1^T x) u
-    = u`` for the uniform vector ``u``, matrix-free.  Its answer, clipped at
-    zero, renormalized and scattered back with zero mass on every other
-    state, starts power iteration on the full space, which stops at the
-    first iterate that one step moves by at most ``tol`` in L1.  So
-    ``residual`` is verified on the full operator whatever GMRES reached,
-    and power iteration finishes the job should GMRES fall short.
+    then applies the token grant.  Everything runs on the states reachable
+    from the full-bucket idle state (``reachable_chain``), which the
+    dynamics never leave.  GMRES solves the balance equations with the
+    normalization added, ``x - P^T x + (1^T x) u = u`` for the uniform
+    vector ``u``, matrix-free.  Its answer, clipped at zero and
+    renormalized, starts power iteration, which stops at the first iterate
+    that one step moves by at most ``tol`` in L1.  So ``residual`` is
+    verified whatever GMRES reached, and power iteration finishes the job
+    should GMRES fall short.  As no mass leaves the reachable set, that
+    residual is the one of a step on the full space.  The answer is
+    scattered into a full-length ``pi``, exactly zero on every other state.
     ``iterations`` counts both kinds of period-operator application;
     ``max_iters`` bounds the power steps.
     """
@@ -100,39 +150,40 @@ def solve_stationary(
     # ``import tbstat``, which every CLI call pays.
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    rate_matrix = build_rate_matrix(space)
-    grant_t = build_replenishment_matrix(space).T.tocsr()
+    began = time.perf_counter()
+    chain = reachable_chain(space)
+    rates, grant_t = chain.rates, chain.grant_t
     period = space.config.period
     ktol = kernel_tol if kernel_tol is not None else min(1e-12, tol / 10)
-
-    def step(vec: np.ndarray) -> np.ndarray:
-        moved = expm_action(rate_matrix, vec, period, ktol)
-        return grant_t @ moved
-
-    began = time.perf_counter()
-    keep = reachable_indices(space)
-    n = len(keep)
-    kept_rate = rate_matrix[keep][:, keep]
-    kept_grant_t = grant_t[keep][:, keep]
+    n = len(chain.keep)
     uniform = np.full(n, 1.0 / n)
     matvecs = 0
+
+    def step(vec: np.ndarray) -> np.ndarray:
+        return grant_t @ expm_action(rates, vec, period, ktol)
 
     def balance(vec: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        moved = kept_grant_t @ expm_action(kept_rate, vec, period, ktol)
-        return vec - moved + vec.sum() * uniform
+        return vec - step(vec) + vec.sum() * uniform
 
     op = LinearOperator((n, n), matvec=balance, dtype=float)
     kept, _ = gmres(op, uniform, x0=uniform, rtol=tol / 100, atol=0.0,
                     restart=min(n, _GMRES_RESTART), maxiter=_GMRES_CYCLES)
     kept = np.clip(kept, 0.0, None)
-    start = np.zeros(space.n_states)
-    start[keep] = kept / kept.sum()
-    solve = stationary_power(step, space.n_states, start, tol, max_iters)
+    solve = stationary_power(step, n, kept / kept.sum(), tol, max_iters)
+    pi = np.zeros(space.n_states)
+    pi[chain.keep] = solve.pi
     elapsed = time.perf_counter() - began
     return StationaryResult(
-        space, solve.pi, matvecs + solve.iterations, solve.residual, elapsed
+        space,
+        pi,
+        matvecs + solve.iterations,
+        solve.residual,
+        elapsed,
+        gmres_matvecs=matvecs,
+        power_steps=solve.iterations,
+        chain=chain,
     )
 
 
@@ -178,14 +229,19 @@ def time_average_distribution(
 ) -> np.ndarray:
     """Time-averaged probability of every state over one period.
 
-    One integration of the stationary vector through the arrival generator.
-    ``part`` is unused and kept for callers that pass it; the blockwise
-    propagation it describes gives the same vector (see ``time_average``).
+    One integration of the stationary vector through the arrival generator
+    of the reachable chain the solve ran on, scattered to full length;
+    states outside it stay at zero, as no mass reaches them.  ``part`` is
+    unused and kept for callers that pass it; the blockwise propagation it
+    describes gives the same vector (see ``time_average``).
     """
     space = result.space
-    return integrate_expm_action(
-        build_rate_matrix(space), result.pi, space.config.period, tol
+    chain = result.chain if result.chain is not None else reachable_chain(space)
+    averaged = np.zeros(space.n_states)
+    averaged[chain.keep] = integrate_expm_action(
+        chain.rates, result.pi[chain.keep], space.config.period, tol
     )
+    return averaged
 
 
 def _membership(space: StateSpace, members) -> np.ndarray:

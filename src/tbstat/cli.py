@@ -5,11 +5,13 @@ plus plot-ready CSV tables; ``tbstat sweep scenario.json --grid grid.json``
 repeats that over a cartesian parameter grid, isolating per-point failures.
 Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
-the file itself.  Unknown keys, malformed values and analytic chains over
-``STATE_BUDGET`` states are rejected with the offending field named, exit
-code 2.  Solver failures exit with code 1.  Each table is built once as a
-list of records rounded to 12 significant digits; the report and the CSV
-files are written from the same records.
+the file itself.  Unknown keys, malformed values, analytic chains over
+``STATE_BUDGET`` states or with packets the bucket can never pay for, and
+``count-states`` limits past the float range of the estimate are rejected
+with the offending field named, exit code 2.  Solver failures exit with
+code 1.  Each table is built once as a list of records rounded to 12
+significant digits; the report and the CSV files are written from the same
+records.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .statespace import (
     TrafficSpec,
     build_state_space,
     cardinality_bound,
+    count_by_total,
     count_strings,
 )
 from .markov import (
@@ -52,8 +55,9 @@ __all__ = ["main", "load_scenario", "parse_scenario", "run_scenario", "ScenarioE
 
 MODES = ("analytic", "simulate", "compare", "count-states", "fixed-length")
 # Most states an analytic chain may have.  Enumerating the states and filling
-# their transition table takes about 10 us and 0.35 KB per state (213,720
-# states: 2.1 s, 103 MB peak RSS; Python 3.11.7 on a 2-vCPU Xeon host).
+# their transition table takes about 0.6 us and 0.14 KB per state (988,704
+# states: 0.6 s, 138 MB peak RSS, and the whole analytic run over their
+# 145,490 reachable states 7.4 s, 243 MB; Python 3.11.7 on a 2-vCPU Xeon host).
 STATE_BUDGET = 1_000_000
 
 
@@ -220,15 +224,31 @@ def parse_scenario(raw: dict) -> Scenario:
     if not 0 < tolerance < 1:
         raise ScenarioError("tolerance", "must be in (0, 1)")
 
+    largest = max(traffic.sizes)
     if mode not in ("count-states", "fixed-length"):
-        if max(traffic.sizes) > config.buffer:
+        if largest > config.buffer:
             raise ScenarioError(
                 "traffic.sizes",
-                f"largest size {max(traffic.sizes)} exceeds filter.buffer "
-                f"{config.buffer}",
+                f"largest size {largest} exceeds filter.buffer {config.buffer}",
             )
     if mode in ("analytic", "compare"):
         _check_state_budget(traffic, config)
+        # tokens cap at the bucket, so such a head packet waits forever
+        if largest > config.bucket + 1:
+            raise ScenarioError(
+                "traffic.sizes",
+                f"largest size {largest} exceeds filter.bucket + 1 = "
+                f"{config.bucket + 1}, so it can never be paid for",
+            )
+    if mode == "count-states":
+        try:
+            cardinality_bound(traffic.sizes, bounds_raw[1])
+        except OverflowError:
+            raise ScenarioError(
+                "bounds",
+                f"upper limit {bounds_raw[1]} overflows the cardinality "
+                f"estimate for sizes {list(traffic.sizes)}",
+            ) from None
 
     return Scenario(
         traffic=traffic,
@@ -317,10 +337,11 @@ def _laws(key: str, transfer: np.ndarray, md1: np.ndarray) -> list[dict]:
 def _count_states(scenario: Scenario, out: Path) -> dict:
     sizes = scenario.traffic.sizes
     lo, hi = scenario.bounds
+    counted = list(itertools.accumulate(count_by_total(sizes, hi)))
     counts = [
         {
             "limit": limit,
-            "counted": count_strings(sizes, limit),
+            "counted": counted[limit],
             "estimate": _sig(cardinality_bound(sizes, limit)),
         }
         for limit in range(lo, hi + 1)
@@ -372,6 +393,9 @@ def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
     report = {
         "solver": {
             "states": space.n_states,
+            "reachable_states": len(result.chain.keep),
+            "gmres_matvecs": result.gmres_matvecs,
+            "power_steps": result.power_steps,
             "iterations": result.iterations,
             "residual": _sig(result.residual),
             "wall_time_s": _sig(wall),

@@ -338,7 +338,10 @@ def simulate(
         bounds = np.flatnonzero(np.diff(seg)) + 1
         for lo, hi in zip([0, *bounds], [*bounds, None]):
             held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))
-            occupancy += np.bincount(cell, held, cells)
+            # tally only the states held: a row read interns targets the walk
+            # may not have reached, which broken rules can put off the grid
+            kept = np.flatnonzero(held)
+            occupancy += np.bincount(cell[kept], held[kept], cells)
             seg_span[seg[lo]] += held.sum()
             seg_class_time[seg[lo]] += held @ counts
 

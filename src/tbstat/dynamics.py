@@ -4,11 +4,13 @@ Two views of the same device.  The unit-size view tracks (backlog, tokens)
 when every packet costs one token; the variable-size view tracks the token
 count plus the exact string of queued packet sizes.  Replenishment functions
 apply one token grant, arrival functions apply one packet; both are pure and
-total, so the Markov builders and the event simulator share them.  The chain
-side reads them once per state into ``StateSpace.transitions``, from which
-every matrix is derived.  The simulator reads them into a table of state
-indices of its own, a state's row the first time its walk leaves that state,
-so a run that only simulates never enumerates the state space.
+total.  The simulator reads them into a table of state indices of its own, a
+state's row the first time its walk leaves that state, so a run that only
+simulates never enumerates the state space.  The chain side uses their array
+form, ``var_table``: the same rules stated once per buffer string (head size,
+tail, append target per class, backlog) and broadcast over the token levels,
+giving ``StateSpace.transitions``, from which every matrix is derived.  The
+scalar functions are the reference the array form is tested against.
 
 For the unit-size filter, at most one of backlog and tokens is ever positive
 on any trajectory started from a valid state: a packet and a spare token
@@ -19,9 +21,14 @@ per-period recursions below evolve it directly.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .statespace import SystemState, backlog as _backlog
+import numpy as np
+
+from .statespace import SystemState, Transitions, backlog as _backlog
+
+if TYPE_CHECKING:
+    from .statespace import StateSpace
 
 __all__ = [
     "FixedState",
@@ -33,6 +40,7 @@ __all__ = [
     "md1_step",
     "var_replenish",
     "var_arrive",
+    "var_table",
 ]
 
 
@@ -134,3 +142,43 @@ def var_arrive(
     if state.tokens >= size:
         return SystemState(state.tokens - size, ()), True
     return SystemState(state.tokens, (size,)), True
+
+
+def var_table(space: StateSpace) -> Transitions:
+    """``var_replenish`` and ``var_arrive`` on every state of ``space`` at once.
+
+    The rules depend on a buffer string only through its head size, its
+    tail (the string after the head leaves), its backlog and the string it
+    becomes when a packet joins.  Those are read once per string, the append
+    target of a packet that does not fit being the string itself, and
+    broadcast over the token levels.
+    """
+    strings, index = space.strings, space.string_index
+    bucket, buffer_cap = space.config.bucket, space.config.buffer
+    sizes = space.traffic.sizes
+    n = space.n_strings
+    string = np.arange(n)
+    head = np.array([z[0] if z else 0 for z in strings])
+    tail = np.array([index[z[1:]] if z else 0 for z in strings])
+    append = np.array(
+        [
+            [index[z + (s,)] if b + s <= buffer_cap else j for s in sizes]
+            for j, (z, b) in enumerate(zip(strings, space.string_backlogs.tolist()))
+        ]
+    )
+
+    level = np.arange(bucket + 1)[:, None]
+    # a grant pays the head once it completes the price; else it is banked
+    pays = (head > 0) & (level >= head - 1)
+    grant = np.where(
+        pays, (level - head + 1) * n + tail, np.minimum(bucket, level + 1) * n + string
+    )
+    # an idle buffer passes a funded packet; otherwise the packet joins the
+    # string, which drops it when it does not fit
+    level, size = level[..., None], np.array(sizes)
+    passes = (string == 0)[:, None] & (level >= size)
+    arrive = np.where(passes, (level - size) * n, level * n + append)
+    return Transitions(
+        arrive.reshape(-1, len(sizes)).astype(np.intp, copy=False),
+        grant.ravel().astype(np.intp, copy=False),
+    )

@@ -3,14 +3,17 @@
 Between token grants the variable-size filter is a continuous-time chain
 driven by Poisson arrivals; each grant applies a deterministic jump.  This
 module builds the pieces: the arrival rate matrix and the 0/1 replenishment
-matrix, both read off the state space's transition table, small per-period
-chains for the unit-size filter, and a partitioned form of the rate matrix
-that exploits the block structure of the dynamics.
-Matrix exponential actions use uniformization.  ``stationary_power`` iterates
-a per-period operator to a verified fixed point from a start index or a start
-vector, so a fast approximate solve (see ``analysis.solve_stationary``) can
-hand it a near-exact law to certify; a dense linear solve is kept as an
-independent cross-check for small chains.
+matrix, both read off the state space's transition table (the rate matrix
+from any relabelling of it too, which is how the solver builds the chain on
+the reachable states alone), small per-period chains for the unit-size
+filter, and a partitioned form of the rate matrix that exploits the block
+structure of the dynamics.
+Matrix exponential actions use uniformization, with the generator transposed
+once per call so that each term is one sparse product.  ``stationary_power``
+iterates a per-period operator to a verified fixed point from a start index
+or a start vector, so a fast approximate solve (see
+``analysis.solve_stationary``) can hand it a near-exact law to certify; a
+dense linear solve is kept as an independent cross-check for small chains.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
 the buffer can only gain packets, never lose them, so probability flows from
@@ -109,13 +112,22 @@ def build_rate_matrix(space: StateSpace) -> sp.csr_matrix:
     so contributes nothing.  Each diagonal entry balances its row, summing
     the class rates in class order, and no explicit zero is stored.
     """
+    class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
+    return _rate_matrix(space.transitions.arrive, class_rates)
+
+
+def _rate_matrix(arrive: np.ndarray, class_rates: np.ndarray) -> sp.csr_matrix:
+    """``build_rate_matrix`` for any table of arrival targets.
+
+    ``arrive[i, k]`` indexes the rows of the matrix itself, so a table
+    relabelled onto a closed subset of states gives that subset's generator.
+    """
     import scipy.sparse as sp
 
-    arrive = space.transitions.arrive
     n, n_classes = arrive.shape
     rows = np.repeat(np.arange(n), n_classes)
     cols = arrive.ravel()
-    data = np.tile(space.traffic.rate * np.asarray(space.traffic.probs), n)
+    data = np.tile(class_rates, n)
     moves = cols != rows
     rows, data = rows[moves], data[moves]
     jumps = sp.csr_matrix((data, (rows, cols[moves])), shape=(n, n))
@@ -227,7 +239,8 @@ def row_sum_defect(mat) -> float:
 def _check_generator(gen) -> float:
     if gen.shape[0] != gen.shape[1]:
         raise ValueError("generator must be square")
-    sums = np.asarray(gen.sum(axis=1)).ravel()
+    # a product with ones: sparse ``sum(axis=1)`` costs several matvecs
+    sums = np.asarray(gen @ np.ones(gen.shape[1])).ravel()
     excess = float(sums.max()) if sums.size else 0.0
     if excess > GENERATOR_ROW_TOL:
         raise ValueError(
@@ -238,13 +251,22 @@ def _check_generator(gen) -> float:
     return rate
 
 
-def _uniformized_sum(gen, vec: np.ndarray, rate: float, t: float, tol: float,
+def _transposed(gen):
+    """The generator's transpose, in a form whose products are matvecs."""
+    if isinstance(gen, np.ndarray):
+        return gen.T
+    return gen.T.tocsr()
+
+
+def _uniformized_sum(gen_t, vec: np.ndarray, rate: float, t: float, tol: float,
                      weights: str) -> np.ndarray:
     """Shared Poisson-weighted power series for expm and its time average.
 
-    ``weights='point'`` sums Poisson(rate*t) probabilities, giving the
-    action of exp(gen*t); ``weights='average'`` sums scaled survival
-    probabilities, giving the time average of the action over [0, t].
+    ``gen_t`` is the transposed generator, so ``gen_t @ v`` is the row
+    vector ``v`` times the generator.  ``weights='point'`` sums
+    Poisson(rate*t) probabilities, giving the action of exp(gen*t);
+    ``weights='average'`` sums scaled survival probabilities, giving the
+    time average of the action over [0, t].
     """
     m = rate * t
     term = math.exp(-m)
@@ -261,7 +283,7 @@ def _uniformized_sum(gen, vec: np.ndarray, rate: float, t: float, tol: float,
     cap = int(m + 12 * math.sqrt(m) + 60)
     while remaining >= tol and k < cap:
         k += 1
-        power = power + (power @ gen) / rate
+        power = power + (gen_t @ power) / rate
         term = term * m / k
         survival -= term
         if weights == "point":
@@ -279,7 +301,8 @@ def expm_action(gen, vec: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarra
     Rows of ``gen`` may sum to zero (mass-conserving) or to a negative
     value (leaky, as in a killed process), but never to a positive one
     beyond 1e-9.  For a conserving generator the total mass of ``vec`` is
-    preserved up to the truncation ``tol``.
+    preserved up to the truncation ``tol``.  The generator is transposed
+    once per call.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
@@ -287,11 +310,12 @@ def expm_action(gen, vec: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarra
     out = np.asarray(vec, dtype=float).copy()
     if rate == 0.0 or t == 0.0:
         return out
+    gen_t = _transposed(gen)
     pieces = max(1, math.ceil(rate * t / _MAX_RATE_HORIZON))
     dt = t / pieces
     piece_tol = tol / pieces
     for _ in range(pieces):
-        out = _uniformized_sum(gen, out, rate, dt, piece_tol, "point")
+        out = _uniformized_sum(gen_t, out, rate, dt, piece_tol, "point")
     return out
 
 
@@ -309,14 +333,15 @@ def integrate_expm_action(
     start = np.asarray(vec, dtype=float).copy()
     if rate == 0.0:
         return start
+    gen_t = _transposed(gen)
     pieces = max(1, math.ceil(rate * horizon / _MAX_RATE_HORIZON))
     dt = horizon / pieces
     piece_tol = tol / (2 * pieces)
     acc = np.zeros_like(start)
     current = start
     for _ in range(pieces):
-        acc += _uniformized_sum(gen, current, rate, dt, piece_tol, "average")
-        current = _uniformized_sum(gen, current, rate, dt, piece_tol, "point")
+        acc += _uniformized_sum(gen_t, current, rate, dt, piece_tol, "average")
+        current = _uniformized_sum(gen_t, current, rate, dt, piece_tol, "point")
     return acc / pieces
 
 

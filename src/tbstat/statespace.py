@@ -22,6 +22,7 @@ __all__ = [
     "SystemState",
     "enumerate_strings",
     "count_strings",
+    "count_by_total",
     "cardinality_bound",
     "backlog",
     "class_count",
@@ -139,11 +140,11 @@ def enumerate_strings(sizes: Iterable[int], limit: int) -> list[tuple[int, ...]]
     return out
 
 
-def count_strings(sizes: Iterable[int], limit: int) -> int:
-    """Number of buffer strings with total size at most ``limit``.
+def count_by_total(sizes: Iterable[int], limit: int) -> list[int]:
+    """Number of buffer strings of each exact total size 0..``limit``.
 
-    Counts by total size: one empty string, and every string of total n ends
-    in some size s, leaving a string of total n - s.
+    One empty string, and every string of total n ends in some size s,
+    leaving a string of total n - s.
     """
     alphabet = _normalized_sizes(sizes)
     if limit < 0:
@@ -152,7 +153,12 @@ def count_strings(sizes: Iterable[int], limit: int) -> int:
     per_total[0] = 1
     for n in range(1, limit + 1):
         per_total[n] = sum(per_total[n - s] for s in alphabet if s <= n)
-    return sum(per_total)
+    return per_total
+
+
+def count_strings(sizes: Iterable[int], limit: int) -> int:
+    """Number of buffer strings with total size at most ``limit``."""
+    return sum(count_by_total(sizes, limit))
 
 
 def cardinality_bound(sizes: Iterable[int], limit: int) -> float:
@@ -240,25 +246,14 @@ class StateSpace:
     def transitions(self) -> Transitions:
         """The arrival and grant rules of ``dynamics``, tabulated once.
 
-        Every matrix and graph of the chain derives from this table, so the
-        rules themselves are stated only in ``dynamics``.
+        Filled by ``dynamics.var_table``, the rules' array form, one pass
+        per buffer string broadcast over the token levels.  Every matrix and
+        graph of the chain derives from this table, so the rules themselves
+        are stated only in ``dynamics``.
         """
-        from .dynamics import var_arrive, var_replenish  # dynamics imports us
+        from .dynamics import var_table  # dynamics imports us
 
-        bucket = self.config.bucket
-        buffer_cap = self.config.buffer
-        sizes = self.traffic.sizes
-        arrive = []
-        grant = []
-        for i in range(self.n_states):
-            state = self.state_at(i)
-            grant.append(self.index_of(var_replenish(state, bucket)))
-            arrive.append(
-                [self.index_of(var_arrive(state, s, buffer_cap)[0]) for s in sizes]
-            )
-        return Transitions(
-            np.array(arrive, dtype=np.intp), np.array(grant, dtype=np.intp)
-        )
+        return var_table(self)
 
     def level_slice(self, level: int) -> slice:
         """All states at one token level, idle-buffer state first."""

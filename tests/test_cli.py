@@ -90,6 +90,15 @@ class TestParseScenario:
             parse_scenario(raw)
         assert err.value.fieldname == "traffic.sizes"
 
+    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    def test_packets_the_bucket_can_never_pay_for_are_rejected(self, mode):
+        # tokens cap at one, so a size-3 head never completes its price
+        raw = small_raw(mode=mode, filter={"bucket": 1, "buffer": 3, "period": 1.0})
+        raw["traffic"]["sizes"] = [1, 3]
+        with pytest.raises(ScenarioError, match=r"filter\.bucket \+ 1 = 2") as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "traffic.sizes"
+
     def test_oversized_packets_fine_for_counting(self):
         raw = small_raw(mode="count-states")
         raw["traffic"]["sizes"] = [1, 9]
@@ -182,6 +191,15 @@ class TestRunAnalytic:
         assert report["solver"]["residual"] <= 1e-10
         assert report["solver"]["iterations"] > 0
 
+    def test_solver_work_is_itemised(self, run):
+        _, report = run
+        solver = report["solver"]
+        # 3 idle states, then heads the banked tokens cannot pay for: size 1
+        # at no token over 4 strings, size 2 at 0 or 1 token over 2 strings
+        assert solver["reachable_states"] == 11
+        assert solver["power_steps"] >= 1
+        assert solver["iterations"] == solver["gmres_matvecs"] + solver["power_steps"]
+
     def test_occupancy_grid_is_a_distribution(self, run):
         _, report = run
         cells = [x for row in report["occupancy_analytic"] for x in row]
@@ -229,6 +247,39 @@ class TestRunCountStates:
         header, rows = read_csv(tmp_path / "state_counts.csv")
         assert header == ["limit", "counted", "estimate"]
         assert len(rows) == 8
+
+
+    def test_every_limit_is_read_off_one_count(self, tmp_path, monkeypatch):
+        tops = []
+        count = tbstat.cli.count_by_total
+        monkeypatch.setattr(
+            tbstat.cli, "count_by_total", lambda s, n: tops.append(n) or count(s, n)
+        )
+        sizes = [1, 2, 3, 4]
+        raw = {
+            "traffic": {"sizes": sizes, "probs": [0.4, 0.3, 0.2, 0.1], "rate": 0.5},
+            "filter": {"bucket": 5, "buffer": 5, "period": 1.0},
+            "mode": "count-states",
+            "bounds": [0, 511],
+        }
+        counts = run_scenario(parse_scenario(raw), tmp_path)["state_counts"]
+        assert tops == [511]
+        assert len(counts) == 512
+        for c in counts[:12] + counts[-1:]:
+            assert c["counted"] == tbstat.count_strings(sizes, c["limit"])
+
+    def test_an_estimate_past_the_float_range_is_rejected(self):
+        raw = {
+            "traffic": {"sizes": [1, 2, 3, 4], "probs": [0.4, 0.3, 0.2, 0.1],
+                        "rate": 0.5},
+            "filter": {"bucket": 5, "buffer": 5, "period": 1.0},
+            "mode": "count-states",
+            # 4.0 ** 512 is past the largest float
+            "bounds": [3, 512],
+        }
+        with pytest.raises(ScenarioError, match="upper limit 512") as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "bounds"
 
 
 class TestRunFixedLength:
@@ -447,6 +498,17 @@ class TestMainEntry:
                 "traffic.sizes",
             ),
             ({}, ["--seed", "-1"], "simulation.seed"),
+            (
+                {"mode": "count-states", "filter": {"bucket": 0, "buffer": 3,
+                                                    "period": 1.0}},
+                ["--mode", "compare"],
+                "traffic.sizes",
+            ),
+            (
+                {"mode": "analytic", "bounds": [3, 1500]},
+                ["--mode", "count-states"],
+                "bounds",
+            ),
         ],
     )
     def test_flags_are_validated_like_the_file(

@@ -169,6 +169,24 @@ class TestCheckMode:
         assert detail == "-> SystemState(tokens=6, buffer=())"
         assert when == float(round(when))
 
+    def test_an_interned_state_off_the_grid_waits_for_its_visit(
+        self, monkeypatch
+    ):
+        # the full bucket's row names the overfull state a block before the
+        # walk reaches it; the tallies of that block must not trip over it
+        monkeypatch.setattr(
+            des, "var_replenish", lambda state, bucket: var_replenish(state, bucket + 1)
+        )
+        with pytest.raises(InvariantViolation, match="token count 6") as err:
+            simulate(
+                TrafficSpec((1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1), 1.4),
+                FilterConfig(5, 5, 1.0),
+                200_000,
+                seed=1,
+                check_invariants=True,
+            )
+        assert err.value.trace[-1][2] == "-> SystemState(tokens=6, buffer=())"
+
 
 class TestSimStatsAccessors:
     def test_wait_requires_departures(self):

@@ -1,6 +1,7 @@
 """Tests for state enumeration, counting and indexing."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tbstat import (
     build_state_space,
     cardinality_bound,
     class_count,
+    count_by_total,
     count_strings,
     enumerate_strings,
     reachable_indices,
@@ -114,6 +116,10 @@ class TestCountStrings:
                     assert count_strings(sizes, limit) == len(
                         enumerate_strings(sizes, limit)
                     ), (sizes, limit)
+
+    def test_counts_by_total_match_enumeration(self):
+        totals = Counter(sum(z) for z in enumerate_strings((1, 2, 3, 4), 10))
+        assert count_by_total((1, 2, 3, 4), 10) == [totals[n] for n in range(11)]
 
     def test_monotone_in_cap_and_alphabet(self):
         for limit in range(12):
