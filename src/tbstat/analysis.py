@@ -2,21 +2,23 @@
 
 The embedded chain observes the system immediately after each token grant.
 It is solved on the states reachable from the full-bucket idle state, the
-only ones carrying mass, and its stationary vector feeds time averages over
-one replenishment period, integrated through the arrival generator on the
-same states (blockwise through the partitioned generator for the time spent
-in a chosen set of states).  Because arrivals are
-Poisson, an arriving packet sees exactly those time-averaged probabilities,
-so the blocking probability of a size class is the time-averaged mass of
-the states whose buffer cannot fit one more packet of that size.  Waiting
-times then follow from the time-averaged per-class backlog and the accepted
-rate by Little's law.
+only ones carrying mass.  Its stationary vector is integrated once through
+the arrival generator on the same states, giving the time-averaged law over
+one replenishment period that every statistic below reads
+(``StationaryResult.averaged``; ``time_average`` integrates blockwise
+through the partitioned generator instead, for the time spent in a chosen
+set of states).  Because arrivals are Poisson, an arriving packet sees
+exactly those time-averaged probabilities, so the blocking probability of a
+size class is the time-averaged mass of the states whose buffer cannot fit
+one more packet of that size.  Waiting times then follow from the
+time-averaged per-class backlog and the accepted rate by Little's law.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -62,11 +64,12 @@ class ReachableChain(NamedTuple):
 
     ``keep`` lists their indices in the full space, ascending; ``rates`` is
     the arrival generator and ``grant_t`` the transposed grant map on them,
-    both indexed by position in ``keep``.
+    both indexed by position in ``keep``.  ``rates`` is stored in CSC form,
+    so the transpose the exponential kernels take is a CSR view of it.
     """
 
     keep: np.ndarray
-    rates: sp.csr_matrix
+    rates: sp.csc_matrix
     grant_t: sp.csr_matrix
 
 
@@ -85,7 +88,7 @@ def reachable_chain(space: StateSpace) -> ReachableChain:
     label[keep] = np.arange(n)
     table = space.transitions
     class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
-    rates = _rate_matrix(label[table.arrive[keep]], class_rates)
+    rates = _rate_matrix(label[table.arrive[keep]], class_rates).tocsc()
     grant_t = sp.csr_matrix(
         (np.ones(n), (label[table.grant[keep]], np.arange(n))), shape=(n, n)
     )
@@ -96,39 +99,52 @@ def reachable_chain(space: StateSpace) -> ReachableChain:
 class StationaryResult:
     """Stationary distribution over the full state space, with diagnostics.
 
-    ``iterations`` is ``gmres_matvecs + power_steps``, the period-operator
-    applications the solve made; ``chain`` is the reachable chain it was
-    solved on.
+    Built by ``solve_stationary``.  ``chain`` is the reachable chain the
+    solve ran on, ``gmres_matvecs`` and ``power_steps`` the period-operator
+    applications of each kind it made, and ``averaged`` the time-averaged
+    law over one period that the statistics of this module read.
     """
 
     space: StateSpace
     pi: np.ndarray
-    iterations: int
     residual: float
-    wall_time: float = 0.0
-    gmres_matvecs: int = 0
-    power_steps: int = 0
-    chain: ReachableChain | None = field(default=None, repr=False)
+    wall_time: float
+    gmres_matvecs: int
+    power_steps: int
+    chain: ReachableChain = field(repr=False)
+
+    @property
+    def iterations(self) -> int:
+        """Period-operator applications, ``gmres_matvecs + power_steps``."""
+        return self.gmres_matvecs + self.power_steps
+
+    @cached_property
+    def averaged(self) -> np.ndarray:
+        """Time-averaged probability of every state over one period.
+
+        One integration of the stationary vector through the arrival
+        generator of ``chain``, made on first use and kept read-only, then
+        scattered to full length; states outside the chain stay at zero, as
+        no mass reaches them.
+        """
+        keep = self.chain.keep
+        out = np.zeros(self.space.n_states)
+        out[keep] = integrate_expm_action(
+            self.chain.rates, self.pi[keep], self.space.config.period
+        )
+        out.flags.writeable = False
+        return out
 
     def idle_distribution(self) -> np.ndarray:
         """Mass of the idle-buffer state at each token level."""
         return self.pi[self.space.empty_indices].copy()
-
-    def level(self, level: int) -> np.ndarray:
-        """Mass of every buffer string at one token level."""
-        return self.pi[self.space.level_slice(level)].copy()
 
     def level_queue(self, level: int) -> np.ndarray:
         """Mass of the occupied-buffer strings at one token level."""
         return self.pi[self.space.nonempty_slice(level)].copy()
 
 
-def solve_stationary(
-    space: StateSpace,
-    tol: float = 1e-10,
-    max_iters: int = 1_000_000,
-    kernel_tol: float | None = None,
-) -> StationaryResult:
+def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     """Stationary vector of the per-period operator, certified by power steps.
 
     One step propagates through the arrival generator for a full period and
@@ -143,8 +159,10 @@ def solve_stationary(
     should GMRES fall short.  As no mass leaves the reachable set, that
     residual is the one of a step on the full space.  The answer is
     scattered into a full-length ``pi``, exactly zero on every other state.
-    ``iterations`` counts both kinds of period-operator application;
-    ``max_iters`` bounds the power steps.
+    The exponential kernels run to ``min(1e-12, tol / 10)``, and a chain
+    that power iteration cannot settle raises ``ConvergenceError`` after
+    ``stationary_power``'s default step budget.  The time average is left
+    to the result, which integrates it on first use.
     """
     # Imported here: at module level scipy.sparse.linalg adds over 0.1 s to
     # ``import tbstat``, which every CLI call pays.
@@ -154,7 +172,7 @@ def solve_stationary(
     chain = reachable_chain(space)
     rates, grant_t = chain.rates, chain.grant_t
     period = space.config.period
-    ktol = kernel_tol if kernel_tol is not None else min(1e-12, tol / 10)
+    ktol = min(1e-12, tol / 10)
     n = len(chain.keep)
     uniform = np.full(n, 1.0 / n)
     matvecs = 0
@@ -171,19 +189,12 @@ def solve_stationary(
     kept, _ = gmres(op, uniform, x0=uniform, rtol=tol / 100, atol=0.0,
                     restart=min(n, _GMRES_RESTART), maxiter=_GMRES_CYCLES)
     kept = np.clip(kept, 0.0, None)
-    solve = stationary_power(step, n, kept / kept.sum(), tol, max_iters)
+    solve = stationary_power(step, n, kept / kept.sum(), tol)
     pi = np.zeros(space.n_states)
     pi[chain.keep] = solve.pi
     elapsed = time.perf_counter() - began
     return StationaryResult(
-        space,
-        pi,
-        matvecs + solve.iterations,
-        solve.residual,
-        elapsed,
-        gmres_matvecs=matvecs,
-        power_steps=solve.iterations,
-        chain=chain,
+        space, pi, solve.residual, elapsed, matvecs, solve.iterations, chain
     )
 
 
@@ -205,10 +216,7 @@ def net_to_backlog_distribution(
 
 
 def _level_integrals(
-    result: StationaryResult,
-    part: PartitionedGenerator,
-    levels: list[int],
-    tol: float,
+    result: StationaryResult, part: PartitionedGenerator, levels: list[int]
 ) -> dict[int, np.ndarray]:
     """Time-averaged block vectors [idle, level queue, overflow] per level."""
     idle = result.pi[result.space.empty_indices]
@@ -218,30 +226,20 @@ def _level_integrals(
         start = np.concatenate(
             [idle, result.pi[result.space.nonempty_slice(level)], [0.0]]
         )
-        out[level] = integrate_expm_action(part.gamma(level), start, period, tol)
+        out[level] = integrate_expm_action(part.gamma(level), start, period)
     return out
 
 
 def time_average_distribution(
-    result: StationaryResult,
-    part: PartitionedGenerator | None = None,
-    tol: float = 1e-12,
+    result: StationaryResult, part: PartitionedGenerator | None = None
 ) -> np.ndarray:
     """Time-averaged probability of every state over one period.
 
-    One integration of the stationary vector through the arrival generator
-    of the reachable chain the solve ran on, scattered to full length;
-    states outside it stay at zero, as no mass reaches them.  ``part`` is
-    unused and kept for callers that pass it; the blockwise propagation it
-    describes gives the same vector (see ``time_average``).
+    The result's read-only ``averaged`` vector, integrated once per result.
+    ``part`` is ignored and kept for callers that pass it; the blockwise
+    propagation it describes gives the same vector (see ``time_average``).
     """
-    space = result.space
-    chain = result.chain if result.chain is not None else reachable_chain(space)
-    averaged = np.zeros(space.n_states)
-    averaged[chain.keep] = integrate_expm_action(
-        chain.rates, result.pi[chain.keep], space.config.period, tol
-    )
-    return averaged
+    return result.averaged
 
 
 def _membership(space: StateSpace, members) -> np.ndarray:
@@ -259,7 +257,6 @@ def time_average(
     result: StationaryResult,
     part: PartitionedGenerator,
     members,
-    tol: float = 1e-12,
     idle_term_level: int = 0,
 ) -> float:
     """Fraction of time the system spends in a set of states.
@@ -279,7 +276,7 @@ def time_average(
     ]
     if idle_mask.any() and idle_term_level not in levels:
         levels.append(idle_term_level)
-    integrals = _level_integrals(result, part, levels, tol)
+    integrals = _level_integrals(result, part, levels)
     for level in levels:
         queue_mask = mask[space.nonempty_slice(level)]
         if queue_mask.any():
@@ -290,66 +287,54 @@ def time_average(
 
 
 def occupancy_table(
-    result: StationaryResult,
-    part: PartitionedGenerator | None = None,
-    tol: float = 1e-12,
-    averaged: np.ndarray | None = None,
+    result: StationaryResult, part: PartitionedGenerator | None = None
 ) -> np.ndarray:
     """Joint time-averaged distribution of (token level, backlog).
 
-    Rows index token levels 0..bucket, columns backlog 0..buffer.
+    Rows index token levels 0..bucket, columns backlog 0..buffer.  Read off
+    ``result.averaged``; ``part`` is ignored.
     """
     space = result.space
-    if averaged is None:
-        averaged = time_average_distribution(result, part, tol)
     table = np.zeros((space.config.bucket + 1, space.config.buffer + 1))
     np.add.at(
         table,
         (space.token_of_state, space.backlog_of_state),
-        averaged,
+        result.averaged,
     )
     return table
 
 
 def loss_ratio(
-    result: StationaryResult,
-    part: PartitionedGenerator | None = None,
-    size: int = 1,
-    tol: float = 1e-12,
-    averaged: np.ndarray | None = None,
+    result: StationaryResult, part: PartitionedGenerator | None = None, size: int = 1
 ) -> float:
     """Stationary loss probability for packets of one size.
 
     A Poisson arrival samples the time-averaged state, so the loss ratio is
-    the averaged mass of states whose buffer lacks room for the packet.  An
-    idle buffer always has room because sizes never exceed the buffer.
+    the mass of ``result.averaged`` on states whose buffer lacks room for
+    the packet.  An idle buffer always has room because sizes never exceed
+    the buffer.  ``part`` is ignored.
     """
     space = result.space
     if size not in space.traffic.sizes:
         raise ValueError(f"size {size} is not a traffic class")
-    if averaged is None:
-        averaged = time_average_distribution(result, part, tol)
     blocking = space.backlog_of_state > space.config.buffer - size
     blocking &= space.backlog_of_state > 0
-    return float(averaged[blocking].sum())
+    return float(result.averaged[blocking].sum())
 
 
 def class_backlog(
-    result: StationaryResult,
-    part: PartitionedGenerator | None = None,
-    size: int = 1,
-    tol: float = 1e-12,
-    averaged: np.ndarray | None = None,
+    result: StationaryResult, part: PartitionedGenerator | None = None, size: int = 1
 ) -> float:
-    """Time-averaged number of queued packets of one size."""
+    """Time-averaged number of queued packets of one size.
+
+    Read off ``result.averaged``; ``part`` is ignored.
+    """
     space = result.space
     if size not in space.traffic.sizes:
         raise ValueError(f"size {size} is not a traffic class")
-    if averaged is None:
-        averaged = time_average_distribution(result, part, tol)
     counts = np.array([z.count(size) for z in space.strings])
     weights = np.tile(counts, space.config.bucket + 1)
-    return float(averaged @ weights)
+    return float(result.averaged @ weights)
 
 
 def waiting_time(
@@ -379,20 +364,18 @@ class ClassMetrics:
 
 
 def class_metrics(
-    result: StationaryResult,
-    part: PartitionedGenerator | None = None,
-    tol: float = 1e-12,
-    averaged: np.ndarray | None = None,
+    result: StationaryResult, part: PartitionedGenerator | None = None
 ) -> list[ClassMetrics]:
-    """Loss, backlog, wait and throughput for every traffic class."""
+    """Loss, backlog, wait and throughput for every traffic class.
+
+    All read off ``result.averaged``; ``part`` is ignored.
+    """
     space = result.space
-    if averaged is None:
-        averaged = time_average_distribution(result, part, tol)
     rate = space.traffic.rate
     out = []
     for size, prob in zip(space.traffic.sizes, space.traffic.probs):
-        loss = loss_ratio(result, part, size, tol, averaged)
-        queued = class_backlog(result, part, size, tol, averaged)
+        loss = loss_ratio(result, part, size)
+        queued = class_backlog(result, part, size)
         wait = waiting_time(queued, loss, rate, prob)
         out.append(
             ClassMetrics(

@@ -7,11 +7,11 @@ Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, analytic chains over
 ``STATE_BUDGET`` states or with packets the bucket can never pay for, and
-``count-states`` limits past the float range of the estimate are rejected
-with the offending field named, exit code 2.  Solver failures exit with
-code 1.  Each table is built once as a list of records rounded to 12
-significant digits; the report and the CSV files are written from the same
-records.
+``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of the
+estimate are rejected with the offending field named, exit code 2.  Solver
+failures exit with code 1.  Each table is built once as a list of records
+rounded to 12 significant digits; the report and the CSV files are written
+from the same records.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .analysis import (
     net_to_backlog_distribution,
     occupancy_table,
     solve_stationary,
-    time_average_distribution,
 )
 from .des import InsufficientData, batch_confidence, simulate
 
@@ -59,6 +58,12 @@ MODES = ("analytic", "simulate", "compare", "count-states", "fixed-length")
 # states: 0.6 s, 138 MB peak RSS, and the whole analytic run over their
 # 145,490 reachable states 7.4 s, 243 MB; Python 3.11.7 on a 2-vCPU Xeon host).
 STATE_BUDGET = 1_000_000
+
+# Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
+# total up to it and writes one row per limit, so its cost grows with the
+# limit: sizes (1,) over [0, 100000] take about 1.6 s and 133 MB and write
+# 9.2 MB, over [0, 300000] 4.1 s and 342 MB (Python 3.11.7, 2-vCPU Xeon).
+BOUNDS_LIMIT = 100_000
 
 
 class ScenarioError(ValueError):
@@ -219,6 +224,10 @@ def parse_scenario(raw: dict) -> Scenario:
         or bounds_raw[0] < 0
     ):
         raise ScenarioError("bounds", "expected [low, high] with 0 <= low <= high")
+    if bounds_raw[1] > BOUNDS_LIMIT:
+        raise ScenarioError(
+            "bounds", f"upper limit {bounds_raw[1]} is over the cap of {BOUNDS_LIMIT:,}"
+        )
 
     tolerance = _as_number(raw.get("tolerance", 1e-10), "tolerance")
     if not 0 < tolerance < 1:
@@ -381,9 +390,8 @@ def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
     space = build_state_space(scenario.traffic, scenario.config)
     began = time.perf_counter()
     result = solve_stationary(space, tol=scenario.tolerance)
-    averaged = time_average_distribution(result)
-    table = occupancy_table(result, averaged=averaged)
-    metrics = class_metrics(result, averaged=averaged)
+    table = occupancy_table(result)
+    metrics = class_metrics(result)
     wall = time.perf_counter() - began
     classes = [
         {k: v if k == "size" else _sig(v) for k, v in asdict(m).items()}

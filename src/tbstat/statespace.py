@@ -164,8 +164,10 @@ def count_strings(sizes: Iterable[int], limit: int) -> int:
 def cardinality_bound(sizes: Iterable[int], limit: int) -> float:
     """Geometric growth estimate for the string count: |sizes|**(limit/min).
 
-    An estimate of scale, not an exact bound for every alphabet; it is exact
-    for singleton alphabets and dominates the count for the unit-size case.
+    An estimate of scale, not a bound: the count can exceed it.  A singleton
+    alphabet gets 1.0 although it has ``limit // size + 1`` strings, and
+    sizes (2, 3) at limit 5 get 5.66 for 6 strings.  It does dominate the
+    count for sizes 1..4 and 3..6 at limits 3..10.
     """
     alphabet = _normalized_sizes(sizes)
     if limit < 0:

@@ -220,6 +220,33 @@ class TestTimeAverage:
         assert averaged.min() >= 0.0
 
 
+class TestAveragedLaw:
+    def test_integrated_once_per_result_and_read_only(
+        self, monkeypatch, reference_config
+    ):
+        import tbstat.analysis
+
+        calls = []
+        integrate = tbstat.analysis.integrate_expm_action
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(tbstat.analysis, "integrate_expm_action", counted)
+        space = build_state_space(reference_traffic(0.5), reference_config)
+        result = solve_stationary(space)
+        averaged = time_average_distribution(result)
+        occupancy_table(result)
+        loss_ratio(result, size=2)
+        class_metrics(result)
+        assert time_average_distribution(result) is averaged
+        assert len(calls) == 1
+        assert not averaged.flags.writeable
+        with pytest.raises(ValueError):
+            averaged[0] = 1.0
+
+
 class TestOccupancyTable:
     def test_normalized_grid(self, solved_reference):
         _, result, part = solved_reference

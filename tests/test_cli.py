@@ -117,6 +117,15 @@ class TestParseScenario:
             ({"tolerance": 0.0}, "tolerance"),
             ({"tolerance": 2.0}, "tolerance"),
             ({"simulation": {"seed": -1}}, "simulation.seed"),
+            # a singleton alphabet never overflows the estimate
+            (
+                {
+                    "mode": "count-states",
+                    "traffic": {"sizes": [1], "probs": [1.0], "rate": 0.8},
+                    "bounds": [0, 200_000],
+                },
+                "bounds",
+            ),
         ],
     )
     def test_field_bounds(self, patch, fieldname):

@@ -6,6 +6,7 @@ that table, and its stationary law from GMRES and power steps on the
 reachable states.  Each is checked here against the plainest construction:
 the scalar ``var_arrive``/``var_replenish`` applied state by state, a search
 over ``SystemState`` values, and a dense linear solve of the embedded chain.
+On a second seeded set, aggregate loss must not fall as the rate rises.
 """
 
 import random
@@ -21,7 +22,9 @@ from tbstat import (
     build_rate_matrix,
     build_replenishment_matrix,
     build_state_space,
+    class_metrics,
     integrate_expm_action,
+    loss_ratio,
     reachable_indices,
     solve_stationary,
     stationary_dense,
@@ -47,6 +50,13 @@ def _configs(count: int, seed: int) -> list[tuple[TrafficSpec, FilterConfig]]:
 CONFIGS = _configs(40, seed=6)
 # Sizes above bucket + 1 are never paid for, so the chain has no unique law.
 PAYABLE = [(t, c) for t, c in CONFIGS if max(t.sizes) <= c.bucket + 1]
+
+
+# Payable filters for the loss property, each solved at every rate of RATES.
+MONOTONE = [
+    (t, c) for t, c in _configs(200, seed=7) if max(t.sizes) <= c.bucket + 1
+][:40]
+RATES = (0.05, 0.25, 1.0, 2.5, 5.0)
 
 
 def _label(case) -> str:
@@ -108,3 +118,36 @@ def test_reachable_solve_and_average_equal_the_full_chain(case):
     # the time average on the reachable states, against the full space's
     full = integrate_expm_action(build_rate_matrix(space), result.pi, config.period)
     assert np.abs(time_average_distribution(result) - full).max() < 1e-15
+
+
+@pytest.mark.parametrize("case", MONOTONE, ids=_label)
+def test_aggregate_loss_does_not_fall_as_the_rate_rises(case):
+    traffic, config = case
+    by_packet, by_token = [], []
+    for rate in RATES:
+        traffic_at = TrafficSpec(traffic.sizes, traffic.probs, rate)
+        metrics = class_metrics(solve_stationary(build_state_space(traffic_at, config)))
+        weights = np.array([m.probability for m in metrics])
+        sizes = np.array([m.size for m in metrics])
+        losses = np.array([m.loss_ratio for m in metrics])
+        by_packet.append(weights @ losses)
+        by_token.append((weights * sizes) @ losses / (weights @ sizes))
+    # slack for the solve's residual of 1e-10
+    assert np.diff(by_packet).min() >= -1e-9
+    assert np.diff(by_token).min() >= -1e-9
+
+
+def test_a_class_can_lose_less_as_the_rate_rises():
+    # Size-4 packets crowd the buffer at rate 5, so fewer of the size-1
+    # arrivals find it full: per-class loss is not monotone in the rate.
+    config = FilterConfig(4, 5, 1.0)
+    losses = [
+        loss_ratio(
+            solve_stationary(
+                build_state_space(TrafficSpec((1, 4), (0.3, 0.7), rate), config)
+            ),
+            size=1,
+        )
+        for rate in (2.0, 5.0)
+    ]
+    assert losses[1] < losses[0] - 0.02
