@@ -16,6 +16,7 @@ time-averaged per-class backlog and the accepted rate by Little's law.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,9 +31,10 @@ from .statespace import StateSpace, reachable_indices
 from .markov import (
     PartitionedGenerator,
     _rate_matrix,
-    expm_action,
+    expm_action,  # unused; perfbench's layer spans look it up here
     integrate_expm_action,
     stationary_power,
+    uniformize,
 )
 
 __all__ = [
@@ -144,50 +146,104 @@ class StationaryResult:
         return self.pi[self.space.nonempty_slice(level)].copy()
 
 
+def _gmres(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
+           restart: int, cycles: int) -> np.ndarray:
+    """Restarted GMRES for ``apply(x) = rhs`` from ``start``.
+
+    Arnoldi by classical Gram-Schmidt applied twice, as matrix products;
+    the residual tracked by Givens rotations on Python floats.  A cycle
+    ends at ``rtol * |rhs|``, at a breakdown (an exhausted Krylov space)
+    or after ``restart`` steps, and one least-squares solve updates ``x``.
+    ``apply`` runs once per step, once per cycle and once at the start.
+    """
+    n = len(rhs)
+    restart = min(restart, n)
+    target = rtol * float(np.linalg.norm(rhs))
+    eps = np.finfo(float).eps
+    basis = np.empty((restart + 1, n))
+    hess = np.zeros((restart + 1, restart))
+    x = start.astype(float, copy=True)
+    resid = rhs - apply(x)
+    for _ in range(cycles):
+        beta = float(np.linalg.norm(resid))
+        if beta <= target:
+            break
+        basis[0] = resid / beta
+        rotations = []
+        g = beta
+        k = 0
+        while k < restart:
+            w = apply(basis[k])
+            before = float(np.linalg.norm(w))
+            done = basis[: k + 1]
+            h = done @ w
+            w -= h @ done
+            again = done @ w
+            w -= again @ done
+            h += again
+            norm = float(np.linalg.norm(w))
+            hess[: k + 1, k] = h
+            hess[k + 1, k] = norm
+            col = h.tolist() + [norm]
+            for i, (c, s) in enumerate(rotations):
+                a, b = col[i], col[i + 1]
+                col[i], col[i + 1] = c * a + s * b, c * b - s * a
+            r = math.hypot(col[k], col[k + 1])
+            c, s = (col[k] / r, col[k + 1] / r) if r else (1.0, 0.0)
+            rotations.append((c, s))
+            g = -s * g
+            k += 1
+            if abs(g) <= target or norm <= eps * before:
+                break
+            basis[k] = w / norm
+        e1 = np.zeros(k + 1)
+        e1[0] = beta
+        y = np.linalg.lstsq(hess[: k + 1, :k], e1, rcond=None)[0]
+        x += y @ basis[:k]
+        resid = rhs - apply(x)
+    return x
+
+
 def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     """Stationary vector of the per-period operator, certified by power steps.
 
     One step propagates through the arrival generator for a full period and
     then applies the token grant.  Everything runs on the states reachable
     from the full-bucket idle state (``reachable_chain``), which the
-    dynamics never leave.  GMRES solves the balance equations with the
-    normalization added, ``x - P^T x + (1^T x) u = u`` for the uniform
-    vector ``u``, matrix-free.  Its answer, clipped at zero and
-    renormalized, starts power iteration, which stops at the first iterate
-    that one step moves by at most ``tol`` in L1.  So ``residual`` is
+    dynamics never leave.  The period's exponential is uniformized once,
+    and ``_gmres`` solves the balance equations with the normalization
+    added, ``x - P^T x + (1^T x) u = u`` for the uniform vector ``u``,
+    matrix-free, from ``x = u`` to ``tol / 100`` relative to ``|u|``.  Its
+    answer, clipped at zero and renormalized, starts power iteration,
+    which stops at the first iterate that one step moves by at most
+    ``tol`` in L1.  So ``residual`` is
     verified whatever GMRES reached, and power iteration finishes the job
     should GMRES fall short.  As no mass leaves the reachable set, that
     residual is the one of a step on the full space.  The answer is
     scattered into a full-length ``pi``, exactly zero on every other state.
-    The exponential kernels run to ``min(1e-12, tol / 10)``, and a chain
+    The exponential kernel runs to ``min(1e-12, tol / 10)``, and a chain
     that power iteration cannot settle raises ``ConvergenceError`` after
     ``stationary_power``'s default step budget.  The time average is left
     to the result, which integrates it on first use.
     """
-    # Imported here: at module level scipy.sparse.linalg adds over 0.1 s to
-    # ``import tbstat``, which every CLI call pays.
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     began = time.perf_counter()
     chain = reachable_chain(space)
-    rates, grant_t = chain.rates, chain.grant_t
-    period = space.config.period
-    ktol = min(1e-12, tol / 10)
+    grant_t = chain.grant_t
+    kernel = uniformize(chain.rates, space.config.period, min(1e-12, tol / 10))
     n = len(chain.keep)
     uniform = np.full(n, 1.0 / n)
     matvecs = 0
 
     def step(vec: np.ndarray) -> np.ndarray:
-        return grant_t @ expm_action(rates, vec, period, ktol)
+        return grant_t @ kernel.point(vec)
 
     def balance(vec: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
         return vec - step(vec) + vec.sum() * uniform
 
-    op = LinearOperator((n, n), matvec=balance, dtype=float)
-    kept, _ = gmres(op, uniform, x0=uniform, rtol=tol / 100, atol=0.0,
-                    restart=min(n, _GMRES_RESTART), maxiter=_GMRES_CYCLES)
+    kept = _gmres(balance, uniform, uniform, tol / 100,
+                  _GMRES_RESTART, _GMRES_CYCLES)
     kept = np.clip(kept, 0.0, None)
     solve = stationary_power(step, n, kept / kept.sum(), tol)
     pi = np.zeros(space.n_states)
@@ -330,9 +386,7 @@ def class_backlog(
     Read off ``result.averaged``; ``part`` is ignored.
     """
     space = result.space
-    if size not in space.traffic.sizes:
-        raise ValueError(f"size {size} is not a traffic class")
-    counts = np.array([z.count(size) for z in space.strings])
+    counts = space.string_class_counts[:, space.traffic.class_index(size)]
     weights = np.tile(counts, space.config.bucket + 1)
     return float(result.averaged @ weights)
 

@@ -406,6 +406,7 @@ def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
             "power_steps": result.power_steps,
             "iterations": result.iterations,
             "residual": _sig(result.residual),
+            "solve_s": _sig(result.wall_time),
             "wall_time_s": _sig(wall),
         },
         "occupancy_analytic": _occupancy(table, out / "occupancy_analytic.csv"),

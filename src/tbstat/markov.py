@@ -8,12 +8,13 @@ from any relabelling of it too, which is how the solver builds the chain on
 the reachable states alone), small per-period chains for the unit-size
 filter, and a partitioned form of the rate matrix that exploits the block
 structure of the dynamics.
-Matrix exponential actions use uniformization, with the generator transposed
-once per call so that each term is one sparse product.  ``stationary_power``
-iterates a per-period operator to a verified fixed point from a start index
-or a start vector, so a fast approximate solve (see
-``analysis.solve_stationary``) can hand it a near-exact law to certify; a
-dense linear solve is kept as an independent cross-check for small chains.
+Matrix exponential actions use uniformization, with the generator
+uniformized once per chain (``uniformize``) so that each term is one sparse
+product and an axpy.  ``stationary_power`` iterates a per-period operator
+to a verified fixed point from a start index or a start vector, so a fast
+approximate solve (see ``analysis.solve_stationary``) can hand it a
+near-exact law to certify; a dense linear solve is kept as an independent
+cross-check for small chains.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
 the buffer can only gain packets, never lose them, so probability flows from
@@ -51,6 +52,8 @@ __all__ = [
     "build_partitioned_generator",
     "build_periodic_transfer_chain",
     "build_md1_chain",
+    "Uniformization",
+    "uniformize",
     "expm_action",
     "integrate_expm_action",
     "StationarySolve",
@@ -243,75 +246,102 @@ def _check_generator(gen) -> float:
     return rate
 
 
-def _transposed(gen):
-    """The generator's transpose, in a form whose products are matvecs.
+@dataclass(frozen=True)
+class Uniformization:
+    """exp(gen * t) and its time average over [0, t], made by ``uniformize``.
 
-    For a CSC generator this is a CSR view on its arrays, with no copy.
+    ``step`` is ``I + gen^T / rate`` (CSR, or an ndarray for a dense
+    generator; None when nothing moves).  Each of ``pieces`` equal pieces
+    sums the Poisson ``point_weights``, or the ``average_weights`` that
+    integrate them over the piece, against the powers of ``step``.
     """
-    if isinstance(gen, np.ndarray):
-        return gen.T
-    return gen.T.tocsr()
+
+    step: object
+    pieces: int
+    point_weights: tuple[float, ...]
+    average_weights: tuple[float, ...]
+
+    def _series(self, vec: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+        acc = weights[0] * vec
+        for w in weights[1:]:
+            vec = self.step @ vec
+            acc += w * vec
+        return acc
+
+    def point(self, vec: np.ndarray) -> np.ndarray:
+        """The row vector ``vec @ exp(gen * t)``."""
+        out = np.asarray(vec, dtype=float)
+        for _ in range(self.pieces):
+            out = self._series(out, self.point_weights)
+        return out
+
+    def average(self, vec: np.ndarray) -> np.ndarray:
+        """``vec @ exp(gen * s)`` averaged over s in [0, t], piece by piece
+        from the action at each piece's left end."""
+        current = np.asarray(vec, dtype=float)
+        acc = self._series(current, self.average_weights)
+        for _ in range(1, self.pieces):
+            current = self._series(current, self.point_weights)
+            acc += self._series(current, self.average_weights)
+        return acc / self.pieces
 
 
-def _uniformized_sum(gen_t, vec: np.ndarray, rate: float, t: float, tol: float,
-                     weights: str) -> np.ndarray:
-    """Shared Poisson-weighted power series for expm and its time average.
-
-    ``gen_t`` is the transposed generator, so ``gen_t @ v`` is the row
-    vector ``v`` times the generator.  ``weights='point'`` sums
-    Poisson(rate*t) probabilities, giving the action of exp(gen*t);
-    ``weights='average'`` sums scaled survival probabilities, giving the
-    time average of the action over [0, t].
-    """
-    m = rate * t
+def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:
+    """One piece's series weights for ``m`` mean jumps, cut once the weight
+    left is below ``tol`` or after ``m + 12 sqrt(m) + 60`` terms."""
     term = math.exp(-m)
     survival = 1.0 - term
-    if weights == "point":
-        w = term
-        remaining = survival
-    else:
-        w = survival / m
-        remaining = 1.0 - w
-    power = vec.astype(float, copy=True)
-    acc = w * power
+    w = survival / m if average else term
+    remaining = 1.0 - w if average else survival
+    weights = [w]
     k = 0
     cap = int(m + 12 * math.sqrt(m) + 60)
     while remaining >= tol and k < cap:
         k += 1
-        power = power + (gen_t @ power) / rate
         term = term * m / k
         survival -= term
-        if weights == "point":
-            w = term
-        else:
-            w = max(0.0, survival) / m
-        acc += w * power
+        w = max(0.0, survival) / m if average else term
+        weights.append(w)
         remaining -= w
-    return acc
+    return tuple(weights)
+
+
+def uniformize(gen, t: float, tol: float = 1e-12) -> Uniformization:
+    """Prepare exp(gen * t) by uniformization, checking ``gen`` once.
+
+    Rows of ``gen`` may sum to zero (mass-conserving) or to a negative
+    value (leaky, as in a killed process), but never to a positive one
+    beyond 1e-9.  Each piece's series is truncated at ``tol / pieces``.
+    """
+    if t < 0:
+        raise ValueError("time must be >= 0")
+    rate = _check_generator(gen)
+    if rate == 0.0 or t == 0.0:
+        return Uniformization(None, 1, (1.0,), (1.0,))
+    if isinstance(gen, np.ndarray):
+        step = np.eye(gen.shape[0]) + gen.T / rate
+    else:
+        import scipy.sparse as sp
+
+        step = (gen.T / rate + sp.identity(gen.shape[0], format="csr")).tocsr()
+    pieces = max(1, math.ceil(rate * t / _MAX_RATE_HORIZON))
+    m = rate * (t / pieces)
+    return Uniformization(
+        step,
+        pieces,
+        _poisson_weights(m, tol / pieces, average=False),
+        _poisson_weights(m, tol / pieces, average=True),
+    )
 
 
 def expm_action(gen, vec: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     """Propagate a row vector through exp(gen * t) by uniformization.
 
-    Rows of ``gen`` may sum to zero (mass-conserving) or to a negative
-    value (leaky, as in a killed process), but never to a positive one
-    beyond 1e-9.  For a conserving generator the total mass of ``vec`` is
-    preserved up to the truncation ``tol``.  The generator is transposed
-    once per call.
+    For a conserving generator the total mass of ``vec`` is preserved up to
+    the truncation ``tol``.  Callers that apply one operator many times keep
+    ``uniformize``'s result instead.
     """
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    rate = _check_generator(gen)
-    out = np.asarray(vec, dtype=float).copy()
-    if rate == 0.0 or t == 0.0:
-        return out
-    gen_t = _transposed(gen)
-    pieces = max(1, math.ceil(rate * t / _MAX_RATE_HORIZON))
-    dt = t / pieces
-    piece_tol = tol / pieces
-    for _ in range(pieces):
-        out = _uniformized_sum(gen_t, out, rate, dt, piece_tol, "point")
-    return out
+    return uniformize(gen, t, tol).point(vec)
 
 
 def integrate_expm_action(
@@ -320,28 +350,12 @@ def integrate_expm_action(
     """Time average of ``vec @ exp(gen * s)`` for s in [0, horizon].
 
     The Poisson weights of uniformization integrate in closed form to scaled
-    survival probabilities, so the average needs no quadrature grid.  Long
-    horizons are split into pieces: each piece's average starts from the
-    action at its left end, so the end-point series runs once per piece
-    boundary and not past the last piece.
+    survival probabilities, so the average needs no quadrature grid.  Both
+    series of each piece run to ``tol / 2`` over the piece count.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rate = _check_generator(gen)
-    start = np.asarray(vec, dtype=float).copy()
-    if rate == 0.0:
-        return start
-    gen_t = _transposed(gen)
-    pieces = max(1, math.ceil(rate * horizon / _MAX_RATE_HORIZON))
-    dt = horizon / pieces
-    piece_tol = tol / (2 * pieces)
-    acc = np.zeros_like(start)
-    current = start
-    for piece in range(pieces):
-        if piece:
-            current = _uniformized_sum(gen_t, current, rate, dt, piece_tol, "point")
-        acc += _uniformized_sum(gen_t, current, rate, dt, piece_tol, "average")
-    return acc / pieces
+    return uniformize(gen, horizon, tol / 2).average(vec)
 
 
 class StationarySolve(NamedTuple):

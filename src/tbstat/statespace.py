@@ -9,6 +9,7 @@ an idle buffer.  This module enumerates, counts and indexes those states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -282,6 +283,19 @@ class StateSpace:
     @cached_property
     def backlog_of_state(self) -> np.ndarray:
         return np.tile(self.string_backlogs, self.config.bucket + 1)
+
+    @cached_property
+    def string_class_counts(self) -> np.ndarray:
+        """``[j, k]`` is ``class_count(sizes[k], strings[j])``, one tally."""
+        lengths = np.fromiter(map(len, self.strings), np.intp, self.n_strings)
+        symbols = np.fromiter(
+            itertools.chain.from_iterable(self.strings), np.intp, int(lengths.sum())
+        )
+        n_classes = self.traffic.n_classes
+        cell = np.repeat(np.arange(self.n_strings) * n_classes, lengths)
+        cell += np.searchsorted(self.traffic.sizes, symbols)
+        counts = np.bincount(cell, minlength=self.n_strings * n_classes)
+        return counts.reshape(self.n_strings, n_classes)
 
 
 def build_state_space(traffic: TrafficSpec, config: FilterConfig) -> StateSpace:

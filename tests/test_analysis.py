@@ -1,8 +1,15 @@
 """Tests for the stationary solution and its output statistics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+import tbstat
 
 from tbstat import (
     FilterConfig,
@@ -27,6 +34,7 @@ from tbstat import (
     time_average_distribution,
     waiting_time,
 )
+from tbstat.analysis import _gmres
 from tests.conftest import reference_traffic
 
 
@@ -100,6 +108,71 @@ class TestSolveStationary:
         total = result.idle_distribution().sum()
         total += sum(result.level_queue(t).sum() for t in range(6))
         assert abs(total - 1.0) < 1e-10
+
+
+def _system(n: int, spread: float, seed: int):
+    """A seeded nonsymmetric system ``I + spread * R / sqrt(n)``, R Gaussian."""
+    rng = np.random.default_rng(seed)
+    mat = np.eye(n) + spread * rng.standard_normal((n, n)) / np.sqrt(n)
+    return mat, rng.standard_normal(n)
+
+
+class TestKrylovLoop:
+    @staticmethod
+    def _solve(mat, rhs, rtol, restart, cycles):
+        calls = []
+
+        def apply(vec):
+            calls.append(1)
+            return mat @ vec
+
+        x = _gmres(apply, rhs, np.zeros(len(rhs)), rtol, restart, cycles)
+        exact = np.linalg.solve(mat, rhs)
+        return np.abs(x - exact).max() / np.abs(exact).max(), len(calls)
+
+    def test_one_cycle_stops_at_the_tolerance(self):
+        mat, rhs = _system(60, 0.5, 1)
+        err, calls = self._solve(mat, rhs, 1e-10, 60, 1)
+        assert err < 1e-9
+        # the running residual ends the cycle well before the basis is full
+        assert calls < 60
+
+    def test_restarts_reach_what_one_cycle_cannot(self):
+        mat, rhs = _system(60, 0.5, 2)
+        short, _ = self._solve(mat, rhs, 1e-12, 6, 1)
+        err, calls = self._solve(mat, rhs, 1e-12, 6, 20)
+        assert short > 1e-3
+        assert err < 1e-10
+        assert 2 * (6 + 1) < calls <= 1 + 20 * (6 + 1)
+
+    def test_exhausted_krylov_space_is_exact(self):
+        # n below the restart: the basis spans the space after n steps
+        mat, rhs = _system(12, 2.0, 3)
+        err, calls = self._solve(mat, rhs, 0.0, 80, 1)
+        assert err < 1e-12
+        assert calls <= 12 + 2
+
+
+def test_the_solve_leaves_scipy_sparse_linalg_unloaded():
+    src = str(Path(tbstat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from tbstat import *\n"
+        "traffic = TrafficSpec((1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1), 0.5)\n"
+        "space = build_state_space(traffic, FilterConfig(5, 5, 1.0))\n"
+        "class_metrics(solve_stationary(space))\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestNetToBacklogDistribution:

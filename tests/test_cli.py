@@ -209,6 +209,11 @@ class TestRunAnalytic:
         assert solver["power_steps"] >= 1
         assert solver["iterations"] == solver["gmres_matvecs"] + solver["power_steps"]
 
+    def test_solve_time_is_part_of_the_wall_time(self, run):
+        _, report = run
+        solver = report["solver"]
+        assert 0.0 < solver["solve_s"] <= solver["wall_time_s"]
+
     def test_occupancy_grid_is_a_distribution(self, run):
         _, report = run
         cells = [x for row in report["occupancy_analytic"] for x in row]

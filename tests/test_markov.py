@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.stats
 
 from tbstat import (
@@ -26,7 +27,7 @@ from tbstat import (
     var_arrive,
     var_replenish,
 )
-from tbstat.markov import ArrivalDistribution, row_sum_defect
+from tbstat.markov import ArrivalDistribution, row_sum_defect, uniformize
 from tests.conftest import reference_traffic
 
 
@@ -299,6 +300,69 @@ class TestIntegrateExpmAction:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             integrate_expm_action(np.zeros((1, 1)), np.array([1.0]), 0.0)
+
+
+def _leaky_generator(n: int, seed: int) -> np.ndarray:
+    """A dense random generator whose last row leaks mass."""
+    rng = np.random.default_rng(seed)
+    gen = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(gen, 0.0)
+    gen[np.diag_indices(n)] = -gen.sum(axis=1)
+    gen[-1, -1] -= 0.7
+    return gen
+
+
+def _exact_average(gen: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
+    """``vec`` times the integral of exp(gen s) over [0, t], divided by t.
+
+    The integral is the upper right block of the exponential of the
+    augmented matrix [[gen, I], [0, 0]] times t.
+    """
+    n = gen.shape[0]
+    augmented = np.zeros((2 * n, 2 * n))
+    augmented[:n, :n] = gen
+    augmented[:n, n:] = np.eye(n)
+    return vec @ scipy.linalg.expm(augmented * t)[:n, n:] / t
+
+
+class TestUniformize:
+    @pytest.mark.parametrize("form", ["dense", "csr", "csc"])
+    @pytest.mark.parametrize("t", [0.9, 200.0])
+    def test_matches_the_dense_exponential(self, small_space, form, t):
+        # small_space's rate matrix conserves mass, the random one leaks;
+        # at t = 200 they take 2 and 3 pieces
+        convert = {"dense": np.asarray, "csr": sp.csr_matrix, "csc": sp.csc_matrix}
+        for gen in (build_rate_matrix(small_space).toarray(), _leaky_generator(7, 3)):
+            n = gen.shape[0]
+            vec = np.random.default_rng(n).random(n)
+            vec /= vec.sum()
+            kernel = uniformize(convert[form](gen), t)
+            rate = np.abs(np.diag(gen)).max()
+            assert kernel.pieces == math.ceil(rate * t / 128)
+            point = vec @ scipy.linalg.expm(gen * t)
+            assert np.abs(kernel.point(vec) - point).max() < 1e-12
+            average = _exact_average(gen, vec, t)
+            assert np.abs(kernel.average(vec) - average).max() < 1e-12
+
+    def test_wrappers_are_the_kernel(self, small_space):
+        gen = build_rate_matrix(small_space)
+        vec = np.linspace(0.0, 1.0, small_space.n_states)
+        kernel = uniformize(gen, 1.3)
+        assert np.array_equal(expm_action(gen, vec, 1.3), kernel.point(vec))
+        assert np.array_equal(
+            integrate_expm_action(gen, vec, 1.3),
+            uniformize(gen, 1.3, 0.5e-12).average(vec),
+        )
+
+    def test_nothing_moves_without_rate_or_time(self):
+        vec = np.array([0.25, 0.75])
+        for kernel in (
+            uniformize(np.zeros((2, 2)), 3.0),
+            uniformize(np.array([[-1.0, 1.0], [0.0, 0.0]]), 0.0),
+        ):
+            assert kernel.step is None
+            assert np.array_equal(kernel.point(vec), vec)
+            assert np.array_equal(kernel.average(vec), vec)
 
 
 class TestStationarySolvers:

@@ -192,6 +192,21 @@ class TestStateSpace:
             assert space.token_of_state[i] == state.tokens
             assert space.backlog_of_state[i] == sum(state.buffer)
 
+    @pytest.mark.parametrize(
+        "sizes, probs, buffer_cap",
+        [
+            ((1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1), 5),
+            ((2, 5), (0.5, 0.5), 12),
+            ((3,), (1.0,), 9),
+        ],
+    )
+    def test_string_class_counts_match_class_count(self, sizes, probs, buffer_cap):
+        space = build_state_space(
+            TrafficSpec(sizes, probs, 1.0), FilterConfig(2, buffer_cap, 1.0)
+        )
+        want = [[class_count(s, z) for s in sizes] for z in space.strings]
+        assert space.string_class_counts.tolist() == want
+
     def test_index_of_rejects_foreign_states(self, reference_config):
         space = build_state_space(reference_traffic(0.5), reference_config)
         with pytest.raises(KeyError):
