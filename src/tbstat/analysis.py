@@ -2,9 +2,10 @@
 
 The embedded chain observes the system immediately after each token grant.
 It is solved on the states reachable from the full-bucket idle state, the
-only ones carrying mass.  Its stationary vector is integrated once through
-the arrival generator on the same states, giving the time-averaged law over
-one replenishment period that every statistic below reads
+only ones carrying mass, as ``markov.reachable_chain`` builds it.  Its
+stationary vector is integrated once through the arrival generator on the
+same states, giving the time-averaged law over one replenishment period
+that every statistic below reads
 (``StationaryResult.averaged``; ``time_average`` integrates blockwise
 through the partitioned generator instead, for the time spent in a chosen
 set of states).  Because arrivals are Poisson, an arriving packet sees
@@ -20,19 +21,16 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-from .statespace import StateSpace, reachable_indices
+from .statespace import StateSpace
 from .markov import (
     PartitionedGenerator,
-    _rate_matrix,
+    ReachableChain,
     expm_action,  # unused; perfbench's layer spans look it up here
     integrate_expm_action,
+    reachable_chain,
     stationary_power,
     uniformize,
 )
@@ -59,42 +57,6 @@ _GMRES_RESTART = 80
 # one or two; more only help when ``tol / 100`` lies below what the kernel
 # tolerance lets GMRES resolve, and there they stagnate.
 _GMRES_CYCLES = 10
-
-
-class ReachableChain(NamedTuple):
-    """The per-period chain on the states reachable from the full bucket.
-
-    ``keep`` lists their indices in the full space, ascending; ``rates`` is
-    the arrival generator and ``grant_t`` the transposed grant map on them,
-    both indexed by position in ``keep``.  ``rates`` is stored in CSC form,
-    so the transpose the exponential kernels take is a CSR view of it.
-    """
-
-    keep: np.ndarray
-    rates: sp.csc_matrix
-    grant_t: sp.csr_matrix
-
-
-def reachable_chain(space: StateSpace) -> ReachableChain:
-    """Relabel the transition table onto ``reachable_indices`` and build on it.
-
-    The reachable set is closed, so no transition leaves it, and every idle
-    state in it moves at the full arrival rate, so the uniformization rate
-    is that of the full space.
-    """
-    import scipy.sparse as sp
-
-    keep = reachable_indices(space)
-    n = len(keep)
-    label = np.zeros(space.n_states, dtype=np.intp)
-    label[keep] = np.arange(n)
-    table = space.transitions
-    class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
-    rates = _rate_matrix(label[table.arrive[keep]], class_rates).tocsc()
-    grant_t = sp.csr_matrix(
-        (np.ones(n), (label[table.grant[keep]], np.arange(n))), shape=(n, n)
-    )
-    return ReachableChain(keep, rates, grant_t)
 
 
 @dataclass
@@ -209,7 +171,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
 
     One step propagates through the arrival generator for a full period and
     then applies the token grant.  Everything runs on the states reachable
-    from the full-bucket idle state (``reachable_chain``), which the
+    from the full-bucket idle state (``markov.reachable_chain``), which the
     dynamics never leave.  The period's exponential is uniformized once,
     and ``_gmres`` solves the balance equations with the normalization
     added, ``x - P^T x + (1^T x) u = u`` for the uniform vector ``u``,
@@ -271,21 +233,6 @@ def net_to_backlog_distribution(
     return out
 
 
-def _level_integrals(
-    result: StationaryResult, part: PartitionedGenerator, levels: list[int]
-) -> dict[int, np.ndarray]:
-    """Time-averaged block vectors [idle, level queue, overflow] per level."""
-    idle = result.pi[result.space.empty_indices]
-    period = result.space.config.period
-    out: dict[int, np.ndarray] = {}
-    for level in levels:
-        start = np.concatenate(
-            [idle, result.pi[result.space.nonempty_slice(level)], [0.0]]
-        )
-        out[level] = integrate_expm_action(part.gamma(level), start, period)
-    return out
-
-
 def time_average_distribution(
     result: StationaryResult, part: PartitionedGenerator | None = None
 ) -> np.ndarray:
@@ -325,21 +272,22 @@ def time_average(
     space = result.space
     mask = _membership(space, members)
     n_idle = part.n_idle
+    idle = result.pi[space.empty_indices]
     idle_mask = mask[space.empty_indices]
-    total = 0.0
     levels = [
         level for level in range(n_idle) if mask[space.nonempty_slice(level)].any()
     ]
     if idle_mask.any() and idle_term_level not in levels:
         levels.append(idle_term_level)
-    integrals = _level_integrals(result, part, levels)
+    queued = idle_part = 0.0
     for level in levels:
-        queue_mask = mask[space.nonempty_slice(level)]
-        if queue_mask.any():
-            total += float(integrals[level][n_idle:-1][queue_mask].sum())
-    if idle_mask.any():
-        total += float(integrals[idle_term_level][:n_idle][idle_mask].sum())
-    return total
+        rows = space.nonempty_slice(level)
+        start = np.concatenate([idle, result.pi[rows], [0.0]])
+        block = integrate_expm_action(part.gamma(level), start, space.config.period)
+        queued += float(block[n_idle:-1][mask[rows]].sum())
+        if level == idle_term_level:
+            idle_part = float(block[:n_idle][idle_mask].sum())
+    return queued + idle_part
 
 
 def occupancy_table(

@@ -5,10 +5,11 @@ plus plot-ready CSV tables; ``tbstat sweep scenario.json --grid grid.json``
 repeats that over a cartesian parameter grid, isolating per-point failures.
 Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
-the file itself.  Unknown keys, malformed values, analytic chains over
-``STATE_BUDGET`` states or with packets the bucket can never pay for, and
-``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of the
-estimate are rejected with the offending field named, exit code 2.  Solver
+the file itself.  Unknown keys, malformed values, packets the bucket can
+never pay for (in the analytic, simulate and compare modes), analytic
+chains over ``STATE_BUDGET`` states, and ``count-states`` limits over
+``BOUNDS_LIMIT`` or past the float range of the estimate are rejected with
+the offending field named, exit code 2.  Solver
 failures exit with code 1.  Each table is built once as a list of records
 rounded to 12 significant digits; the report and the CSV files are written
 from the same records.
@@ -160,30 +161,24 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("traffic.sizes", "expected a nonempty list")
     if not isinstance(probs, list):
         raise ScenarioError("traffic.probs", "expected a list")
+    sizes = tuple(_as_int(s, "traffic.sizes") for s in sizes)
+    probs = tuple(_as_number(p, "traffic.probs") for p in probs)
+    rate = _as_number(traffic_raw["rate"], "traffic.rate")
     try:
-        traffic = TrafficSpec(
-            tuple(_as_int(s, "traffic.sizes") for s in sizes),
-            tuple(_as_number(p, "traffic.probs") for p in probs),
-            _as_number(traffic_raw["rate"], "traffic.rate"),
-        )
+        traffic = TrafficSpec(sizes, probs, rate)
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError("traffic", str(exc)) from None
 
     filter_raw = raw["filter"]
     if not isinstance(filter_raw, dict):
         raise ScenarioError("filter", "must be an object")
     _require(filter_raw, "filter", {"bucket": True, "buffer": True, "period": True})
+    bucket = _as_int(filter_raw["bucket"], "filter.bucket")
+    buffer_cap = _as_int(filter_raw["buffer"], "filter.buffer")
+    period = _as_number(filter_raw["period"], "filter.period")
     try:
-        config = FilterConfig(
-            _as_int(filter_raw["bucket"], "filter.bucket"),
-            _as_int(filter_raw["buffer"], "filter.buffer"),
-            _as_number(filter_raw["period"], "filter.period"),
-        )
+        config = FilterConfig(bucket, buffer_cap, period)
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError("filter", str(exc)) from None
 
     mode = raw.get("mode", "analytic")
@@ -240,8 +235,6 @@ def parse_scenario(raw: dict) -> Scenario:
                 "traffic.sizes",
                 f"largest size {largest} exceeds filter.buffer {config.buffer}",
             )
-    if mode in ("analytic", "compare"):
-        _check_state_budget(traffic, config)
         # tokens cap at the bucket, so such a head packet waits forever
         if largest > config.bucket + 1:
             raise ScenarioError(
@@ -249,6 +242,8 @@ def parse_scenario(raw: dict) -> Scenario:
                 f"largest size {largest} exceeds filter.bucket + 1 = "
                 f"{config.bucket + 1}, so it can never be paid for",
             )
+    if mode in ("analytic", "compare"):
+        _check_state_budget(traffic, config)
     if mode == "count-states":
         try:
             cardinality_bound(traffic.sizes, bounds_raw[1])
@@ -572,7 +567,7 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
             run_scenario(_with_overrides(raw, overrides), point_dir)
             entry["status"] = "ok"
             entry["report"] = f"{point_name}/report.json"
-        except (ScenarioError, ConvergenceError, InsufficientData, ValueError) as exc:
+        except (ConvergenceError, InsufficientData, ValueError) as exc:
             entry["status"] = "error"
             entry["error"] = str(exc)
         entries.append(entry)

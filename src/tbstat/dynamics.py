@@ -158,7 +158,7 @@ def var_table(space: StateSpace) -> Transitions:
     sizes = space.traffic.sizes
     n = space.n_strings
     string = np.arange(n)
-    head = np.array([z[0] if z else 0 for z in strings])
+    head = space.string_heads
     tail = np.array([index[z[1:]] if z else 0 for z in strings])
     append = np.array(
         [

@@ -3,11 +3,12 @@
 Between token grants the variable-size filter is a continuous-time chain
 driven by Poisson arrivals; each grant applies a deterministic jump.  This
 module builds the pieces: the arrival rate matrix and the 0/1 replenishment
-matrix, both read off the state space's transition table (the rate matrix
-from any relabelling of it too, which is how the solver builds the chain on
-the reachable states alone), small per-period chains for the unit-size
-filter, and a partitioned form of the rate matrix that exploits the block
-structure of the dynamics.
+matrix, both read off the state space's transition table, and the same two
+on the reachable states alone (``reachable_chain``, which relabels the
+table onto ``reachable_indices`` and hands it to the same private
+builders), small per-period chains for the unit-size filter, and a
+partitioned form of the rate matrix that exploits the block structure of
+the dynamics.
 Matrix exponential actions use uniformization, with the generator
 uniformized once per chain (``uniformize``) so that each term is one sparse
 product and an axpy.  ``stationary_power`` iterates a per-period operator
@@ -41,13 +42,15 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-from .statespace import StateSpace
+from .statespace import StateSpace, reachable_indices
 from .dynamics import md1_step, periodic_transfer_step
 
 __all__ = [
     "ArrivalDistribution",
     "build_replenishment_matrix",
     "build_rate_matrix",
+    "ReachableChain",
+    "reachable_chain",
     "PartitionedGenerator",
     "build_partitioned_generator",
     "build_periodic_transfer_chain",
@@ -99,12 +102,19 @@ class ArrivalDistribution:
 
 def build_replenishment_matrix(space: StateSpace) -> sp.csr_matrix:
     """Deterministic token-grant jump as a 0/1 stochastic matrix."""
+    return _grant_matrix(space.transitions.grant)
+
+
+def _grant_matrix(grant: np.ndarray) -> sp.csr_matrix:
+    """``build_replenishment_matrix`` for any table of grant targets.
+
+    ``grant[i]`` indexes the rows of the matrix itself, like the arrival
+    table of ``_rate_matrix``.
+    """
     import scipy.sparse as sp
 
-    n = space.n_states
-    return sp.csr_matrix(
-        (np.ones(n), (np.arange(n), space.transitions.grant)), shape=(n, n)
-    )
+    n = len(grant)
+    return sp.csr_matrix((np.ones(n), (np.arange(n), grant)), shape=(n, n))
 
 
 def build_rate_matrix(space: StateSpace) -> sp.csr_matrix:
@@ -136,6 +146,37 @@ def _rate_matrix(arrive: np.ndarray, class_rates: np.ndarray) -> sp.csr_matrix:
     jumps = sp.csr_matrix((data, (rows, cols[moves])), shape=(n, n))
     # Sparse subtraction prunes zero results, so silent rows store nothing.
     return jumps - sp.diags(np.bincount(rows, weights=data, minlength=n), format="csr")
+
+
+class ReachableChain(NamedTuple):
+    """The per-period chain on the states reachable from the full bucket.
+
+    ``keep`` lists their indices in the full space, ascending; ``rates`` is
+    the arrival generator and ``grant_t`` the transposed grant map on them,
+    both indexed by position in ``keep``.  ``rates`` is stored in CSC form,
+    so the transpose the exponential kernels take is a CSR view of it.
+    """
+
+    keep: np.ndarray
+    rates: sp.csc_matrix
+    grant_t: sp.csr_matrix
+
+
+def reachable_chain(space: StateSpace) -> ReachableChain:
+    """Relabel the transition table onto ``reachable_indices`` and build on it.
+
+    The reachable set is closed, so no transition leaves it, and every idle
+    state in it moves at the full arrival rate, so the uniformization rate
+    is that of the full space.
+    """
+    keep = reachable_indices(space)
+    label = np.zeros(space.n_states, dtype=np.intp)
+    label[keep] = np.arange(len(keep))
+    table = space.transitions
+    class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
+    rates = _rate_matrix(label[table.arrive[keep]], class_rates).tocsc()
+    grant_t = _grant_matrix(label[table.grant[keep]]).T.tocsr()
+    return ReachableChain(keep, rates, grant_t)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The filter grants one token per replenishment period into a bucket holding at
 most ``bucket`` tokens, and queues packets in a FCFS ingress buffer holding at
 most ``buffer`` token units.  A system state pairs the current token count
 with the string of packet sizes waiting in the buffer; the empty string means
-an idle buffer.  This module enumerates, counts and indexes those states.
+an idle buffer.  This module enumerates, counts and indexes those states,
+and names the ones reachable from a full, idle bucket.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ class StateSpace:
         """The arrival and grant rules of ``dynamics``, tabulated once.
 
         Filled by ``dynamics.var_table``, the rules' array form, one pass
-        per buffer string broadcast over the token levels.  Every matrix and
-        graph of the chain derives from this table, so the rules themselves
-        are stated only in ``dynamics``.
+        per buffer string broadcast over the token levels.  Every matrix of
+        the chain derives from this table, so the rules themselves are
+        stated only in ``dynamics``; ``reachable_indices`` does not need it.
         """
         from .dynamics import var_table  # dynamics imports us
 
@@ -275,6 +276,11 @@ class StateSpace:
         """Indices of the idle-buffer state at each token level."""
         levels = np.arange(self.config.bucket + 1)
         return levels * self.n_strings
+
+    @cached_property
+    def string_heads(self) -> np.ndarray:
+        """Size of each buffer string's head packet, 0 for the empty one."""
+        return np.array([z[0] if z else 0 for z in self.strings])
 
     @cached_property
     def token_of_state(self) -> np.ndarray:
@@ -306,19 +312,18 @@ def build_state_space(traffic: TrafficSpec, config: FilterConfig) -> StateSpace:
 def reachable_indices(space: StateSpace) -> np.ndarray:
     """Sorted indices reachable from the full-bucket idle state.
 
-    A breadth-first search over the transition table, following both
-    arrivals and grants, one frontier at a time.  The set is closed under
-    the dynamics, so the stationary solver restricts the chain to it and
-    states outside it carry zero mass.
+    A grant that pays the head packet leaves no token over, so a waiting
+    head always costs more than the tokens banked.  When some packet size
+    is at most ``bucket + 1``, the idle state at every level is reachable
+    and so is each queued string at every level below its head's size.
+    When none is, no packet ever leaves and the tokens stay at the full
+    bucket, where every string is reachable.  The set is closed under the
+    dynamics, so the stationary solver restricts the chain to it and states
+    outside it carry zero mass.
     """
-    table = space.transitions
-    seen = np.zeros(space.n_states, dtype=bool)
-    frontier = np.array([space.index_of(SystemState(space.config.bucket, ()))])
-    seen[frontier] = True
-    while frontier.size:
-        targets = np.concatenate(
-            [table.arrive[frontier].ravel(), table.grant[frontier]]
-        )
-        frontier = np.unique(targets[~seen[targets]])
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+    bucket = space.config.bucket
+    token = space.token_of_state
+    if min(space.traffic.sizes) > bucket + 1:
+        return np.flatnonzero(token == bucket)
+    head = np.tile(space.string_heads, bucket + 1)
+    return np.flatnonzero((head == 0) | (token < head))

@@ -90,7 +90,7 @@ class TestParseScenario:
             parse_scenario(raw)
         assert err.value.fieldname == "traffic.sizes"
 
-    @pytest.mark.parametrize("mode", ["analytic", "compare"])
+    @pytest.mark.parametrize("mode", ["analytic", "compare", "simulate"])
     def test_packets_the_bucket_can_never_pay_for_are_rejected(self, mode):
         # tokens cap at one, so a size-3 head never completes its price
         raw = small_raw(mode=mode, filter={"bucket": 1, "buffer": 3, "period": 1.0})
@@ -126,6 +126,13 @@ class TestParseScenario:
                 },
                 "bounds",
             ),
+            ({"filter": {"bucket": -1, "buffer": 3, "period": 1.0}}, "filter"),
+            ({"filter": {"bucket": 2, "buffer": 3, "period": 0}}, "filter"),
+            ({"filter": {"bucket": "2", "buffer": 3, "period": 1.0}}, "filter.bucket"),
+            (
+                {"traffic": {"sizes": [1, 1.5], "probs": [0.6, 0.4], "rate": 0.8}},
+                "traffic.sizes",
+            ),
         ],
     )
     def test_field_bounds(self, patch, fieldname):
@@ -139,7 +146,7 @@ class TestParseScenario:
             # counted: 15,701,951 strings at each of 6 token levels
             ([1, 2, 3, 4], 25, 5, "has 94,211,706 states"),
             # over budget on repeats of size 5 alone, so not counted
-            ([5], 6_000_000, 0, "has at least 1,200,001 states"),
+            ([5], 6_000_000, 4, "has at least 6,000,005 states"),
         ],
     )
     def test_analytic_chain_over_the_state_budget(self, sizes, buffer, bucket, count):

@@ -1,12 +1,13 @@
 """Seeded sweep of small random filters against the scalar rules.
 
 The chain's transition table comes from the array form of the rules
-(``dynamics.var_table``), its reachable set from a breadth-first search over
-that table, and its stationary law from GMRES and power steps on the
-reachable states.  Each is checked here against the plainest construction:
-the scalar ``var_arrive``/``var_replenish`` applied state by state, a search
-over ``SystemState`` values, and a dense linear solve of the embedded chain.
-On a second seeded set, aggregate loss must not fall as the rate rises.
+(``dynamics.var_table``), its reachable set from a closed form in the token
+level and the head packet's size (``reachable_indices``), and its stationary
+law from GMRES and power steps on the reachable states.  Each is checked
+here against the plainest construction: the scalar
+``var_arrive``/``var_replenish`` applied state by state, a search over
+``SystemState`` values, and a dense linear solve of the embedded chain.  On
+a second seeded set, aggregate loss must not fall as the rate rises.
 """
 
 import random
@@ -65,9 +66,32 @@ def _label(case) -> str:
     return f"sizes{sizes}-M{config.bucket}-L{config.buffer}"
 
 
+def _silenced(case):
+    traffic, config = case
+    return TrafficSpec(traffic.sizes, traffic.probs, 0.0), config
+
+
+# The search below is the only reference for the closed form of the
+# reachable set: give it a wide space and silenced sources too, one whose
+# sizes are all payable and one whose sizes never are.
+NEVER_PAYABLE = [(t, c) for t, c in CONFIGS if min(t.sizes) > c.bucket + 1]
+REACH_EXTRA = [
+    pytest.param(
+        (
+            TrafficSpec((1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1), 0.45),
+            FilterConfig(8, 12, 1.0),
+        ),
+        id="large_space",
+    ),
+    pytest.param(_silenced(PAYABLE[0]), id=f"{_label(PAYABLE[0])}-rate0"),
+    pytest.param(_silenced(NEVER_PAYABLE[0]), id=f"{_label(NEVER_PAYABLE[0])}-rate0"),
+]
+
+
 def test_the_sweep_covers_both_kinds_of_filter():
     assert len(PAYABLE) >= 15
     assert len(CONFIGS) - len(PAYABLE) >= 5
+    assert NEVER_PAYABLE
 
 
 @pytest.mark.parametrize("case", CONFIGS, ids=_label)
@@ -83,7 +107,9 @@ def test_array_table_equals_the_scalar_rules(case):
             assert table.arrive[i, k] == space.index_of(after)
 
 
-@pytest.mark.parametrize("case", CONFIGS, ids=_label)
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, id=_label(c)) for c in CONFIGS] + REACH_EXTRA
+)
 def test_reachable_set_is_the_closure_of_the_scalar_rules(case):
     traffic, config = case
     space = build_state_space(traffic, config)

@@ -238,6 +238,11 @@ class TestReachability:
             if state.buffer:
                 assert state.tokens < state.buffer[0]
 
+    def test_reachability_leaves_the_transition_table_unbuilt(self, reference_config):
+        space = build_state_space(reference_traffic(0.5), reference_config)
+        reachable_indices(space)
+        assert "transitions" not in space.__dict__
+
 
 class TestStringHelpers:
     def test_backlog_sums_sizes(self):
