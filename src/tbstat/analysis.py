@@ -51,7 +51,8 @@ __all__ = [
 
 
 # Krylov basis size of the stationary solve; the basis costs
-# (restart + 1) * n * 8 bytes.
+# (restart + 1) * n * 8 bytes, and the assembled period operator is held to
+# (restart + 1) * n entries.
 _GMRES_RESTART = 80
 # Restart cycles before power iteration takes over.  Convergent solves need
 # one or two; more only help when ``tol / 100`` lies below what the kernel
@@ -65,8 +66,10 @@ class StationaryResult:
 
     Built by ``solve_stationary``.  ``chain`` is the reachable chain the
     solve ran on, ``gmres_matvecs`` and ``power_steps`` the period-operator
-    applications of each kind it made, and ``averaged`` the time-averaged
-    law over one period that the statistics of this module read.
+    applications of each kind it made, ``period_nnz`` the entries of the
+    assembled period operator (None when the solve stepped vector by
+    vector), and ``averaged`` the time-averaged law over one period that
+    the statistics of this module read.
     """
 
     space: StateSpace
@@ -75,6 +78,7 @@ class StationaryResult:
     wall_time: float
     gmres_matvecs: int
     power_steps: int
+    period_nnz: int | None
     chain: ReachableChain = field(repr=False)
 
     @property
@@ -172,10 +176,19 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     One step propagates through the arrival generator for a full period and
     then applies the token grant.  Everything runs on the states reachable
     from the full-bucket idle state (``markov.reachable_chain``), which the
-    dynamics never leave.  The period's exponential is uniformized once,
-    and ``_gmres`` solves the balance equations with the normalization
-    added, ``x - P^T x + (1^T x) u = u`` for the uniform vector ``u``,
-    matrix-free, from ``x = u`` to ``tol / 100`` relative to ``|u|``.  Its
+    dynamics never leave.  The period's exponential is uniformized once and,
+    when it fits, assembled with the grant into one sparse matrix
+    ``P^T = G^T exp(R t)^T``, so each step is one product.  It fits when
+    ``n`` times the entries a column of ``exp(R t)`` can hold stays within
+    the ``(restart + 1) * n`` floats of the Krylov basis.  Between grants
+    the buffer only gains packets, so a target state is reached only from
+    its own nonempty prefixes, at most one per queued packet and one per
+    series jump, and from the ``bucket + 1`` idle states; a column never
+    holds more than ``n`` entries either.  A chain past that bound steps
+    with the uniformized kernel vector by vector instead (``period_nnz`` is
+    then None).  ``_gmres`` solves the balance equations with the
+    normalization added, ``x - P^T x + (1^T x) u = u`` for the uniform
+    vector ``u``, from ``x = u`` to ``tol / 100`` relative to ``|u|``.  Its
     answer, clipped at zero and renormalized, starts power iteration,
     which stops at the first iterate that one step moves by at most
     ``tol`` in L1.  So ``residual`` is
@@ -185,19 +198,40 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     scattered into a full-length ``pi``, exactly zero on every other state.
     The exponential kernel runs to ``min(1e-12, tol / 10)``, and a chain
     that power iteration cannot settle raises ``ConvergenceError`` after
-    ``stationary_power``'s default step budget.  The time average is left
+    ``stationary_power``'s default step budget.  A packet size above
+    ``bucket + 1`` can never be paid for, so the chain has several
+    absorbing laws and no single answer: such a space raises
+    ``ValueError`` before anything is built.  The time average is left
     to the result, which integrates it on first use.
     """
+    config = space.config
+    largest = max(space.traffic.sizes)
+    if largest > config.bucket + 1:
+        raise ValueError(
+            f"largest size {largest} exceeds bucket + 1 = {config.bucket + 1}, "
+            f"so it can never be paid for"
+        )
     began = time.perf_counter()
     chain = reachable_chain(space)
     grant_t = chain.grant_t
-    kernel = uniformize(chain.rates, space.config.period, min(1e-12, tol / 10))
+    kernel = uniformize(chain.rates, config.period, min(1e-12, tol / 10))
     n = len(chain.keep)
     uniform = np.full(n, 1.0 / n)
     matvecs = 0
+    jumps = kernel.pieces * (len(kernel.point_weights) - 1)
+    packets = config.buffer // min(space.traffic.sizes)
+    per_column = min(packets, jumps) + config.bucket + 1
+    if min(per_column, n) <= _GMRES_RESTART + 1:
+        period_t = grant_t @ kernel.operator()
+        period_nnz = period_t.nnz
 
-    def step(vec: np.ndarray) -> np.ndarray:
-        return grant_t @ kernel.point(vec)
+        def step(vec: np.ndarray) -> np.ndarray:
+            return period_t @ vec
+    else:
+        period_nnz = None
+
+        def step(vec: np.ndarray) -> np.ndarray:
+            return grant_t @ kernel.point(vec)
 
     def balance(vec: np.ndarray) -> np.ndarray:
         nonlocal matvecs
@@ -212,7 +246,8 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     pi[chain.keep] = solve.pi
     elapsed = time.perf_counter() - began
     return StationaryResult(
-        space, pi, solve.residual, elapsed, matvecs, solve.iterations, chain
+        space, pi, solve.residual, elapsed, matvecs, solve.iterations,
+        period_nnz, chain,
     )
 
 

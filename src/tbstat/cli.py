@@ -401,6 +401,7 @@ def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
             "power_steps": result.power_steps,
             "iterations": result.iterations,
             "residual": _sig(result.residual),
+            "period_nnz": result.period_nnz,
             "solve_s": _sig(result.wall_time),
             "wall_time_s": _sig(wall),
         },

@@ -10,12 +10,14 @@ builders), small per-period chains for the unit-size filter, and a
 partitioned form of the rate matrix that exploits the block structure of
 the dynamics.
 Matrix exponential actions use uniformization, with the generator
-uniformized once per chain (``uniformize``) so that each term is one sparse
-product and an axpy.  ``stationary_power`` iterates a per-period operator
-to a verified fixed point from a start index or a start vector, so a fast
-approximate solve (see ``analysis.solve_stationary``) can hand it a
-near-exact law to certify; a dense linear solve is kept as an independent
-cross-check for small chains.
+uniformized once per chain (``uniformize``).  Applied to one vector, each
+series term is one sparse product and an axpy; ``Uniformization.operator``
+sums the series once into a matrix instead, so the stationary solve applies
+the whole period as one assembled sparse matrix.  ``stationary_power``
+iterates a per-period operator to a verified fixed point from a start
+index or a start vector, so a fast approximate solve (see
+``analysis.solve_stationary``) can hand it a near-exact law to certify; a
+dense linear solve is kept as an independent cross-check for small chains.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
 the buffer can only gain packets, never lose them, so probability flows from
@@ -292,12 +294,16 @@ class Uniformization:
     """exp(gen * t) and its time average over [0, t], made by ``uniformize``.
 
     ``step`` is ``I + gen^T / rate`` (CSR, or an ndarray for a dense
-    generator; None when nothing moves).  Each of ``pieces`` equal pieces
-    sums the Poisson ``point_weights``, or the ``average_weights`` that
-    integrate them over the piece, against the powers of ``step``.
+    generator; None when nothing moves) on ``dim`` states.  Each of
+    ``pieces`` equal pieces sums the Poisson ``point_weights``, or the
+    ``average_weights`` that integrate them over the piece, against the
+    powers of ``step``.  ``point`` and ``average`` apply the series to one
+    vector, a product with ``step`` per term; ``operator`` sums the point
+    series once into a matrix, for callers that apply it many times.
     """
 
     step: object
+    dim: int
     pieces: int
     point_weights: tuple[float, ...]
     average_weights: tuple[float, ...]
@@ -325,6 +331,26 @@ class Uniformization:
             current = self._series(current, self.point_weights)
             acc += self._series(current, self.average_weights)
         return acc / self.pieces
+
+    def operator(self) -> sp.csr_matrix:
+        """``exp(gen * t)^T`` as a CSR matrix ``K``, so ``K @ vec`` is
+        ``point(vec)``.
+
+        The point series is run on the identity, each power of ``step``
+        dropped once it is summed, so column ``j`` is ``point`` of the
+        ``j``-th basis vector.  The matrix stores an entry for every pair
+        of states the series' jumps connect; callers bound that count
+        before asking.
+        """
+        import scipy.sparse as sp
+
+        if isinstance(self.step, np.ndarray):
+            out = np.eye(self.dim)
+        else:
+            out = sp.identity(self.dim, format="csr")
+        for _ in range(self.pieces):
+            out = self._series(out, self.point_weights)
+        return sp.csr_matrix(out)
 
 
 def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:
@@ -358,7 +384,7 @@ def uniformize(gen, t: float, tol: float = 1e-12) -> Uniformization:
         raise ValueError("time must be >= 0")
     rate = _check_generator(gen)
     if rate == 0.0 or t == 0.0:
-        return Uniformization(None, 1, (1.0,), (1.0,))
+        return Uniformization(None, gen.shape[0], 1, (1.0,), (1.0,))
     if isinstance(gen, np.ndarray):
         step = np.eye(gen.shape[0]) + gen.T / rate
     else:
@@ -369,6 +395,7 @@ def uniformize(gen, t: float, tol: float = 1e-12) -> Uniformization:
     m = rate * (t / pieces)
     return Uniformization(
         step,
+        gen.shape[0],
         pieces,
         _poisson_weights(m, tol / pieces, average=False),
         _poisson_weights(m, tol / pieces, average=True),

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,13 @@ from tbstat import (
     reachable_indices,
     solve_stationary,
     stationary_dense,
+    stationary_power,
     time_average,
     time_average_distribution,
     waiting_time,
 )
-from tbstat.analysis import _gmres
+from tbstat.analysis import _GMRES_CYCLES, _GMRES_RESTART, _gmres
+from tbstat.markov import reachable_chain, uniformize
 from tests.conftest import reference_traffic
 
 
@@ -108,6 +111,93 @@ class TestSolveStationary:
         total = result.idle_distribution().sum()
         total += sum(result.level_queue(t).sum() for t in range(6))
         assert abs(total - 1.0) < 1e-10
+
+
+class TestPayability:
+    @pytest.mark.parametrize(
+        "sizes, bucket, largest",
+        [((2, 3), 0, 3), ((1, 3), 1, 3)],
+        ids=["no_size_payable", "partly_payable"],
+    )
+    def test_unpayable_size_is_refused_before_anything_is_built(
+        self, monkeypatch, sizes, bucket, largest
+    ):
+        # with sizes (2, 3) at bucket 0 two absorbing states share the mass,
+        # and a solve would report one of many laws with a tiny residual
+        space = build_state_space(
+            TrafficSpec(sizes, (0.5, 0.5), 0.5), FilterConfig(bucket, 4, 1.0)
+        )
+
+        def unreachable(_space):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(tbstat.analysis, "reachable_chain", unreachable)
+        with pytest.raises(ValueError, match=f"largest size {largest}") as err:
+            solve_stationary(space)
+        assert f"bucket + 1 = {bucket + 1}" in str(err.value)
+
+
+def _per_column_bound(space, kernel) -> int:
+    """Entries a column of exp(R t) can hold: queued packets or series
+    jumps, whichever is fewer, plus the idle states."""
+    packets = space.config.buffer // min(space.traffic.sizes)
+    jumps = kernel.pieces * (len(kernel.point_weights) - 1)
+    return min(packets, jumps) + space.config.bucket + 1
+
+
+class TestAssembledPeriodOperator:
+    @pytest.mark.parametrize(
+        "traffic, config, matvecs",
+        [
+            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 62),
+            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 77),
+            (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 33),
+        ],
+        ids=["critical_unit", "large_space", "reference"],
+    )
+    def test_solver_work_on_the_benchmark_chains(self, traffic, config, matvecs):
+        space = build_state_space(traffic, config)
+        result = solve_stationary(space)
+        assert result.gmres_matvecs == matvecs
+        assert result.power_steps == 1
+        kernel = uniformize(result.chain.rates, config.period, 1e-12)
+        n = len(result.chain.keep)
+        assert result.period_nnz is not None
+        assert result.period_nnz <= n * _per_column_bound(space, kernel)
+
+    def test_deep_chain_steps_vector_by_vector(self):
+        # unit sizes, a long buffer and a high rate: a column of the
+        # period's exponential may hold far more entries than the Krylov
+        # basis has per state, so no matrix is assembled
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), 200.0), FilterConfig(5, 600, 1.0)
+        )
+        chain = reachable_chain(space)
+        n = len(chain.keep)
+        kernel = uniformize(chain.rates, space.config.period, 1e-12)
+        assert min(_per_column_bound(space, kernel), n) > _GMRES_RESTART + 1
+        tracemalloc.start()
+        try:
+            result = solve_stationary(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.period_nnz is None
+        assert peak <= 2 * (_GMRES_RESTART + 1) * n * 8
+
+        uniform = np.full(n, 1.0 / n)
+
+        def step(vec):
+            return chain.grant_t @ kernel.point(vec)
+
+        kept = _gmres(
+            lambda vec: vec - step(vec) + vec.sum() * uniform,
+            uniform, uniform, 1e-12, _GMRES_RESTART, _GMRES_CYCLES,
+        )
+        kept = np.clip(kept, 0.0, None)
+        stepped = stationary_power(step, n, kept / kept.sum(), 1e-10)
+        assert np.array_equal(result.pi[chain.keep], stepped.pi)
+        assert result.power_steps == stepped.iterations
 
 
 def _system(n: int, spread: float, seed: int):

@@ -215,6 +215,18 @@ class TestRunAnalytic:
         assert solver["reachable_states"] == 11
         assert solver["power_steps"] >= 1
         assert solver["iterations"] == solver["gmres_matvecs"] + solver["power_steps"]
+        # a column holds at most 3 queued packets' prefixes and 3 idle states
+        assert 0 < solver["period_nnz"] <= 11 * 6
+
+    def test_deep_chain_reports_no_assembled_operator(self, tmp_path):
+        raw = {
+            "traffic": {"sizes": [1], "probs": [1.0], "rate": 200.0},
+            "filter": {"bucket": 5, "buffer": 600, "period": 1.0},
+        }
+        report = run_scenario(parse_scenario(raw), tmp_path)
+        assert report["solver"]["period_nnz"] is None
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["solver"]["period_nnz"] is None
 
     def test_solve_time_is_part_of_the_wall_time(self, run):
         _, report = run

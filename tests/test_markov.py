@@ -365,6 +365,38 @@ class TestUniformize:
             assert np.array_equal(kernel.average(vec), vec)
 
 
+class TestOperator:
+    @pytest.mark.parametrize("form", ["dense", "csr", "csc"])
+    @pytest.mark.parametrize("t", [0.9, 200.0])
+    def test_columns_are_the_point_action(self, small_space, form, t):
+        # at t = 200 the conserving generator takes 2 pieces, the leaky 3
+        convert = {"dense": np.asarray, "csr": sp.csr_matrix, "csc": sp.csc_matrix}
+        for gen in (build_rate_matrix(small_space).toarray(), _leaky_generator(7, 3)):
+            n = gen.shape[0]
+            kernel = uniformize(convert[form](gen), t)
+            assert (kernel.pieces > 1) == (t * np.abs(np.diag(gen)).max() > 128)
+            op = kernel.operator()
+            assert op.format == "csr" and op.shape == (n, n)
+            point = np.column_stack([kernel.point(basis) for basis in np.eye(n)])
+            if form == "dense":
+                # BLAS sums a matrix product in another order than a
+                # vector's; the unit inputs set the scale of the rounding
+                assert np.abs(op.toarray() - point).sum(axis=0).max() <= 1e-15
+            else:
+                # a sparse product sums each entry in the order of the
+                # vector's, so the columns are point's to the last bit
+                assert np.array_equal(op.toarray(), point)
+
+    def test_nothing_moves_without_rate_or_time(self):
+        for kernel in (
+            uniformize(sp.csr_matrix((3, 3)), 3.0),
+            uniformize(np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0, 0, 0]]), 0.0),
+        ):
+            op = kernel.operator()
+            assert op.format == "csr"
+            assert np.array_equal(op.toarray(), np.eye(3))
+
+
 class TestStationarySolvers:
     def test_identity_step_returns_the_start(self):
         solve = stationary_power(lambda v: v, dim=4, start=2)
