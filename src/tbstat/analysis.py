@@ -50,14 +50,12 @@ __all__ = [
 ]
 
 
-# Krylov basis size of the stationary solve; the basis costs
-# (restart + 1) * n * 8 bytes, and the assembled period operator is held to
-# (restart + 1) * n entries.
-_GMRES_RESTART = 80
-# Restart cycles before power iteration takes over.  Convergent solves need
-# one or two; more only help when ``tol / 100`` lies below what the kernel
-# tolerance lets GMRES resolve, and there they stagnate.
-_GMRES_CYCLES = 10
+# Operator entries the stationary solve holds per state: a chain of at most
+# this many states is eliminated densely, and a larger one's period operator
+# is assembled only when its columns fit in this many entries.
+_ENTRIES_PER_STATE = 81
+# Products the iterative solve may make before power steps take over.
+_MAX_MATVECS = 811
 
 
 @dataclass
@@ -65,26 +63,27 @@ class StationaryResult:
     """Stationary distribution over the full state space, with diagnostics.
 
     Built by ``solve_stationary``.  ``chain`` is the reachable chain the
-    solve ran on, ``gmres_matvecs`` and ``power_steps`` the period-operator
-    applications of each kind it made, ``period_nnz`` the entries of the
-    assembled period operator (None when the solve stepped vector by
-    vector), and ``averaged`` the time-averaged law over one period that
-    the statistics of this module read.
+    solve ran on, ``solve_matvecs`` and ``power_steps`` the period-operator
+    products of BiCGSTAB (0 after a GTH elimination) and of the certifying
+    power steps, ``period_nnz`` the nonzero entries of the assembled period
+    operator (None when the solve stepped vector by vector), and
+    ``averaged`` the time-averaged law over one period that the statistics
+    of this module read.
     """
 
     space: StateSpace
     pi: np.ndarray
     residual: float
     wall_time: float
-    gmres_matvecs: int
+    solve_matvecs: int
     power_steps: int
     period_nnz: int | None
     chain: ReachableChain = field(repr=False)
 
     @property
     def iterations(self) -> int:
-        """Period-operator applications, ``gmres_matvecs + power_steps``."""
-        return self.gmres_matvecs + self.power_steps
+        """Period-operator applications, ``solve_matvecs + power_steps``."""
+        return self.solve_matvecs + self.power_steps
 
     @cached_property
     def averaged(self) -> np.ndarray:
@@ -112,97 +111,112 @@ class StationaryResult:
         return self.pi[self.space.nonempty_slice(level)].copy()
 
 
-def _gmres(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
-           restart: int, cycles: int) -> np.ndarray:
-    """Restarted GMRES for ``apply(x) = rhs`` from ``start``.
+def _gth(chain: np.ndarray, root: int) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix by GTH elimination
+    (Grassmann, Taksar & Heyman 1985), ``root`` eliminated last.
 
-    Arnoldi by classical Gram-Schmidt applied twice, as matrix products;
-    the residual tracked by Givens rotations on Python floats.  A cycle
-    ends at ``rtol * |rhs|``, at a breakdown (an exhausted Krylov space)
-    or after ``restart`` steps, and one least-squares solve updates ``x``.
-    ``apply`` runs once per step, once per cycle and once at the start.
+    Each censored row's exit mass is summed from its entries toward the
+    states left, so no step subtracts, and none vanishes when every state
+    reaches ``root``.  One below the smallest normal float means the floats
+    lost the way back: elimination stops there and the states left get no
+    mass.  Back substitution keeps the largest mass at 1, so masses
+    spanning more than the float range do not overflow.
     """
-    n = len(rhs)
-    restart = min(restart, n)
-    target = rtol * float(np.linalg.norm(rhs))
-    eps = np.finfo(float).eps
-    basis = np.empty((restart + 1, n))
-    hess = np.zeros((restart + 1, restart))
-    x = start.astype(float, copy=True)
-    resid = rhs - apply(x)
-    for _ in range(cycles):
-        beta = float(np.linalg.norm(resid))
-        if beta <= target:
+    n = chain.shape[0]
+    order = np.r_[root, np.delete(np.arange(n), root)]
+    a = chain[np.ix_(order, order)]
+    last = 0
+    for k in range(n - 1, 0, -1):
+        leave = a[k, :k].sum()
+        if leave < np.finfo(float).tiny:
+            last = k
             break
-        basis[0] = resid / beta
-        rotations = []
-        g = beta
-        k = 0
-        while k < restart:
-            w = apply(basis[k])
-            before = float(np.linalg.norm(w))
-            done = basis[: k + 1]
-            h = done @ w
-            w -= h @ done
-            again = done @ w
-            w -= again @ done
-            h += again
-            norm = float(np.linalg.norm(w))
-            hess[: k + 1, k] = h
-            hess[k + 1, k] = norm
-            col = h.tolist() + [norm]
-            for i, (c, s) in enumerate(rotations):
-                a, b = col[i], col[i + 1]
-                col[i], col[i + 1] = c * a + s * b, c * b - s * a
-            r = math.hypot(col[k], col[k + 1])
-            c, s = (col[k] / r, col[k + 1] / r) if r else (1.0, 0.0)
-            rotations.append((c, s))
-            g = -s * g
-            k += 1
-            if abs(g) <= target or norm <= eps * before:
+        a[:k, k] /= leave
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n)
+    pi[last] = 1.0
+    for k in range(last + 1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+        if pi[k] > 1.0:
+            pi[: k + 1] /= pi[k]
+    out = np.empty(n)
+    out[order] = pi / pi.sum()
+    return out
+
+
+def _bicgstab(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
+              max_calls: int) -> tuple[np.ndarray, int]:
+    """BiCGSTAB (van der Vorst 1992) for ``apply(x) = rhs`` from ``start``.
+
+    A cycle ends when the recurrence's residual is within ``rtol * |rhs|``
+    or at a breakdown (``rho``, ``omega`` or the pivot zero).  The true
+    residual then ends the solve or restarts the recurrence from itself.
+    Whenever the solve stops, at the target, at a true residual no smaller
+    than the last or after ``max_calls`` applications (two per step, one
+    per true residual), it returns the iterate with the smallest true
+    residual seen and the applications made.
+    """
+    target = rtol * float(np.linalg.norm(rhs))
+    x = start.astype(float, copy=True)
+    r = rhs - apply(x)
+    calls, last, best = 1, math.inf, x
+    while target < (norm := float(np.linalg.norm(r))) < last and calls + 3 <= max_calls:
+        best, last = x.copy(), norm
+        shadow, p, v = r.copy(), np.zeros_like(r), np.zeros_like(r)
+        rho = alpha = omega = 1.0
+        while calls + 3 <= max_calls and (rho_next := float(shadow @ r)) != 0.0:
+            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            v = apply(p)
+            calls += 1
+            pivot = float(shadow @ v)
+            if pivot == 0.0:
                 break
-            basis[k] = w / norm
-        e1 = np.zeros(k + 1)
-        e1[0] = beta
-        y = np.linalg.lstsq(hess[: k + 1, :k], e1, rcond=None)[0]
-        x += y @ basis[:k]
-        resid = rhs - apply(x)
-    return x
+            rho, alpha = rho_next, rho_next / pivot
+            x += alpha * p
+            r -= alpha * v
+            if float(np.linalg.norm(r)) <= target:
+                break
+            t = apply(r)
+            calls += 1
+            omega = float(t @ r) / float(t @ t) if t.any() else 0.0
+            if omega == 0.0:
+                break
+            x += omega * r
+            r -= omega * t
+            if float(np.linalg.norm(r)) <= target:
+                break
+        r = rhs - apply(x)
+        calls += 1
+    return (x if norm < last else best), calls
 
 
 def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     """Stationary vector of the per-period operator, certified by power steps.
 
-    One step propagates through the arrival generator for a full period and
-    then applies the token grant.  Everything runs on the states reachable
-    from the full-bucket idle state (``markov.reachable_chain``), which the
-    dynamics never leave.  The period's exponential is uniformized once and,
-    when it fits, assembled with the grant into one sparse matrix
-    ``P^T = G^T exp(R t)^T``, so each step is one product.  It fits when
-    ``n`` times the entries a column of ``exp(R t)`` can hold stays within
-    the ``(restart + 1) * n`` floats of the Krylov basis.  Between grants
-    the buffer only gains packets, so a target state is reached only from
-    its own nonempty prefixes, at most one per queued packet and one per
-    series jump, and from the ``bucket + 1`` idle states; a column never
-    holds more than ``n`` entries either.  A chain past that bound steps
-    with the uniformized kernel vector by vector instead (``period_nnz`` is
-    then None).  ``_gmres`` solves the balance equations with the
-    normalization added, ``x - P^T x + (1^T x) u = u`` for the uniform
-    vector ``u``, from ``x = u`` to ``tol / 100`` relative to ``|u|``.  Its
-    answer, clipped at zero and renormalized, starts power iteration,
-    which stops at the first iterate that one step moves by at most
-    ``tol`` in L1.  So ``residual`` is
-    verified whatever GMRES reached, and power iteration finishes the job
-    should GMRES fall short.  As no mass leaves the reachable set, that
-    residual is the one of a step on the full space.  The answer is
-    scattered into a full-length ``pi``, exactly zero on every other state.
-    The exponential kernel runs to ``min(1e-12, tol / 10)``, and a chain
-    that power iteration cannot settle raises ``ConvergenceError`` after
-    ``stationary_power``'s default step budget.  A packet size above
-    ``bucket + 1`` can never be paid for, so the chain has several
-    absorbing laws and no single answer: such a space raises
-    ``ValueError`` before anything is built.  The time average is left
-    to the result, which integrates it on first use.
+    A step propagates through the arrival generator for a period, then
+    applies the token grant, on the states reachable from the full-bucket
+    idle state (``markov.reachable_chain``).  The period's exponential is
+    uniformized once, truncated at ``min(1e-14, tol / 10)``, and the solve
+    holds at most ``_ENTRIES_PER_STATE`` operator entries per state.  A
+    chain of at most that many states runs the series densely into
+    ``P^T = G^T exp(R t)^T`` and solves ``P`` exactly by GTH elimination,
+    rooted at the full-bucket idle state that every state returns to.  A
+    larger chain assembles ``P^T`` sparsely when its columns fit: between
+    grants the buffer only gains packets, so a state is reached only from
+    its nonempty prefixes, one per queued packet and per series jump at
+    most, and from the ``bucket + 1`` idle states.  Past that bound it
+    steps vector by vector (``period_nnz`` None).  BiCGSTAB then solves
+    ``x - P^T x + (1^T x) u = u``, the balance equations with the
+    normalization added for the uniform ``u``, from ``x = u`` to
+    ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products.
+    Either answer, clipped at zero and renormalized, starts power
+    iteration, which stops at the first iterate that one step moves by at
+    most ``tol`` in L1, so ``residual`` is verified whatever the solver
+    reached; a chain it cannot settle raises ``ConvergenceError``.  No mass
+    leaves the reachable set, so that is the residual of a step on the
+    full space, and ``pi`` is exactly zero on every other state.  A packet
+    size above ``bucket + 1`` is never paid for, leaving several absorbing
+    laws: it raises ``ValueError`` before anything is built.
     """
     config = space.config
     largest = max(space.traffic.sizes)
@@ -214,32 +228,38 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     began = time.perf_counter()
     chain = reachable_chain(space)
     grant_t = chain.grant_t
-    kernel = uniformize(chain.rates, config.period, min(1e-12, tol / 10))
     n = len(chain.keep)
-    uniform = np.full(n, 1.0 / n)
-    matvecs = 0
+    dense = n <= _ENTRIES_PER_STATE
+    kernel = uniformize(
+        chain.rates.toarray() if dense else chain.rates,
+        config.period,
+        min(1e-14, tol / 10),
+    )
     jumps = kernel.pieces * (len(kernel.point_weights) - 1)
     packets = config.buffer // min(space.traffic.sizes)
-    per_column = min(packets, jumps) + config.bucket + 1
-    if min(per_column, n) <= _GMRES_RESTART + 1:
+    if dense:
+        period_t = grant_t @ kernel.point(np.eye(n))
+        period_nnz = int(np.count_nonzero(period_t))
+    elif min(packets, jumps) + config.bucket + 1 <= _ENTRIES_PER_STATE:
         period_t = grant_t @ kernel.operator()
         period_nnz = period_t.nnz
-
-        def step(vec: np.ndarray) -> np.ndarray:
-            return period_t @ vec
     else:
-        period_nnz = None
+        period_t = period_nnz = None
 
-        def step(vec: np.ndarray) -> np.ndarray:
+    def step(vec: np.ndarray) -> np.ndarray:
+        if period_t is None:
             return grant_t @ kernel.point(vec)
+        return period_t @ vec
 
-    def balance(vec: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return vec - step(vec) + vec.sum() * uniform
-
-    kept = _gmres(balance, uniform, uniform, tol / 100,
-                  _GMRES_RESTART, _GMRES_CYCLES)
+    if dense:
+        root = int(np.searchsorted(chain.keep, space.empty_indices[-1]))
+        kept, matvecs = _gth(period_t.T, root), 0
+    else:
+        uniform = np.full(n, 1.0 / n)
+        kept, matvecs = _bicgstab(
+            lambda vec: vec - step(vec) + vec.sum() * uniform,
+            uniform, uniform, tol / 100, _MAX_MATVECS,
+        )
     kept = np.clip(kept, 0.0, None)
     solve = stationary_power(step, n, kept / kept.sum(), tol)
     pi = np.zeros(space.n_states)

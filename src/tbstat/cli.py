@@ -397,7 +397,7 @@ def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
         "solver": {
             "states": space.n_states,
             "reachable_states": len(result.chain.keep),
-            "gmres_matvecs": result.gmres_matvecs,
+            "solve_matvecs": result.solve_matvecs,
             "power_steps": result.power_steps,
             "iterations": result.iterations,
             "residual": _sig(result.residual),

@@ -11,13 +11,13 @@ partitioned form of the rate matrix that exploits the block structure of
 the dynamics.
 Matrix exponential actions use uniformization, with the generator
 uniformized once per chain (``uniformize``).  Applied to one vector, each
-series term is one sparse product and an axpy; ``Uniformization.operator``
-sums the series once into a matrix instead, so the stationary solve applies
-the whole period as one assembled sparse matrix.  ``stationary_power``
-iterates a per-period operator to a verified fixed point from a start
-index or a start vector, so a fast approximate solve (see
-``analysis.solve_stationary``) can hand it a near-exact law to certify; a
-dense linear solve is kept as an independent cross-check for small chains.
+series term is one product and an axpy; ``Uniformization.operator`` sums
+the series once into a sparse matrix, and ``point`` of the identity gives
+it densely, so the stationary solve applies the whole period as one
+matrix.  ``stationary_power`` iterates a per-period operator to a verified
+fixed point from a start index or a start vector, so the exact elimination
+or iterative solve of ``analysis.solve_stationary`` can hand it a law to
+certify; a dense linear solve is kept as an independent cross-check.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
 the buffer can only gain packets, never lose them, so probability flows from
@@ -456,7 +456,8 @@ def stationary_power(
     already a fixed point comes back after one verifying step.  Periodic
     chains never settle from a point mass: the residual stalls at a positive
     value until ``max_iters`` trips and a ConvergenceError carrying that
-    residual is raised.
+    residual is raised.  A step that yields a non-finite residual, as a NaN
+    in the start or the step does, raises at once.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -475,6 +476,9 @@ def stationary_power(
         residual = float(np.abs(nxt - current).sum())
         if residual <= tol:
             return StationarySolve(current, iteration, residual)
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"non-finite residual at step {iteration}",
+                                   residual, iteration)
         current = nxt
     raise ConvergenceError(
         f"no fixed point within {max_iters} iterations "

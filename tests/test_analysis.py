@@ -36,7 +36,7 @@ from tbstat import (
     time_average_distribution,
     waiting_time,
 )
-from tbstat.analysis import _GMRES_CYCLES, _GMRES_RESTART, _gmres
+from tbstat.analysis import _ENTRIES_PER_STATE, _MAX_MATVECS, _bicgstab, _gth
 from tbstat.markov import reachable_chain, uniformize
 from tests.conftest import reference_traffic
 
@@ -149,33 +149,34 @@ class TestAssembledPeriodOperator:
     @pytest.mark.parametrize(
         "traffic, config, matvecs",
         [
-            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 62),
-            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 77),
-            (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 33),
+            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 0),
+            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 115),
+            (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 0),
         ],
         ids=["critical_unit", "large_space", "reference"],
     )
     def test_solver_work_on_the_benchmark_chains(self, traffic, config, matvecs):
         space = build_state_space(traffic, config)
         result = solve_stationary(space)
-        assert result.gmres_matvecs == matvecs
+        # 61 and 58 states are eliminated densely, 5,473 solved by BiCGSTAB
+        assert result.solve_matvecs == matvecs
         assert result.power_steps == 1
-        kernel = uniformize(result.chain.rates, config.period, 1e-12)
+        kernel = uniformize(result.chain.rates, config.period, 1e-14)
         n = len(result.chain.keep)
         assert result.period_nnz is not None
         assert result.period_nnz <= n * _per_column_bound(space, kernel)
 
     def test_deep_chain_steps_vector_by_vector(self):
         # unit sizes, a long buffer and a high rate: a column of the
-        # period's exponential may hold far more entries than the Krylov
-        # basis has per state, so no matrix is assembled
+        # period's exponential may hold far more entries than the solve
+        # holds per state, so no matrix is assembled
         space = build_state_space(
             TrafficSpec((1,), (1.0,), 200.0), FilterConfig(5, 600, 1.0)
         )
         chain = reachable_chain(space)
         n = len(chain.keep)
-        kernel = uniformize(chain.rates, space.config.period, 1e-12)
-        assert min(_per_column_bound(space, kernel), n) > _GMRES_RESTART + 1
+        kernel = uniformize(chain.rates, space.config.period, 1e-14)
+        assert min(_per_column_bound(space, kernel), n) > _ENTRIES_PER_STATE
         tracemalloc.start()
         try:
             result = solve_stationary(space)
@@ -183,20 +184,21 @@ class TestAssembledPeriodOperator:
         finally:
             tracemalloc.stop()
         assert result.period_nnz is None
-        assert peak <= 2 * (_GMRES_RESTART + 1) * n * 8
+        assert peak <= 2 * _ENTRIES_PER_STATE * n * 8
 
         uniform = np.full(n, 1.0 / n)
 
         def step(vec):
             return chain.grant_t @ kernel.point(vec)
 
-        kept = _gmres(
+        kept, matvecs = _bicgstab(
             lambda vec: vec - step(vec) + vec.sum() * uniform,
-            uniform, uniform, 1e-12, _GMRES_RESTART, _GMRES_CYCLES,
+            uniform, uniform, 1e-12, _MAX_MATVECS,
         )
         kept = np.clip(kept, 0.0, None)
         stepped = stationary_power(step, n, kept / kept.sum(), 1e-10)
         assert np.array_equal(result.pi[chain.keep], stepped.pi)
+        assert result.solve_matvecs == matvecs
         assert result.power_steps == stepped.iterations
 
 
@@ -207,40 +209,110 @@ def _system(n: int, spread: float, seed: int):
     return mat, rng.standard_normal(n)
 
 
-class TestKrylovLoop:
+class TestBiCGSTAB:
     @staticmethod
-    def _solve(mat, rhs, rtol, restart, cycles):
+    def _solve(mat, rhs, rtol, max_calls, corrupt=None):
         calls = []
 
         def apply(vec):
             calls.append(1)
-            return mat @ vec
+            out = mat @ vec
+            if len(calls) == corrupt:
+                out[0] += 1e-3
+            return out
 
-        x = _gmres(apply, rhs, np.zeros(len(rhs)), rtol, restart, cycles)
+        x, counted = _bicgstab(apply, rhs, np.zeros(len(rhs)), rtol, max_calls)
+        assert counted == len(calls)
         exact = np.linalg.solve(mat, rhs)
         return np.abs(x - exact).max() / np.abs(exact).max(), len(calls)
 
-    def test_one_cycle_stops_at_the_tolerance(self):
+    def test_stops_at_the_tolerance(self):
         mat, rhs = _system(60, 0.5, 1)
-        err, calls = self._solve(mat, rhs, 1e-10, 60, 1)
+        err, calls = self._solve(mat, rhs, 1e-10, 811)
         assert err < 1e-9
-        # the running residual ends the cycle well before the basis is full
+        # a short recurrence: well under one product per unknown
         assert calls < 60
 
-    def test_restarts_reach_what_one_cycle_cannot(self):
+    def test_restarts_from_the_true_residual(self):
+        # one wrong product leaves the recurrence's residual off the true
+        # one, so the recurrence alone would stop at a wrong answer
         mat, rhs = _system(60, 0.5, 2)
-        short, _ = self._solve(mat, rhs, 1e-12, 6, 1)
-        err, calls = self._solve(mat, rhs, 1e-12, 6, 20)
-        assert short > 1e-3
-        assert err < 1e-10
-        assert 2 * (6 + 1) < calls <= 1 + 20 * (6 + 1)
+        clean, clean_calls = self._solve(mat, rhs, 1e-10, 811)
+        err, calls = self._solve(mat, rhs, 1e-10, 811, corrupt=3)
+        assert clean < 1e-9
+        assert err < 1e-9
+        assert calls > clean_calls
 
-    def test_exhausted_krylov_space_is_exact(self):
-        # n below the restart: the basis spans the space after n steps
-        mat, rhs = _system(12, 2.0, 3)
-        err, calls = self._solve(mat, rhs, 0.0, 80, 1)
-        assert err < 1e-12
-        assert calls <= 12 + 2
+    def test_a_drifting_recurrence_hands_back_its_best_iterate(self):
+        # far over capacity the chain is nearly periodic: the recurrence's
+        # residual drifts from the true one, and a restart that does not
+        # improve on the last true residual ends the solve
+        space = build_state_space(
+            TrafficSpec((1, 2), (0.5, 0.5), 20.0), FilterConfig(3, 14, 1.0)
+        )
+        chain = reachable_chain(space)
+        n = len(chain.keep)
+        period_t = chain.grant_t @ uniformize(chain.rates, 1.0, 1e-14).operator()
+        uniform = np.full(n, 1.0 / n)
+
+        def balance(vec):
+            return vec - period_t @ vec + vec.sum() * uniform
+
+        x, calls = _bicgstab(balance, uniform, uniform, 1e-12, _MAX_MATVECS)
+        start = np.linalg.norm(uniform - balance(uniform))
+        assert np.linalg.norm(uniform - balance(x)) <= start
+        assert calls < _MAX_MATVECS
+
+    @pytest.mark.parametrize("max_calls", [7, 20, 41])
+    def test_the_cap_bounds_the_products(self, max_calls):
+        # spread 2 puts eigenvalues near zero: far from converged at the cap
+        mat, rhs = _system(60, 2.0, 3)
+        err, calls = self._solve(mat, rhs, 1e-14, max_calls)
+        assert err > 1e-6
+        assert max_calls - 2 <= calls <= max_calls
+
+
+class TestGTH:
+    @pytest.mark.parametrize("n, seed", [(2, 1), (9, 2), (40, 3), (81, 4)])
+    def test_matches_the_dense_solve_on_random_chains(self, n, seed):
+        rng = np.random.default_rng(seed)
+        chain = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        chain[np.arange(n), (np.arange(n) + 1) % n] += 0.1  # a cycle through all
+        chain /= chain.sum(axis=1, keepdims=True)
+        direct = stationary_dense(chain)
+        for root in {0, n // 2, n - 1}:
+            pi = _gth(chain, root)
+            assert np.abs(pi - direct).sum() < 1e-13
+            assert np.abs(pi @ chain - pi).sum() < 1e-14
+
+    def test_rate_zero_chain_parks_at_the_root(self):
+        # with no arrivals every idle level below the full bucket, and every
+        # queued string, is transient: only the full-bucket idle state keeps
+        # mass, and it must be eliminated last
+        space = build_state_space(
+            TrafficSpec((1, 2), (0.5, 0.5), 0.0), FilterConfig(3, 5, 1.0)
+        )
+        chain = reachable_chain(space)
+        root = int(np.searchsorted(chain.keep, space.empty_indices[-1]))
+        pi = _gth(chain.grant_t.T.toarray(), root)
+        expected = np.zeros(len(chain.keep))
+        expected[root] = 1.0
+        assert np.array_equal(pi, expected)
+
+    @pytest.mark.parametrize("rate", [50.0, 1000.0])
+    def test_heavy_load_past_the_float_range(self, rate):
+        # masses span more than the float range at rate 50, and at 1000 no
+        # path back to the idle bucket survives in floats at all
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), rate), FilterConfig(5, 60, 1.0)
+        )
+        result = solve_stationary(space)
+        assert len(result.chain.keep) <= _ENTRIES_PER_STATE
+        assert result.solve_matvecs == 0
+        assert result.power_steps == 1
+        assert result.residual <= 1e-12
+        full = space.backlog_of_state[result.pi.argmax()]
+        assert full >= 59
 
 
 def test_the_solve_leaves_scipy_sparse_linalg_unloaded():
@@ -318,13 +390,25 @@ class TestUnitSizeUnification:
         assert np.abs(embedded - pi_net).sum() < 1e-9
 
     def test_unattainable_krylov_tolerance_hands_over_to_power_steps(self):
-        # tol / 100 lies below what the kernel resolves, so GMRES stagnates;
-        # it must stop after a bounded number of restarts, not 10 * n
+        # 61 states are eliminated densely; power steps certify at 1e-14
         space = build_state_space(
             TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)
         )
         result = solve_stationary(space, tol=1e-14)
         assert result.residual <= 1e-14
+        assert result.iterations < 1000
+
+    def test_stagnating_iterative_solve_stops_within_its_cap(self):
+        # 121 states take BiCGSTAB, whose tol / 100 lies below what the
+        # kernel resolves: the recurrence stagnates and must stop in
+        # bounded work, leaving power steps to certify
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), 0.99), FilterConfig(40, 80, 1.0)
+        )
+        result = solve_stationary(space, tol=1e-14)
+        assert len(result.chain.keep) == 121
+        assert result.residual <= 1e-14
+        assert 0 < result.solve_matvecs <= _MAX_MATVECS
         assert result.iterations < 1000
 
 

@@ -214,7 +214,7 @@ class TestRunAnalytic:
         # at no token over 4 strings, size 2 at 0 or 1 token over 2 strings
         assert solver["reachable_states"] == 11
         assert solver["power_steps"] >= 1
-        assert solver["iterations"] == solver["gmres_matvecs"] + solver["power_steps"]
+        assert solver["iterations"] == solver["solve_matvecs"] + solver["power_steps"]
         # a column holds at most 3 queued packets' prefixes and 3 idle states
         assert 0 < solver["period_nnz"] <= 11 * 6
 

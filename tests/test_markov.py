@@ -423,6 +423,19 @@ class TestStationarySolvers:
         assert err.value.residual > 0.1
         assert err.value.iterations == 500
 
+    def test_non_finite_step_raises_at_once(self):
+        calls = []
+
+        def step(vec):
+            calls.append(1)
+            return np.full_like(vec, np.nan)
+
+        with pytest.raises(ConvergenceError) as err:
+            stationary_power(step, dim=3)
+        assert err.value.iterations == 1
+        assert len(calls) == 1
+        assert np.isnan(err.value.residual)
+
     def test_power_matches_dense_solve(self):
         chain = build_periodic_transfer_chain(0.5, 2, 2)
         direct = stationary_dense(chain)

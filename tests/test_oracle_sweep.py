@@ -3,8 +3,8 @@
 The chain's transition table comes from the array form of the rules
 (``dynamics.var_table``), its reachable set from a closed form in the token
 level and the head packet's size (``reachable_indices``), and its stationary
-law from GMRES and power steps on the reachable states.  Each is checked
-here against the plainest construction: the scalar
+law from GTH elimination or BiCGSTAB and power steps on the reachable
+states.  Each is checked here against the plainest construction: the scalar
 ``var_arrive``/``var_replenish`` applied state by state, a search over
 ``SystemState`` values, and a dense linear solve of the embedded chain.  On
 a second seeded set, aggregate loss must not fall as the rate rises.
