@@ -320,15 +320,21 @@ def _write_csv(path: Path, records: list[dict]) -> None:
 
 
 def _occupancy(table: np.ndarray, path: Path) -> list[list[float]]:
-    """Write the (tokens, backlog) table as records; return its rounded grid."""
-    grid = [[_sig(x) for x in row] for row in table]
-    records = [
-        {"tokens": tokens, "backlog": queued, "probability": p}
-        for tokens, row in enumerate(grid)
+    """Write the (tokens, backlog) table as records; return its rounded grid.
+
+    Writes what ``_write_csv`` would, formatting each cell once: the
+    12-digit text of a value is also that of its ``_sig``-rounded float.
+    """
+    text = [[f"{x:.12g}" for x in row] for row in table.tolist()]
+    lines = ["tokens,backlog,probability\r\n"]
+    lines += [
+        f"{tokens},{queued},{p}\r\n"
+        for tokens, row in enumerate(text)
         for queued, p in enumerate(row)
     ]
-    _write_csv(path, records)
-    return grid
+    with path.open("w", newline="") as fh:
+        fh.writelines(lines)
+    return [[float(p) for p in row] for row in text]
 
 
 def _laws(key: str, transfer: np.ndarray, md1: np.ndarray) -> list[dict]:

@@ -7,10 +7,11 @@ apply one token grant, arrival functions apply one packet; both are pure and
 total.  The simulator reads them into a table of state indices of its own, a
 state's row the first time its walk leaves that state, so a run that only
 simulates never enumerates the state space.  The chain side uses their array
-form, ``var_table``: the same rules stated once per buffer string (head size,
-tail, append target per class, backlog) and broadcast over the token levels,
-giving ``StateSpace.transitions``, from which every matrix is derived.  The
-scalar functions are the reference the array form is tested against.
+form, ``var_table``: the same rules read off the space's per-string arrays
+(head size, tail, append target per class) and broadcast over the token
+levels, giving ``StateSpace.transitions``, from which every matrix is
+derived.  The scalar functions are the reference the array form is tested
+against.
 
 For the unit-size filter, at most one of backlog and tokens is ever positive
 on any trajectory started from a valid state: a packet and a spare token
@@ -148,24 +149,15 @@ def var_table(space: StateSpace) -> Transitions:
     """``var_replenish`` and ``var_arrive`` on every state of ``space`` at once.
 
     The rules depend on a buffer string only through its head size, its
-    tail (the string after the head leaves), its backlog and the string it
-    becomes when a packet joins.  Those are read once per string, the append
-    target of a packet that does not fit being the string itself, and
-    broadcast over the token levels.
+    tail (the string after the head leaves) and the string it becomes when
+    a packet joins, the string itself when the packet does not fit.  Those
+    are the space's per-string arrays, built by the counting recursion with
+    no string formed, and are broadcast here over the token levels.
     """
-    strings, index = space.strings, space.string_index
-    bucket, buffer_cap = space.config.bucket, space.config.buffer
-    sizes = space.traffic.sizes
+    bucket, sizes = space.config.bucket, space.traffic.sizes
     n = space.n_strings
     string = np.arange(n)
-    head = space.string_heads
-    tail = np.array([index[z[1:]] if z else 0 for z in strings])
-    append = np.array(
-        [
-            [index[z + (s,)] if b + s <= buffer_cap else j for s in sizes]
-            for j, (z, b) in enumerate(zip(strings, space.string_backlogs.tolist()))
-        ]
-    )
+    head, tail, append = space.string_heads, space.string_tails, space.string_appends
 
     level = np.arange(bucket + 1)[:, None]
     # a grant pays the head once it completes the price; else it is banked

@@ -6,11 +6,15 @@ most ``buffer`` token units.  A system state pairs the current token count
 with the string of packet sizes waiting in the buffer; the empty string means
 an idle buffer.  This module enumerates, counts and indexes those states,
 and names the ones reachable from a full, idle bucket.
+
+The per-string arrays the chain needs (head, tail, append targets, backlog,
+class counts) come from the counting recursion in numpy, with no string
+built; the strings themselves are enumerated only when a caller asks for
+them by value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -163,6 +167,58 @@ def count_strings(sizes: Iterable[int], limit: int) -> int:
     return sum(count_by_total(sizes, limit))
 
 
+def _string_tables(sizes: tuple[int, ...], limit: int) -> tuple[np.ndarray, ...]:
+    """Per-string arrays over ``enumerate_strings(sizes, limit)``, in its order.
+
+    Returns each string's head size (0 for the empty string), the index of
+    its tail (the string after the head leaves; 0 for the empty string), the
+    index of the string it becomes when each size is appended (itself when
+    that size does not fit), its backlog, and its count of each size.
+    ``sizes`` must be strictly increasing.
+
+    The sequence construction (Flajolet & Sedgewick, *Analytic
+    Combinatorics*, I.3) orders the strings of total at most r as the empty
+    string and then, size by size, s followed by each string of total at
+    most r - s.  So the class counts at r concatenate those at r - s, each
+    shifted by the unit vector of s; the head is constant on each block.
+    The strings of total at most r - s are exactly the strings of backlog at
+    most r - s, in the same order, which locates each tail.  A string's
+    extensions follow it, the subtree of each smaller appended size first.
+    """
+    size, largest = np.array(sizes), sizes[-1]
+    shifts = list(zip(sizes, np.eye(len(sizes), dtype=np.intp)))
+    empty = np.zeros((1, len(sizes)), np.intp)
+    # counts[r]: class counts of the strings of total at most r, kept while a
+    # larger r needs them; within[largest + r]: how many, 0 for r < 0
+    counts = {0: empty}
+    within = [0] * largest + [1]
+    for r in range(1, limit + 1):
+        counts[r] = np.concatenate(
+            [empty] + [counts[r - s] + e for s, e in shifts if s <= r]
+        )
+        counts.pop(r - largest, None)
+        within.append(len(counts[r]))
+    class_counts = counts[limit]
+    backlogs = class_counts @ size
+    within = np.array(within)
+
+    fit = size[size <= limit]
+    heads = np.repeat(
+        np.concatenate([[0], fit]), np.concatenate([[1], within[limit - fit + largest]])
+    )
+    tails = np.concatenate(
+        [np.zeros(1, np.intp)] + [np.flatnonzero(backlogs <= limit - s) for s in fit]
+    )
+    # skip[m, k]: strings in the subtrees of the sizes below the k-th when m
+    # token units are free, the sum of within[m - s] over those sizes
+    below = within[np.arange(limit + 1)[:, None] - size + largest]
+    skip = np.cumsum(below, axis=1) - below
+    room = limit - backlogs
+    string = np.arange(len(backlogs))[:, None]
+    appends = np.where(room[:, None] >= size, string + 1 + skip[room], string)
+    return heads, tails, appends, backlogs, class_counts
+
+
 def cardinality_bound(sizes: Iterable[int], limit: int) -> float:
     """Geometric growth estimate for the string count: |sizes|**(limit/min).
 
@@ -207,6 +263,16 @@ class StateSpace:
     the empty string first.  The index of ``(T, z)`` is ``T * n_strings +
     string_index[z]``, so each level occupies one contiguous slice whose
     first entry is the idle-buffer state for that level.
+
+    The per-string arrays, indexed like ``strings``, are built at once by
+    the counting recursion without forming a string: ``string_heads`` (head
+    size, 0 for the empty string), ``string_tails`` (index of the string
+    after the head leaves), ``string_appends`` (``[j, k]``: index after a
+    packet of the k-th size joins string j, j itself when it does not fit),
+    ``string_backlogs`` and ``string_class_counts`` (``[j, k]``: packets of
+    the k-th size in string j).  The chain and its statistics read only
+    these.  ``strings`` and ``string_index`` are enumerated on first use,
+    by ``index_of``, ``state_at`` and ``states``.
     """
 
     def __init__(self, traffic: TrafficSpec, config: FilterConfig):
@@ -217,15 +283,25 @@ class StateSpace:
             )
         self.traffic = traffic
         self.config = config
-        self.strings: tuple[tuple[int, ...], ...] = tuple(
-            enumerate_strings(traffic.sizes, config.buffer)
-        )
-        self.string_index: dict[tuple[int, ...], int] = {
-            z: j for j, z in enumerate(self.strings)
-        }
-        self.n_strings = len(self.strings)
+        (
+            self.string_heads,
+            self.string_tails,
+            self.string_appends,
+            self.string_backlogs,
+            self.string_class_counts,
+        ) = _string_tables(traffic.sizes, config.buffer)
+        self.n_strings = len(self.string_heads)
         self.n_states = (config.bucket + 1) * self.n_strings
-        self.string_backlogs = np.array([backlog(z) for z in self.strings])
+
+    @cached_property
+    def strings(self) -> tuple[tuple[int, ...], ...]:
+        """Every buffer string, in index order."""
+        return tuple(enumerate_strings(self.traffic.sizes, self.config.buffer))
+
+    @cached_property
+    def string_index(self) -> dict[tuple[int, ...], int]:
+        """Index of each buffer string, the inverse of ``strings``."""
+        return {z: j for j, z in enumerate(self.strings)}
 
     def index_of(self, state: SystemState) -> int:
         if not 0 <= state.tokens <= self.config.bucket:
@@ -250,8 +326,8 @@ class StateSpace:
     def transitions(self) -> Transitions:
         """The arrival and grant rules of ``dynamics``, tabulated once.
 
-        Filled by ``dynamics.var_table``, the rules' array form, one pass
-        per buffer string broadcast over the token levels.  Every matrix of
+        Filled by ``dynamics.var_table``, the rules' array form, from the
+        per-string arrays broadcast over the token levels.  Every matrix of
         the chain derives from this table, so the rules themselves are
         stated only in ``dynamics``; ``reachable_indices`` does not need it.
         """
@@ -278,11 +354,6 @@ class StateSpace:
         return levels * self.n_strings
 
     @cached_property
-    def string_heads(self) -> np.ndarray:
-        """Size of each buffer string's head packet, 0 for the empty one."""
-        return np.array([z[0] if z else 0 for z in self.strings])
-
-    @cached_property
     def token_of_state(self) -> np.ndarray:
         return np.repeat(np.arange(self.config.bucket + 1), self.n_strings)
 
@@ -290,22 +361,9 @@ class StateSpace:
     def backlog_of_state(self) -> np.ndarray:
         return np.tile(self.string_backlogs, self.config.bucket + 1)
 
-    @cached_property
-    def string_class_counts(self) -> np.ndarray:
-        """``[j, k]`` is ``class_count(sizes[k], strings[j])``, one tally."""
-        lengths = np.fromiter(map(len, self.strings), np.intp, self.n_strings)
-        symbols = np.fromiter(
-            itertools.chain.from_iterable(self.strings), np.intp, int(lengths.sum())
-        )
-        n_classes = self.traffic.n_classes
-        cell = np.repeat(np.arange(self.n_strings) * n_classes, lengths)
-        cell += np.searchsorted(self.traffic.sizes, symbols)
-        counts = np.bincount(cell, minlength=self.n_strings * n_classes)
-        return counts.reshape(self.n_strings, n_classes)
-
 
 def build_state_space(traffic: TrafficSpec, config: FilterConfig) -> StateSpace:
-    """Enumerate and index every (token level, buffer string) pair."""
+    """Index every (token level, buffer string) pair."""
     return StateSpace(traffic, config)
 
 

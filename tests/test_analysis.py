@@ -113,6 +113,15 @@ class TestSolveStationary:
         assert abs(total - 1.0) < 1e-10
 
 
+def test_the_analytic_path_builds_no_string_tuples():
+    space = build_state_space(reference_traffic(0.5), FilterConfig(8, 12, 1.0))
+    result = solve_stationary(space)
+    occupancy_table(result)
+    class_metrics(result)
+    assert "strings" not in space.__dict__
+    assert "string_index" not in space.__dict__
+
+
 class TestPayability:
     @pytest.mark.parametrize(
         "sizes, bucket, largest",

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tbstat
@@ -14,6 +15,7 @@ from tbstat import ConvergenceError
 from tbstat.cli import (
     Scenario,
     ScenarioError,
+    _occupancy,
     load_scenario,
     main,
     parse_scenario,
@@ -260,6 +262,22 @@ class TestRunAnalytic:
         for entry in report["classes_analytic"]:
             x = entry["loss_ratio"]
             assert x == float(f"{x:.12g}")
+
+
+def test_occupancy_csv_matches_the_csv_module(tmp_path):
+    rng = np.random.default_rng(3)
+    table = rng.random((5, 7)) ** 9
+    table[0, 0], table[1, 1], table[2, 2] = 0.0, 1e-300, 1 / 3
+    grid = _occupancy(table, tmp_path / "fast.csv")
+    want = [[float(f"{x:.12g}") for x in row] for row in table]
+    with (tmp_path / "reference.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tokens", "backlog", "probability"])
+        for tokens, row in enumerate(want):
+            writer.writerows([tokens, b, f"{p:.12g}"] for b, p in enumerate(row))
+    assert grid == want
+    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    assert fast.read_bytes() == reference.read_bytes()
 
 
 class TestRunCountStates:

@@ -1,10 +1,12 @@
 """Seeded sweep of small random filters against the scalar rules.
 
-The chain's transition table comes from the array form of the rules
+The per-string arrays come from the counting recursion, the chain's
+transition table from the array form of the rules over them
 (``dynamics.var_table``), its reachable set from a closed form in the token
 level and the head packet's size (``reachable_indices``), and its stationary
 law from GTH elimination or BiCGSTAB and power steps on the reachable
-states.  Each is checked here against the plainest construction: the scalar
+states.  Each is checked here against the plainest construction: the
+enumerated strings read one by one, the scalar
 ``var_arrive``/``var_replenish`` applied state by state, a search over
 ``SystemState`` values, and a dense linear solve of the embedded chain.  On
 a second seeded set, aggregate loss must not fall as the rate rises.
@@ -20,10 +22,13 @@ from tbstat import (
     FilterConfig,
     SystemState,
     TrafficSpec,
+    backlog,
     build_rate_matrix,
     build_replenishment_matrix,
     build_state_space,
+    class_count,
     class_metrics,
+    enumerate_strings,
     integrate_expm_action,
     loss_ratio,
     reachable_indices,
@@ -92,6 +97,40 @@ def test_the_sweep_covers_both_kinds_of_filter():
     assert len(PAYABLE) >= 15
     assert len(CONFIGS) - len(PAYABLE) >= 5
     assert NEVER_PAYABLE
+
+
+# Alphabets the random sweep does not draw: deep unit-size strings, a size
+# as large as the buffer, sizes with gaps, and a wide alphabet.
+TABLE_EXTRA = [
+    ((1,), 40),
+    ((5,), 5),
+    ((2, 5), 5),
+    ((2, 5), 30),
+    ((1, 2, 3, 4, 5, 6, 7), 9),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, limit",
+    [pytest.param(t.sizes, c.buffer, id=_label((t, c))) for t, c in CONFIGS]
+    + [pytest.param(s, L, id=f"sizes{s}-L{L}") for s, L in TABLE_EXTRA],
+)
+def test_string_arrays_equal_the_enumerated_strings(sizes, limit):
+    traffic = TrafficSpec(sizes, (1 / len(sizes),) * len(sizes), 1.0)
+    space = build_state_space(traffic, FilterConfig(1, limit, 1.0))
+    strings = enumerate_strings(sizes, limit)
+    index = {z: j for j, z in enumerate(strings)}
+    assert space.n_strings == len(strings)
+    assert space.string_heads.tolist() == [z[0] if z else 0 for z in strings]
+    assert space.string_tails.tolist() == [index[z[1:]] if z else 0 for z in strings]
+    assert space.string_appends.tolist() == [
+        [index[z + (s,)] if backlog(z) + s <= limit else j for s in sizes]
+        for j, z in enumerate(strings)
+    ]
+    assert space.string_backlogs.tolist() == [backlog(z) for z in strings]
+    assert space.string_class_counts.tolist() == [
+        [class_count(s, z) for s in sizes] for z in strings
+    ]
 
 
 @pytest.mark.parametrize("case", CONFIGS, ids=_label)

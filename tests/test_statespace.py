@@ -175,6 +175,17 @@ class TestStateSpace:
             assert space.index_of(space.state_at(i)) == i
         assert len(set(space.states)) == space.n_states
 
+    @pytest.mark.parametrize(
+        "sizes, bucket, buffer_cap",
+        [((1,), 20, 40), ((2, 5), 2, 30), ((1, 2, 3, 4, 5, 6, 7), 1, 9)],
+    )
+    def test_index_round_trips_on_other_alphabets(self, sizes, bucket, buffer_cap):
+        traffic = TrafficSpec(sizes, (1 / len(sizes),) * len(sizes), 1.0)
+        space = build_state_space(traffic, FilterConfig(bucket, buffer_cap, 1.0))
+        for i in range(space.n_states):
+            assert space.index_of(space.state_at(i)) == i
+        assert len(set(space.states)) == space.n_states
+
     def test_level_major_layout(self, reference_config):
         space = build_state_space(reference_traffic(0.5), reference_config)
         # each level starts at its idle state, strings repeat per level
