@@ -7,12 +7,12 @@ Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, packets the bucket can
 never pay for (in the analytic, simulate and compare modes), analytic
-chains over ``STATE_BUDGET`` states, and ``count-states`` limits over
-``BOUNDS_LIMIT`` or past the float range of the estimate are rejected with
-the offending field named, exit code 2.  Solver
-failures exit with code 1.  Each table is built once as a list of records
-rounded to 12 significant digits; the report and the CSV files are written
-from the same records.
+chains over ``STATE_BUDGET`` states or ``STRING_ROW_BUDGET`` table rows,
+and ``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of
+the estimate are rejected with the offending field named, exit code 2.
+Solver failures exit with code 1.  Each table is built once as a list of
+records rounded to 12 significant digits; the report and the CSV files are
+written from the same records.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .statespace import (
     build_state_space,
     cardinality_bound,
     count_by_total,
-    count_strings,
 )
 from .markov import (
     ConvergenceError,
@@ -54,11 +53,14 @@ from .des import InsufficientData, batch_confidence, simulate
 __all__ = ["main", "load_scenario", "parse_scenario", "run_scenario", "ScenarioError"]
 
 MODES = ("analytic", "simulate", "compare", "count-states", "fixed-length")
-# Most states an analytic chain may have.  Enumerating the states and filling
-# their transition table takes about 0.6 us and 0.14 KB per state (988,704
-# states: 0.6 s, 138 MB peak RSS, and the whole analytic run over their
-# 145,490 reachable states 7.4 s, 243 MB; Python 3.11.7 on a 2-vCPU Xeon host).
+# Most states an analytic chain may have: sizes 1..4 at M=11 L=17, 988,704
+# states of which 145,490 are reachable, run in 1.6 s at 181 MB peak RSS.
 STATE_BUDGET = 1_000_000
+# Most rows the string tables may copy, once per size for each string of total
+# at most r, r = 0..buffer: at 1 to 2.3 ns a row, unit sizes take 0.20 s at
+# buffer 20,000 (2.0e8 rows) and 3.2 s at 63,000 (2.0e9).  Both figures are
+# for Python 3.11.7 on a 2-vCPU Xeon host.
+STRING_ROW_BUDGET = 2_000_000_000
 
 # Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
 # total up to it and writes one row per limit, so its cost grows with the
@@ -270,17 +272,30 @@ def parse_scenario(raw: dict) -> Scenario:
 def _check_state_budget(traffic: TrafficSpec, config: FilterConfig) -> None:
     levels = config.bucket + 1
     # Repeats of the smallest size alone make buffer // size + 1 strings; a
-    # buffer over budget on those is not counted, since the exact count takes
-    # time and memory linear in the buffer.
+    # buffer over budget on those is not counted.  Otherwise within[r], the
+    # strings of total at most r (the empty one, and each size followed by
+    # those of total at most r - size), is counted until the chain passes the
+    # budget squared, so the counts stay small numbers.
     states = (config.buffer // traffic.sizes[0] + 1) * levels
-    exact = states <= STATE_BUDGET
-    if exact:
-        states = count_strings(traffic.sizes, config.buffer) * levels
+    within = [1]
+    if states <= STATE_BUDGET:
+        while len(within) <= config.buffer and within[-1] * levels <= STATE_BUDGET**2:
+            r = len(within)
+            within.append(1 + sum(within[r - s] for s in traffic.sizes if s <= r))
+        states = within[-1] * levels
+    exact = len(within) == config.buffer + 1
     if states > STATE_BUDGET:
         raise ScenarioError(
             "filter.buffer",
             f"the chain has {'' if exact else 'at least '}{states:,} states, "
             f"over the analytic budget of {STATE_BUDGET:,}",
+        )
+    rows = sum(within) * len(traffic.sizes)
+    if rows > STRING_ROW_BUDGET:
+        raise ScenarioError(
+            "filter.buffer",
+            f"building the string tables copies {rows:,} rows, over the "
+            f"budget of {STRING_ROW_BUDGET:,}",
         )
 
 

@@ -55,9 +55,9 @@ class InvariantChecker:
 
     The buffer can never hold more than its capacity, the bucket never more
     than its size, and a waiting head packet means the bucket cannot pay for
-    it.  When every packet has unit size the last condition collapses to
-    the classic rule that backlog and tokens are never both positive, which
-    ``unit_size`` makes an explicit check.
+    it.  When every packet has unit size the last condition is the classic
+    rule that backlog and tokens are never both positive; ``unit_size``
+    checks that rule too, which ``simulate`` leaves off as redundant.
     """
 
     def __init__(self, bucket: int, buffer_cap: int, unit_size: bool = False):
@@ -276,8 +276,7 @@ def simulate(
     def segment(t: np.ndarray) -> np.ndarray:  # -1 before the window
         return np.clip(np.floor((t - warm_t) / seg_len), -1, segments - 1).astype(int)
 
-    unit = traffic.sizes == (1,)
-    checker = InvariantChecker(bucket, buffer_cap, unit) if check_invariants else None
+    checker = InvariantChecker(bucket, buffer_cap) if check_invariants else None
     checked: set[int] = set()  # states the checker has passed
     table = _StateTable(traffic, config)
     s = table.intern(SystemState(0, ()))

@@ -7,11 +7,11 @@ apply one token grant, arrival functions apply one packet; both are pure and
 total.  The simulator reads them into a table of state indices of its own, a
 state's row the first time its walk leaves that state, so a run that only
 simulates never enumerates the state space.  The chain side uses their array
-form, ``var_table``: the same rules read off the space's per-string arrays
-(head size, tail, append target per class) and broadcast over the token
-levels, giving ``StateSpace.transitions``, from which every matrix is
-derived.  The scalar functions are the reference the array form is tested
-against.
+form, ``var_rows``: the same rules read off the space's per-string arrays
+(head size, tail, append target per class) at any states.  The reachable
+chain asks for its rows alone; ``var_table`` asks for every row, giving
+``StateSpace.transitions`` and the full-space matrices.  The scalar
+functions are the reference the array form is tested against.
 
 For the unit-size filter, at most one of backlog and tokens is ever positive
 on any trajectory started from a valid state: a packet and a spare token
@@ -41,6 +41,7 @@ __all__ = [
     "md1_step",
     "var_replenish",
     "var_arrive",
+    "var_rows",
     "var_table",
 ]
 
@@ -145,21 +146,18 @@ def var_arrive(
     return SystemState(state.tokens, (size,)), True
 
 
-def var_table(space: StateSpace) -> Transitions:
-    """``var_replenish`` and ``var_arrive`` on every state of ``space`` at once.
+def var_rows(space: StateSpace, index: np.ndarray) -> Transitions:
+    """``var_replenish`` and ``var_arrive`` at the states ``index`` of ``space``.
 
     The rules depend on a buffer string only through its head size, its
     tail (the string after the head leaves) and the string it becomes when
     a packet joins, the string itself when the packet does not fit.  Those
-    are the space's per-string arrays, built by the counting recursion with
-    no string formed, and are broadcast here over the token levels.
+    are the space's per-string arrays, read here at each state's string:
+    row ``r`` holds the targets of state ``index[r]``.
     """
-    bucket, sizes = space.config.bucket, space.traffic.sizes
-    n = space.n_strings
-    string = np.arange(n)
-    head, tail, append = space.string_heads, space.string_tails, space.string_appends
-
-    level = np.arange(bucket + 1)[:, None]
+    bucket, n = space.config.bucket, space.n_strings
+    level, string = np.divmod(np.asarray(index, dtype=np.intp), n)
+    head, tail = space.string_heads[string], space.string_tails[string]
     # a grant pays the head once it completes the price; else it is banked
     pays = (head > 0) & (level >= head - 1)
     grant = np.where(
@@ -167,10 +165,12 @@ def var_table(space: StateSpace) -> Transitions:
     )
     # an idle buffer passes a funded packet; otherwise the packet joins the
     # string, which drops it when it does not fit
-    level, size = level[..., None], np.array(sizes)
+    level, size = level[:, None], np.array(space.traffic.sizes)
     passes = (string == 0)[:, None] & (level >= size)
-    arrive = np.where(passes, (level - size) * n, level * n + append)
-    return Transitions(
-        arrive.reshape(-1, len(sizes)).astype(np.intp, copy=False),
-        grant.ravel().astype(np.intp, copy=False),
-    )
+    append = level * n + space.string_appends[string]
+    return Transitions(np.where(passes, (level - size) * n, append), grant)
+
+
+def var_table(space: StateSpace) -> Transitions:
+    """``var_rows`` on every state of ``space``: ``StateSpace.transitions``."""
+    return var_rows(space, np.arange(space.n_states))

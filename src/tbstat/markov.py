@@ -4,19 +4,19 @@ Between token grants the variable-size filter is a continuous-time chain
 driven by Poisson arrivals; each grant applies a deterministic jump.  This
 module builds the pieces: the arrival rate matrix and the 0/1 replenishment
 matrix, both read off the state space's transition table, and the same two
-on the reachable states alone (``reachable_chain``, which relabels the
-table onto ``reachable_indices`` and hands it to the same private
-builders), small per-period chains for the unit-size filter, and a
-partitioned form of the rate matrix that exploits the block structure of
-the dynamics.
-Matrix exponential actions use uniformization, with the generator
-uniformized once per chain (``uniformize``).  Applied to one vector, each
-series term is one product and an axpy; ``Uniformization.operator`` sums
-the series once into a sparse matrix, and ``point`` of the identity gives
-it densely, so the stationary solve applies the whole period as one
-matrix.  ``stationary_power`` iterates a per-period operator to a verified
-fixed point from a start index or a start vector, so the exact elimination
-or iterative solve of ``analysis.solve_stationary`` can hand it a law to
+on the reachable states alone (``reachable_chain``, which asks
+``dynamics.var_rows`` for the rows of ``reachable_indices`` only and hands
+them to the same private builders), small per-period chains for the
+unit-size filter, and a partitioned form of the rate matrix that exploits
+the block structure of the dynamics.
+Matrix exponential actions use uniformization, the generator uniformized
+once per chain (``uniformize``) and each series summed by Horner's rule on
+a vector or the identity alike: ``Uniformization.operator`` sums it once
+into a sparse matrix, and ``point`` of the identity gives it densely, so the
+stationary solve applies the whole period as one matrix.
+``stationary_power`` iterates a per-period operator to a verified fixed
+point from a start index or a start vector, so the exact elimination or
+iterative solve of ``analysis.solve_stationary`` can hand it a law to
 certify; a dense linear solve is kept as an independent cross-check.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .statespace import StateSpace, reachable_indices
-from .dynamics import md1_step, periodic_transfer_step
+from .dynamics import md1_step, periodic_transfer_step, var_rows
 
 __all__ = [
     "ArrivalDistribution",
@@ -77,29 +77,20 @@ _MAX_RATE_HORIZON = 128.0
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """Truncated Poisson count distribution for arrivals in one period."""
+    """Poisson arrival counts in one period, cut like ``uniformize``'s at 1e-14."""
 
     mean: float
     pmf: np.ndarray
     tail: float
 
     @classmethod
-    def from_mean(cls, mean: float, tol: float = 1e-14) -> "ArrivalDistribution":
+    def from_mean(cls, mean: float) -> "ArrivalDistribution":
         if mean < 0 or not math.isfinite(mean):
             raise ValueError("mean arrival count must be finite and >= 0")
-        if mean == 0:
-            return cls(0.0, np.array([1.0]), 0.0)
         if math.exp(-mean) == 0.0:
             raise ValueError("mean arrival count too large for a dense pmf")
-        terms = [math.exp(-mean)]
-        cum = terms[0]
-        k = 0
-        cap = int(mean + 12 * math.sqrt(mean) + 60)
-        while 1.0 - cum >= tol and k < cap:
-            k += 1
-            terms.append(terms[-1] * mean / k)
-            cum += terms[-1]
-        return cls(mean, np.array(terms), max(0.0, 1.0 - cum))
+        pmf = np.array(_poisson_weights(mean, 1e-14, average=False))
+        return cls(mean, pmf, max(0.0, 1.0 - pmf.sum()))
 
 
 def build_replenishment_matrix(space: StateSpace) -> sp.csr_matrix:
@@ -165,19 +156,18 @@ class ReachableChain(NamedTuple):
 
 
 def reachable_chain(space: StateSpace) -> ReachableChain:
-    """Relabel the transition table onto ``reachable_indices`` and build on it.
+    """Build the chain on ``reachable_indices`` from their rows alone.
 
-    The reachable set is closed, so no transition leaves it, and every idle
-    state in it moves at the full arrival rate, so the uniformization rate
-    is that of the full space.
+    ``dynamics.var_rows`` gives the reachable states' targets, relabelled by
+    position in ``keep``.  The set is closed, so no transition leaves it,
+    and every idle state in it moves at the full arrival rate, so the
+    uniformization rate is that of the full space.
     """
     keep = reachable_indices(space)
-    label = np.zeros(space.n_states, dtype=np.intp)
-    label[keep] = np.arange(len(keep))
-    table = space.transitions
+    table = var_rows(space, keep)
     class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
-    rates = _rate_matrix(label[table.arrive[keep]], class_rates).tocsc()
-    grant_t = _grant_matrix(label[table.grant[keep]]).T.tocsr()
+    rates = _rate_matrix(np.searchsorted(keep, table.arrive), class_rates).tocsc()
+    grant_t = _grant_matrix(np.searchsorted(keep, table.grant)).T.tocsr()
     return ReachableChain(keep, rates, grant_t)
 
 
@@ -297,9 +287,10 @@ class Uniformization:
     generator; None when nothing moves) on ``dim`` states.  Each of
     ``pieces`` equal pieces sums the Poisson ``point_weights``, or the
     ``average_weights`` that integrate them over the piece, against the
-    powers of ``step``.  ``point`` and ``average`` apply the series to one
-    vector, a product with ``step`` per term; ``operator`` sums the point
-    series once into a matrix, for callers that apply it many times.
+    powers of ``step`` by Horner's rule, one accumulator multiplied by
+    ``step`` per term.  ``point`` and ``average`` apply the series to one
+    vector; ``operator`` sums the point series once into a matrix, for
+    callers that apply it many times.
     """
 
     step: object
@@ -309,10 +300,9 @@ class Uniformization:
     average_weights: tuple[float, ...]
 
     def _series(self, vec: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
-        acc = weights[0] * vec
-        for w in weights[1:]:
-            vec = self.step @ vec
-            acc += w * vec
+        acc = weights[-1] * vec
+        for w in reversed(weights[:-1]):
+            acc = self.step @ acc + w * vec
         return acc
 
     def point(self, vec: np.ndarray) -> np.ndarray:
@@ -336,18 +326,16 @@ class Uniformization:
         """``exp(gen * t)^T`` as a CSR matrix ``K``, so ``K @ vec`` is
         ``point(vec)``.
 
-        The point series is run on the identity, each power of ``step``
-        dropped once it is summed, so column ``j`` is ``point`` of the
-        ``j``-th basis vector.  The matrix stores an entry for every pair
-        of states the series' jumps connect; callers bound that count
+        The point series is run on the identity, so column ``j`` is
+        ``point`` of the ``j``-th basis vector; Horner's rule holds no power
+        of ``step`` beside the sum.  The matrix stores an entry for every
+        pair of states the series' jumps connect; callers bound that count
         before asking.
         """
         import scipy.sparse as sp
 
-        if isinstance(self.step, np.ndarray):
-            out = np.eye(self.dim)
-        else:
-            out = sp.identity(self.dim, format="csr")
+        dense = isinstance(self.step, np.ndarray)
+        out = np.eye(self.dim) if dense else sp.identity(self.dim, format="csr")
         for _ in range(self.pieces):
             out = self._series(out, self.point_weights)
         return sp.csr_matrix(out)
@@ -402,28 +390,26 @@ def uniformize(gen, t: float, tol: float = 1e-12) -> Uniformization:
     )
 
 
-def expm_action(gen, vec: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
+def expm_action(gen, vec: np.ndarray, t: float) -> np.ndarray:
     """Propagate a row vector through exp(gen * t) by uniformization.
 
     For a conserving generator the total mass of ``vec`` is preserved up to
-    the truncation ``tol``.  Callers that apply one operator many times keep
-    ``uniformize``'s result instead.
+    the truncation at 1e-12.  Callers that apply one operator many times
+    keep ``uniformize``'s result instead.
     """
-    return uniformize(gen, t, tol).point(vec)
+    return uniformize(gen, t, 1e-12).point(vec)
 
 
-def integrate_expm_action(
-    gen, vec: np.ndarray, horizon: float, tol: float = 1e-12
-) -> np.ndarray:
+def integrate_expm_action(gen, vec: np.ndarray, horizon: float) -> np.ndarray:
     """Time average of ``vec @ exp(gen * s)`` for s in [0, horizon].
 
     The Poisson weights of uniformization integrate in closed form to scaled
     survival probabilities, so the average needs no quadrature grid.  Both
-    series of each piece run to ``tol / 2`` over the piece count.
+    series of each piece run to 0.5e-12 over the piece count.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    return uniformize(gen, horizon, tol / 2).average(vec)
+    return uniformize(gen, horizon, 0.5e-12).average(vec)
 
 
 class StationarySolve(NamedTuple):

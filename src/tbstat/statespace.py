@@ -326,10 +326,10 @@ class StateSpace:
     def transitions(self) -> Transitions:
         """The arrival and grant rules of ``dynamics``, tabulated once.
 
-        Filled by ``dynamics.var_table``, the rules' array form, from the
-        per-string arrays broadcast over the token levels.  Every matrix of
-        the chain derives from this table, so the rules themselves are
-        stated only in ``dynamics``; ``reachable_indices`` does not need it.
+        Filled by ``dynamics.var_table``, the rules' array form read off
+        the per-string arrays, so the rules themselves are stated only in
+        ``dynamics``.  The full-space matrices derive from this table; the
+        reachable chain and ``reachable_indices`` do not need it.
         """
         from .dynamics import var_table  # dynamics imports us
 

@@ -120,6 +120,7 @@ def test_the_analytic_path_builds_no_string_tuples():
     class_metrics(result)
     assert "strings" not in space.__dict__
     assert "string_index" not in space.__dict__
+    assert "transitions" not in space.__dict__
 
 
 class TestPayability:
@@ -159,7 +160,7 @@ class TestAssembledPeriodOperator:
         "traffic, config, matvecs",
         [
             (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 0),
-            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 115),
+            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 116),
             (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 0),
         ],
         ids=["critical_unit", "large_space", "reference"],

@@ -167,6 +167,26 @@ class TestParseScenario:
         raw["mode"] = "simulate"
         assert parse_scenario(raw).config.buffer == buffer
 
+    def test_analytic_string_tables_over_the_row_budget(self):
+        # 500,001 states, but the string tables copy 1.25e11 rows
+        raw = small_raw(mode="analytic")
+        raw["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 0.5}
+        raw["filter"].update(buffer=500_000, bucket=0)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert "125,000,750,001 rows" in str(err.value)
+
+    def test_a_count_past_the_budget_squared_stops(self):
+        # the exact count has over 6,000 digits; counting stops past 10**12
+        raw = small_raw(mode="analytic")
+        raw["traffic"] = {"sizes": [1, 2], "probs": [0.5, 0.5], "rate": 0.5}
+        raw["filter"].update(buffer=30_000, bucket=1)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert "at least 1,182,573,459,756 states" in str(err.value)
+
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,6 +1,7 @@
 """Tests for the probabilistic operators and numerical kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from tbstat import (
     var_arrive,
     var_replenish,
 )
-from tbstat.markov import ArrivalDistribution, row_sum_defect, uniformize
+from tbstat.markov import (
+    ArrivalDistribution,
+    reachable_chain,
+    row_sum_defect,
+    uniformize,
+)
 from tests.conftest import reference_traffic
 
 
@@ -395,6 +401,19 @@ class TestOperator:
             op = kernel.operator()
             assert op.format == "csr"
             assert np.array_equal(op.toarray(), np.eye(3))
+
+    def test_the_sum_holds_a_few_copies_of_the_result(self):
+        # Horner's rule keeps one accumulator, so the sum, its product with
+        # the step and the next sum are all the series holds at once
+        space = build_state_space(reference_traffic(0.45), FilterConfig(8, 12, 1.0))
+        kernel = uniformize(reachable_chain(space).rates, 1.0, 1e-14)
+        tracemalloc.start()
+        try:
+            op = kernel.operator()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
 class TestStationarySolvers:

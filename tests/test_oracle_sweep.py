@@ -38,6 +38,7 @@ from tbstat import (
     var_arrive,
     var_replenish,
 )
+from tbstat.dynamics import var_rows
 
 
 def _configs(count: int, seed: int) -> list[tuple[TrafficSpec, FilterConfig]]:
@@ -144,6 +145,11 @@ def test_array_table_equals_the_scalar_rules(case):
         for k, size in enumerate(traffic.sizes):
             after, _ = var_arrive(state, size, config.buffer)
             assert table.arrive[i, k] == space.index_of(after)
+    idx = np.random.default_rng(space.n_states).integers(space.n_states, size=20)
+    rows = var_rows(space, idx)
+    assert np.array_equal(rows.arrive, table.arrive[idx]) and np.array_equal(
+        rows.grant, table.grant[idx]
+    )
 
 
 @pytest.mark.parametrize(
