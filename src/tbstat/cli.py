@@ -7,9 +7,12 @@ Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, packets the bucket can
 never pay for (in the analytic, simulate and compare modes), analytic
-chains over ``STATE_BUDGET`` states or ``STRING_ROW_BUDGET`` table rows,
-and ``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of
-the estimate are rejected with the offending field named, exit code 2.
+chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
+``ARRIVAL_BUDGET`` mean arrivals a period, simulations over
+``EVENT_BUDGET`` expected events, fixed-length chains whose Poisson law
+underflows, and ``count-states`` limits over ``BOUNDS_LIMIT`` or past the
+float range of the estimate are rejected with the offending field named,
+exit code 2.
 Solver failures exit with code 1.  Each table is built once as a list of
 records rounded to 12 significant digits; the report and the CSV files are
 written from the same records.
@@ -22,6 +25,7 @@ import copy
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -61,6 +65,17 @@ STATE_BUDGET = 1_000_000
 # buffer 20,000 (2.0e8 rows) and 3.2 s at 63,000 (2.0e9).  Both figures are
 # for Python 3.11.7 on a 2-vCPU Xeon host.
 STRING_ROW_BUDGET = 2_000_000_000
+# Most mean arrivals a period, rate * period, an analytic chain may have:
+# uniformization takes ceil(rate * period / 128) pieces, so the solve grows
+# linearly with it.  Solve plus occupancy table on the 11- and 58-state
+# chains of unit sizes and of sizes 1..4 at M=L=5 take 0.26 and 0.70 s at
+# 1e4, and 2.2 and 5.4 s at 1e5 (Python 3.11.7, Xeon host).
+ARRIVAL_BUDGET = 100_000
+# Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
+# to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
+# at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
+# run 34 to 77 us an event, which the count alone does not bound.
+EVENT_BUDGET = 1_000_000_000
 
 # Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
 # total up to it and writes one row per limit, so its cost grows with the
@@ -246,6 +261,26 @@ def parse_scenario(raw: dict) -> Scenario:
             )
     if mode in ("analytic", "compare"):
         _check_state_budget(traffic, config)
+    mean = traffic.rate * config.period
+    if mode == "fixed-length" and math.exp(-mean) == 0.0:
+        raise ScenarioError(
+            "traffic.rate",
+            f"{mean:g} mean arrivals a period underflow the Poisson law of "
+            f"the fixed-length chains (exp(-mean) is 0 past about 745)",
+        )
+    if mode in ("analytic", "compare") and mean > ARRIVAL_BUDGET:
+        raise ScenarioError(
+            "traffic.rate",
+            f"{mean:g} mean arrivals a period (rate * filter.period) are over "
+            f"the analytic budget of {ARRIVAL_BUDGET:,}",
+        )
+    events = horizon * (1 + mean)
+    if mode in ("simulate", "compare") and events > EVENT_BUDGET:
+        raise ScenarioError(
+            "simulation.horizon",
+            f"the run expects {events:.3g} events, horizon * (1 + rate * "
+            f"filter.period), over the budget of {EVENT_BUDGET:,}",
+        )
     if mode == "count-states":
         try:
             cardinality_bound(traffic.sizes, bounds_raw[1])
@@ -404,6 +439,7 @@ def _fixed_length(scenario: Scenario, out: Path) -> dict:
 def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
     """The solved chain's report blocks, and its unrounded class metrics."""
     space = build_state_space(scenario.traffic, scenario.config)
+    import scipy.sparse  # noqa: F401  untimed: loaded before the clock
     began = time.perf_counter()
     result = solve_stationary(space, tol=scenario.tolerance)
     table = occupancy_table(result)

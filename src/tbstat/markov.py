@@ -73,6 +73,11 @@ GENERATOR_ROW_TOL = 1e-9
 # Uniformization steps this many mean events at a time; larger horizons are
 # split so the Poisson weights stay far from underflow.
 _MAX_RATE_HORIZON = 128.0
+# Most states a reachable chain holds densely, to be eliminated by GTH.  Past
+# it BiCGSTAB wins: sizes 1..4 at rate 0.45 solve by BiCGSTAB or GTH in 5.1
+# or 5.7 ms at 108 states (M=4 L=6), 4.8 or 20.2 ms at 208 (M=5 L=7) and 7.2
+# or 121.8 ms at 400 (M=6 L=8), on a Xeon host with BLAS on one thread.
+_DENSE_STATES = 81
 
 
 @dataclass(frozen=True)
@@ -146,12 +151,13 @@ class ReachableChain(NamedTuple):
 
     ``keep`` lists their indices in the full space, ascending; ``rates`` is
     the arrival generator and ``grant_t`` the transposed grant map on them,
-    both indexed by position in ``keep``.  ``rates`` is stored in CSC form,
-    so the transpose the exponential kernels take is a CSR view of it.
+    both indexed by position in ``keep``.  ``rates`` is a dense array on at
+    most ``_DENSE_STATES`` states, else CSC, whose transpose the kernels
+    take as a CSR view; every later stage reads it in that one form.
     """
 
     keep: np.ndarray
-    rates: sp.csc_matrix
+    rates: np.ndarray | sp.csc_matrix
     grant_t: sp.csr_matrix
 
 
@@ -161,12 +167,14 @@ def reachable_chain(space: StateSpace) -> ReachableChain:
     ``dynamics.var_rows`` gives the reachable states' targets, relabelled by
     position in ``keep``.  The set is closed, so no transition leaves it,
     and every idle state in it moves at the full arrival rate, so the
-    uniformization rate is that of the full space.
+    uniformization rate is that of the full space.  A chain of at most
+    ``_DENSE_STATES`` states has its generator densified here, once.
     """
     keep = reachable_indices(space)
     table = var_rows(space, keep)
     class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
-    rates = _rate_matrix(np.searchsorted(keep, table.arrive), class_rates).tocsc()
+    rates = _rate_matrix(np.searchsorted(keep, table.arrive), class_rates)
+    rates = rates.toarray() if len(keep) <= _DENSE_STATES else rates.tocsc()
     grant_t = _grant_matrix(np.searchsorted(keep, table.grant)).T.tocsr()
     return ReachableChain(keep, rates, grant_t)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import tbstat
 
@@ -323,6 +324,19 @@ class TestGTH:
         assert result.residual <= 1e-12
         full = space.backlog_of_state[result.pi.argmax()]
         assert full >= 59
+
+
+def test_a_dense_chain_averages_like_its_sparse_copy(solved_reference):
+    # the 58-state reference chain is held densely; integrating its sparse
+    # copy sums the same series in another order
+    space, result, _ = solved_reference
+    chain = result.chain
+    assert isinstance(chain.rates, np.ndarray)
+    sparse = integrate_expm_action(
+        scipy.sparse.csc_matrix(chain.rates), result.pi[chain.keep],
+        space.config.period,
+    )
+    assert np.abs(result.averaged[chain.keep] - sparse).max() <= 1e-15
 
 
 def test_the_solve_leaves_scipy_sparse_linalg_unloaded():

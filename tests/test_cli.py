@@ -187,6 +187,41 @@ class TestParseScenario:
         assert err.value.fieldname == "filter.buffer"
         assert "at least 1,182,573,459,756 states" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "mode, rate, period, horizon, fieldname",
+        [
+            # exp(-1000) underflows, so the fixed-length chains have no pmf
+            ("fixed-length", 1000.0, 1.0, 5, "traffic.rate"),
+            # uniformization would cut the period into 8e297 pieces
+            ("analytic", 1e300, 1.0, 5, "traffic.rate"),
+            ("analytic", 1.0, 1e300, 5, "traffic.rate"),
+            # each draw of 16,384 arrivals would span about 1e-296 periods
+            ("simulate", 1e300, 1.0, 10, "simulation.horizon"),
+        ],
+    )
+    def test_arrival_rates_no_mode_can_finish(
+        self, mode, rate, period, horizon, fieldname
+    ):
+        raw = small_raw(mode=mode, simulation={"horizon": horizon})
+        raw["traffic"] = {"sizes": [1], "probs": [1.0], "rate": rate}
+        raw["filter"] = {"bucket": 5, "buffer": 5, "period": period}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == fieldname
+
+    def test_the_heaviest_runs_in_use_stay_admitted(self):
+        # the deep chain of the CLI tests, the reference scenario's 1.5M
+        # simulated events, and a Poisson law just inside the float range
+        deep = small_raw(mode="analytic")
+        deep["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 200.0}
+        deep["filter"] = {"bucket": 5, "buffer": 600, "period": 1.0}
+        assert parse_scenario(deep).traffic.rate == 200.0
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        assert load_scenario(scenarios / "reference.json").horizon == 1_000_000
+        fixed = small_raw(mode="fixed-length")
+        fixed["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 700.0}
+        assert parse_scenario(fixed).mode == "fixed-length"
+
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

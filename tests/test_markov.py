@@ -416,6 +416,29 @@ class TestOperator:
         assert peak <= 4 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
+@pytest.mark.parametrize(
+    "traffic, config, n, dense",
+    [
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 61, True),
+        (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 58, True),
+        (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 5473, False),
+    ],
+    ids=["critical_unit", "reference", "large_space"],
+)
+def test_the_chain_is_built_in_the_form_it_is_solved_in(traffic, config, n, dense):
+    # small chains are eliminated densely, so their generator is densified
+    # once where the chain is built; larger ones stay sparse
+    space = build_state_space(traffic, config)
+    chain = reachable_chain(space)
+    assert len(chain.keep) == n
+    if dense:
+        assert isinstance(chain.rates, np.ndarray)
+        expected = build_rate_matrix(space).toarray()[np.ix_(chain.keep, chain.keep)]
+        assert np.array_equal(chain.rates, expected)
+    else:
+        assert sp.issparse(chain.rates) and chain.rates.format == "csc"
+
+
 class TestStationarySolvers:
     def test_identity_step_returns_the_start(self):
         solve = stationary_power(lambda v: v, dim=4, start=2)
