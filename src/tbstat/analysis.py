@@ -3,9 +3,9 @@
 The embedded chain observes the system immediately after each token grant.
 It is solved on the states reachable from the full-bucket idle state, the
 only ones carrying mass, as ``markov.reachable_chain`` builds it.  Its
-stationary vector is integrated once through the arrival generator on the
-same states, giving the time-averaged law over one replenishment period
-that every statistic below reads
+stationary vector is integrated once through the solve's uniformization of
+the arrival generator on the same states, giving the time-averaged law over
+one replenishment period that every statistic below reads
 (``StationaryResult.averaged``; ``time_average`` integrates blockwise
 through the partitioned generator instead, for the time spent in a chosen
 set of states).  Because arrivals are Poisson, an arriving packet sees
@@ -28,6 +28,8 @@ from .statespace import StateSpace
 from .markov import (
     PartitionedGenerator,
     ReachableChain,
+    SERIES_TOL,
+    Uniformization,
     expm_action,  # unused; perfbench's layer spans look it up here
     integrate_expm_action,
     reachable_chain,
@@ -62,12 +64,12 @@ class StationaryResult:
     """Stationary distribution over the full state space, with diagnostics.
 
     Built by ``solve_stationary``.  ``chain`` is the reachable chain the
-    solve ran on, ``solve_matvecs`` and ``power_steps`` the period-operator
-    products of BiCGSTAB (0 after a GTH elimination) and of the certifying
-    power steps, ``period_nnz`` the nonzero entries of the assembled period
-    operator (None when the solve stepped vector by vector), and
-    ``averaged`` the time-averaged law over one period that the statistics
-    of this module read.
+    solve ran on, ``kernel`` its period's uniformization, ``solve_matvecs``
+    and ``power_steps`` the period-operator products of BiCGSTAB (0 after a
+    GTH elimination) and of the certifying power steps, ``period_nnz`` the
+    nonzero entries of the assembled period operator (None when the solve
+    stepped vector by vector), and ``averaged`` the time-averaged law over
+    one period that this module's statistics read.
     """
 
     space: StateSpace
@@ -78,6 +80,7 @@ class StationaryResult:
     power_steps: int
     period_nnz: int | None
     chain: ReachableChain = field(repr=False)
+    kernel: Uniformization = field(repr=False)
 
     @property
     def iterations(self) -> int:
@@ -88,16 +91,14 @@ class StationaryResult:
     def averaged(self) -> np.ndarray:
         """Time-averaged probability of every state over one period.
 
-        One integration of the stationary vector through the arrival
-        generator of ``chain``, in the form the chain holds it, made on first
-        use and kept read-only, then scattered to full length; states
-        outside the chain stay at zero, as no mass reaches them.
+        The stationary vector averaged through ``kernel``, the solve's own
+        uniformization, on first use and kept read-only, then scattered to
+        full length; states outside the chain stay at zero, as no mass
+        reaches them.
         """
         keep = self.chain.keep
         out = np.zeros(self.space.n_states)
-        out[keep] = integrate_expm_action(
-            self.chain.rates, self.pi[keep], self.space.config.period
-        )
+        out[keep] = self.kernel.average(self.pi[keep])
         out.flags.writeable = False
         return out
 
@@ -195,19 +196,19 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     A step propagates through the arrival generator for a period, then
     applies the token grant, on the states reachable from the full-bucket
     idle state (``markov.reachable_chain``).  The period's exponential is
-    uniformized once, truncated at ``min(1e-14, tol / 10)``, in the form
-    the chain was built in.  A dense chain runs the series densely into
-    ``P^T = G^T exp(R t)^T`` and solves ``P`` exactly by GTH elimination,
-    rooted at the full-bucket idle state that every state returns to.  A
-    sparse chain assembles ``P^T`` when a column holds at most
+    uniformized once, as ``kernel``, cut at ``min(SERIES_TOL, tol / 10)``,
+    in the form the chain was built in.  A dense chain runs the series
+    densely into ``P^T = G^T exp(R t)^T`` and solves ``P`` exactly by GTH
+    elimination, rooted at the full-bucket idle state that every state
+    returns to.  A sparse chain assembles ``P^T`` when a column holds at most
     ``_ENTRIES_PER_STATE`` entries: between grants the buffer only gains
-    packets, so a state is reached only from its nonempty prefixes, one per
-    queued packet and per series jump at most, and from the ``bucket + 1``
-    idle states.  Past that bound it steps vector by vector (``period_nnz``
-    None).  BiCGSTAB then solves ``x - P^T x + (1^T x) u = u``, the
-    balance equations with the normalization added for the uniform ``u``,
-    from ``x = u`` to ``tol / 100`` relative to ``|u|`` in at most
-    ``_MAX_MATVECS`` products.
+    packets, so a state is reached only from itself and its nonempty
+    prefixes, one per series jump and per queued packet at most, and from
+    idle states at most ``jumps * max(sizes)`` tokens above it.  Past that
+    bound it steps vector by vector (``period_nnz`` None).  BiCGSTAB then
+    solves ``x - P^T x + (1^T x) u = u``, the balance equations with the
+    normalization added for the uniform ``u``, from ``x = u`` to
+    ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products.
     Either answer, clipped at zero and renormalized, starts power
     iteration, which stops at the first iterate that one step moves by at
     most ``tol`` in L1, so ``residual`` is verified whatever the solver
@@ -231,13 +232,14 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     grant_t = chain.grant_t
     n = len(chain.keep)
     dense = isinstance(chain.rates, np.ndarray)
-    kernel = uniformize(chain.rates, config.period, min(1e-14, tol / 10))
+    kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
     jumps = kernel.pieces * (len(kernel.point_weights) - 1)
     packets = config.buffer // min(space.traffic.sizes)
+    sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
     if dense:
         period_t = grant_t @ kernel.point(np.eye(n))
         period_nnz = int(np.count_nonzero(period_t))
-    elif min(packets, jumps) + config.bucket + 1 <= _ENTRIES_PER_STATE:
+    elif sources <= _ENTRIES_PER_STATE:
         period_t = grant_t @ kernel.operator()
         period_nnz = period_t.nnz
     else:
@@ -264,7 +266,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     elapsed = time.perf_counter() - began
     return StationaryResult(
         space, pi, solve.residual, elapsed, matvecs, solve.iterations,
-        period_nnz, chain,
+        period_nnz, chain, kernel,
     )
 
 

@@ -8,11 +8,11 @@ grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, packets the bucket can
 never pay for (in the analytic, simulate and compare modes), analytic
 chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
-``ARRIVAL_BUDGET`` mean arrivals a period, simulations over
+``WORK_BUDGET`` states times mean arrivals a period, simulations over
 ``EVENT_BUDGET`` expected events, fixed-length chains whose Poisson law
-underflows, and ``count-states`` limits over ``BOUNDS_LIMIT`` or past the
-float range of the estimate are rejected with the offending field named,
-exit code 2.
+underflows or that hold over ``FIXED_LENGTH_STATES`` states, and
+``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of the
+estimate are rejected with the offending field named, exit code 2.
 Solver failures exit with code 1.  Each table is built once as a list of
 records rounded to 12 significant digits; the report and the CSV files are
 written from the same records.
@@ -65,12 +65,20 @@ STATE_BUDGET = 1_000_000
 # buffer 20,000 (2.0e8 rows) and 3.2 s at 63,000 (2.0e9).  Both figures are
 # for Python 3.11.7 on a 2-vCPU Xeon host.
 STRING_ROW_BUDGET = 2_000_000_000
-# Most mean arrivals a period, rate * period, an analytic chain may have:
-# uniformization takes ceil(rate * period / 128) pieces, so the solve grows
-# linearly with it.  Solve plus occupancy table on the 11- and 58-state
-# chains of unit sizes and of sizes 1..4 at M=L=5 take 0.26 and 0.70 s at
-# 1e4, and 2.2 and 5.4 s at 1e5 (Python 3.11.7, Xeon host).
-ARRIVAL_BUDGET = 100_000
+# Most states times mean arrivals a period, states * rate * period, an
+# analytic chain may have: one period product sums about two series terms a
+# mean arrival, each a pass over the chain, and the solve may make 811 of
+# them.  A product on unit sizes at bucket 0 and buffer 20,000 takes 0.095 s
+# at rate 500 (1e7), 2.5 s at 1e4 (2e8), and 43 s at buffer 60,000 and rate
+# 1e5 (6e9); small chains add about 4 us a series term, 0.78 s a product on
+# the 36- and 186-state spaces at rate 1e5 (Python 3.11.7, Xeon host).
+WORK_BUDGET = 10_000_000
+# Most states, buffer + bucket + 1, of the fixed-length chains: both are
+# dense and solved by LU, so a run grows as the states squared in memory and
+# cubed in time.  At bucket 5 and rate 0.5 ``tbstat run`` takes 0.52 s and
+# 64 MB at buffer 1,000, 0.71 s and 158 MB at 2,000, and 3.6 s and 409 MB at
+# 4,000 (14 s at rate 700), on the same host.
+FIXED_LENGTH_STATES = 4_096
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
@@ -259,21 +267,30 @@ def parse_scenario(raw: dict) -> Scenario:
                 f"largest size {largest} exceeds filter.bucket + 1 = "
                 f"{config.bucket + 1}, so it can never be paid for",
             )
-    if mode in ("analytic", "compare"):
-        _check_state_budget(traffic, config)
     mean = traffic.rate * config.period
-    if mode == "fixed-length" and math.exp(-mean) == 0.0:
-        raise ScenarioError(
-            "traffic.rate",
-            f"{mean:g} mean arrivals a period underflow the Poisson law of "
-            f"the fixed-length chains (exp(-mean) is 0 past about 745)",
-        )
-    if mode in ("analytic", "compare") and mean > ARRIVAL_BUDGET:
-        raise ScenarioError(
-            "traffic.rate",
-            f"{mean:g} mean arrivals a period (rate * filter.period) are over "
-            f"the analytic budget of {ARRIVAL_BUDGET:,}",
-        )
+    if mode in ("analytic", "compare"):
+        states = _check_state_budget(traffic, config)
+        if states * mean > WORK_BUDGET:
+            raise ScenarioError(
+                "traffic.rate",
+                f"{states:,} states times {mean:g} mean arrivals a period "
+                f"(rate * filter.period) are over the analytic budget of "
+                f"{WORK_BUDGET:,}",
+            )
+    if mode == "fixed-length":
+        if math.exp(-mean) == 0.0:
+            raise ScenarioError(
+                "traffic.rate",
+                f"{mean:g} mean arrivals a period underflow the Poisson law of "
+                f"the fixed-length chains (exp(-mean) is 0 past about 745)",
+            )
+        states = config.buffer + config.bucket + 1
+        if states > FIXED_LENGTH_STATES:
+            raise ScenarioError(
+                "filter.buffer",
+                f"the fixed-length chains have {states:,} states, buffer + "
+                f"bucket + 1, over the cap of {FIXED_LENGTH_STATES:,}",
+            )
     events = horizon * (1 + mean)
     if mode in ("simulate", "compare") and events > EVENT_BUDGET:
         raise ScenarioError(
@@ -304,7 +321,8 @@ def parse_scenario(raw: dict) -> Scenario:
     )
 
 
-def _check_state_budget(traffic: TrafficSpec, config: FilterConfig) -> None:
+def _check_state_budget(traffic: TrafficSpec, config: FilterConfig) -> int:
+    """The analytic chain's state count, refused over either budget."""
     levels = config.bucket + 1
     # Repeats of the smallest size alone make buffer // size + 1 strings; a
     # buffer over budget on those is not counted.  Otherwise within[r], the
@@ -332,6 +350,7 @@ def _check_state_budget(traffic: TrafficSpec, config: FilterConfig) -> None:
             f"building the string tables copies {rows:,} rows, over the "
             f"budget of {STRING_ROW_BUDGET:,}",
         )
+    return states
 
 
 def _read_json(path: str | Path, fieldname: str):

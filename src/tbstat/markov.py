@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 GENERATOR_ROW_TOL = 1e-9
+# Poisson weight a series may leave out, the one truncation of every series.
+SERIES_TOL = 1e-14
 
 # Uniformization steps this many mean events at a time; larger horizons are
 # split so the Poisson weights stay far from underflow.
@@ -82,7 +84,7 @@ _DENSE_STATES = 81
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """Poisson arrival counts in one period, cut like ``uniformize``'s at 1e-14."""
+    """Poisson arrival counts in one period, cut at ``SERIES_TOL``."""
 
     mean: float
     pmf: np.ndarray
@@ -94,7 +96,7 @@ class ArrivalDistribution:
             raise ValueError("mean arrival count must be finite and >= 0")
         if math.exp(-mean) == 0.0:
             raise ValueError("mean arrival count too large for a dense pmf")
-        pmf = np.array(_poisson_weights(mean, 1e-14, average=False))
+        pmf = np.array(_poisson_weights(mean, SERIES_TOL, average=False))
         return cls(mean, pmf, max(0.0, 1.0 - pmf.sum()))
 
 
@@ -369,7 +371,7 @@ def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def uniformize(gen, t: float, tol: float = 1e-12) -> Uniformization:
+def uniformize(gen, t: float, tol: float = SERIES_TOL) -> Uniformization:
     """Prepare exp(gen * t) by uniformization, checking ``gen`` once.
 
     Rows of ``gen`` may sum to zero (mass-conserving) or to a negative
@@ -402,10 +404,10 @@ def expm_action(gen, vec: np.ndarray, t: float) -> np.ndarray:
     """Propagate a row vector through exp(gen * t) by uniformization.
 
     For a conserving generator the total mass of ``vec`` is preserved up to
-    the truncation at 1e-12.  Callers that apply one operator many times
-    keep ``uniformize``'s result instead.
+    the truncation at ``SERIES_TOL``.  Callers that apply one operator many
+    times keep ``uniformize``'s result instead.
     """
-    return uniformize(gen, t, 1e-12).point(vec)
+    return uniformize(gen, t).point(vec)
 
 
 def integrate_expm_action(gen, vec: np.ndarray, horizon: float) -> np.ndarray:
@@ -413,11 +415,11 @@ def integrate_expm_action(gen, vec: np.ndarray, horizon: float) -> np.ndarray:
 
     The Poisson weights of uniformization integrate in closed form to scaled
     survival probabilities, so the average needs no quadrature grid.  Both
-    series of each piece run to 0.5e-12 over the piece count.
+    series of each piece run to ``SERIES_TOL`` over the piece count.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    return uniformize(gen, horizon, 0.5e-12).average(vec)
+    return uniformize(gen, horizon).average(vec)
 
 
 class StationarySolve(NamedTuple):

@@ -38,8 +38,9 @@ from tbstat import (
     waiting_time,
 )
 from tbstat.analysis import _ENTRIES_PER_STATE, _MAX_MATVECS, _bicgstab, _gth
-from tbstat.markov import reachable_chain, uniformize
+from tbstat.markov import Uniformization, reachable_chain, uniformize
 from tests.conftest import reference_traffic
+from tests.test_markov import _exact_average
 
 
 @pytest.fixture(scope="module")
@@ -149,11 +150,13 @@ class TestPayability:
 
 
 def _per_column_bound(space, kernel) -> int:
-    """Entries a column of exp(R t) can hold: queued packets or series
-    jumps, whichever is fewer, plus the idle states."""
+    """Entries a column of exp(R t) can hold: the state and its prefixes,
+    one per queued packet and per series jump at most, plus the idle states
+    that the jumps' largest packets can bring down to its token level."""
     packets = space.config.buffer // min(space.traffic.sizes)
     jumps = kernel.pieces * (len(kernel.point_weights) - 1)
-    return min(packets, jumps) + space.config.bucket + 1
+    reach = jumps * max(space.traffic.sizes)
+    return min(packets, jumps + 1) + min(space.config.bucket, reach) + 1
 
 
 class TestAssembledPeriodOperator:
@@ -211,6 +214,34 @@ class TestAssembledPeriodOperator:
         assert np.array_equal(result.pi[chain.keep], stepped.pi)
         assert result.solve_matvecs == matvecs
         assert result.power_steps == stepped.iterations
+
+    @pytest.mark.parametrize(
+        "traffic, config",
+        [
+            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(150, 300, 1.0)),
+            (TrafficSpec((1, 2), (0.5, 0.5), 1.0), FilterConfig(100, 16, 1.0)),
+            (reference_traffic(0.45), FilterConfig(90, 8, 1.0)),
+            (TrafficSpec((1,), (1.0,), 200.0), FilterConfig(5, 600, 1.0)),
+            (reference_traffic(0.45), FilterConfig(8, 12, 1.0)),
+        ],
+        ids=["unit_m150", "sizes_1_2_m100", "sizes_1_4_m90", "deep", "large_space"],
+    )
+    def test_the_bound_covers_every_column(self, traffic, config):
+        # measured in-degrees 17, 33, 49, 375 and 19 against 34, 49, 57, 381
+        # and 21; row j of the operator is column j of exp(R t)
+        space = build_state_space(traffic, config)
+        kernel = uniformize(reachable_chain(space).rates, config.period)
+        in_degree = int(np.diff(kernel.operator().indptr).max())
+        assert in_degree <= _per_column_bound(space, kernel)
+
+    def test_a_wide_bucket_is_assembled(self):
+        # 91 idle levels, of which the period's 12 jumps of at most 4 tokens
+        # reach 49 from any state: 57 entries a column, within the cap
+        space = build_state_space(reference_traffic(0.45), FilterConfig(90, 8, 1.0))
+        result = solve_stationary(space)
+        n = len(result.chain.keep)
+        assert result.period_nnz is not None
+        assert result.period_nnz <= n * _per_column_bound(space, result.kernel)
 
 
 def _system(n: int, spread: float, seed: int):
@@ -495,16 +526,14 @@ class TestAveragedLaw:
     def test_integrated_once_per_result_and_read_only(
         self, monkeypatch, reference_config
     ):
-        import tbstat.analysis
-
         calls = []
-        integrate = tbstat.analysis.integrate_expm_action
+        average = Uniformization.average
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return integrate(*args, **kwargs)
+            return average(*args, **kwargs)
 
-        monkeypatch.setattr(tbstat.analysis, "integrate_expm_action", counted)
+        monkeypatch.setattr(Uniformization, "average", counted)
         space = build_state_space(reference_traffic(0.5), reference_config)
         result = solve_stationary(space)
         averaged = time_average_distribution(result)
@@ -516,6 +545,50 @@ class TestAveragedLaw:
         assert not averaged.flags.writeable
         with pytest.raises(ValueError):
             averaged[0] = 1.0
+
+    def test_the_generator_is_checked_once_per_result(
+        self, monkeypatch, reference_config
+    ):
+        import tbstat.markov
+
+        calls = []
+        check = tbstat.markov._check_generator
+
+        def counted(gen):
+            calls.append(gen)
+            return check(gen)
+
+        monkeypatch.setattr(tbstat.markov, "_check_generator", counted)
+        space = build_state_space(reference_traffic(0.5), reference_config)
+        result = solve_stationary(space)
+        occupancy_table(result)
+        class_metrics(result)
+        assert len(calls) == 1
+        assert calls[0] is result.chain.rates
+
+    @pytest.mark.parametrize(
+        "traffic, config",
+        [
+            (reference_traffic(0.5), FilterConfig(5, 5, 1.0)),
+            (reference_traffic(5.0), FilterConfig(5, 5, 1.0)),
+            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)),
+            (reference_traffic(0.45), FilterConfig(4, 6, 1.0)),
+        ],
+        ids=["reference", "reference_rate_5", "critical_unit", "sparse_108"],
+    )
+    def test_averaged_is_cut_like_the_solve(self, traffic, config):
+        # the solve's kernel, cut at 1e-14, leaves 1.2e-15 to 7.3e-15 L1;
+        # a separate series cut at 0.5e-12 left 2.5e-14 to 2.8e-13
+        space = build_state_space(traffic, config)
+        result = solve_stationary(space)
+        keep = result.chain.keep
+        rates = result.chain.rates
+        dense = rates if isinstance(rates, np.ndarray) else rates.toarray()
+        exact = _exact_average(dense, result.pi[keep], config.period)
+        assert np.abs(result.averaged[keep] - exact).sum() <= 2e-14
+        assert np.array_equal(
+            result.averaged[keep], result.kernel.average(result.pi[keep])
+        )
 
 
 class TestOccupancyTable:

@@ -222,6 +222,54 @@ class TestParseScenario:
         fixed["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 700.0}
         assert parse_scenario(fixed).mode == "fixed-length"
 
+    @pytest.mark.parametrize(
+        "buffer, rate, work",
+        [
+            # one period product takes 2.5 s: 79 pieces of 322 terms
+            (20_000, 1e4, "20,001 states times 10000"),
+            # one period product takes 43 s: 782 pieces of 230 terms
+            (60_000, 1e5, "60,001 states times 100000"),
+        ],
+        ids=["buffer_20000", "buffer_60000"],
+    )
+    def test_analytic_work_over_the_budget(self, buffer, rate, work):
+        raw = small_raw(mode="analytic")
+        raw["traffic"] = {"sizes": [1], "probs": [1.0], "rate": rate}
+        raw["filter"].update(buffer=buffer, bucket=0)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "traffic.rate"
+        assert work in str(err.value)
+
+    def test_fixed_length_chains_over_the_cap(self):
+        # two dense chains of 200,006 states: LU would ask for 298 GiB
+        raw = small_raw(mode="fixed-length")
+        raw["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 0.5}
+        raw["filter"].update(buffer=200_000, bucket=5)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert "200,006 states" in str(err.value)
+        raw["filter"].update(buffer=4_000)
+        assert parse_scenario(raw).config.buffer == 4_000
+
+    def test_every_scenario_and_workload_stays_admitted(self):
+        # the scenario files, the benchmark's analytic workloads, and the
+        # state budget's 988,704-state run
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        for path in sorted(scenarios.glob("*.json")):
+            if path.name != "rate_grid.json":
+                assert load_scenario(path).mode
+        sizes, probs = [1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1]
+        for traffic, bucket, buffer in [
+            ({"sizes": [1], "probs": [1.0], "rate": 0.99}, 20, 40),
+            ({"sizes": sizes, "probs": probs, "rate": 0.45}, 8, 12),
+            ({"sizes": sizes, "probs": probs, "rate": 0.45}, 11, 17),
+        ]:
+            raw = small_raw(mode="analytic", traffic=traffic)
+            raw["filter"].update(bucket=bucket, buffer=buffer)
+            assert parse_scenario(raw).config.buffer == buffer
+
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

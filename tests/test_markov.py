@@ -357,7 +357,7 @@ class TestUniformize:
         assert np.array_equal(expm_action(gen, vec, 1.3), kernel.point(vec))
         assert np.array_equal(
             integrate_expm_action(gen, vec, 1.3),
-            uniformize(gen, 1.3, 0.5e-12).average(vec),
+            uniformize(gen, 1.3).average(vec),
         )
 
     def test_nothing_moves_without_rate_or_time(self):
