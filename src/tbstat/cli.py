@@ -515,6 +515,9 @@ def _simulated(scenario: Scenario, out: Path) -> tuple[dict, np.ndarray]:
         "events": stats.events,
         "wall_time_s": _sig(wall),
         "events_per_s": _sig(stats.events / wall),
+        "states_met": stats.states_met,
+        "word_length": stats.word_length,
+        "invariants_checked": stats.invariants_checked,
         "elapsed_model_time": _sig(stats.elapsed),
     }
     if unavailable:

@@ -4,13 +4,23 @@ Exponential interarrival times, sizes drawn i.i.d. from the traffic mix, and
 one token granted at every exact multiple of the period, with simultaneous
 events resolved token first.  Arrival instants and packet sizes come from
 separate seeded substreams, so changing the size mix never perturbs the
-arrival clock.  Events go in blocks, one draw of the streams at a time: the
-state walks a table of state indices whose rows are read from ``dynamics``,
-the Markov model's transition functions, when a state is first visited, and
-every tally is a ``np.bincount`` over the block's pre- and post-event
-indices.  Waits pair the j-th packet served from the queue with its j-th
-entrant (FIFO).  Statistics are time-weighted after a warmup span and split
-into equal-time segments for batch-means confidence intervals.
+arrival clock.  Events go in blocks, one draw of the streams at a time, and
+the state walks a table of state indices whose rows are read from
+``dynamics``, the Markov model's transition functions.  When the states
+reachable from the start are few, their rows are read up front and composed
+into a word table that maps a state and a word of ``k`` events to the state
+after it, ``k`` the longest whose table fits ``_WORD_BUDGET`` entries; the
+walk then takes one Python step a word, and gathers on the successor array
+recover the state after each event.  Otherwise (a long buffer, say) ``k`` is
+1: the walk steps one event at a time and reads a state's row the first time
+it leaves that state, so simulating never enumerates the state space.
+Both add up the states' held times in the order the per-event walk meets
+the states, so their tallies agree bit for bit; each tally is a
+``np.bincount`` over the block's pre- and post-event indices, read through
+per-state and per-(state, event) tables.  Waits pair the j-th packet served
+from the queue with its j-th entrant (FIFO).  Statistics are time-weighted
+after a warmup span and split into equal-time segments for batch-means
+confidence intervals.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ __all__ = [
 
 # Arrivals per draw and most grants per block; the streams do not depend on it.
 _CHUNK = 1 << 14
+# Most entries of the simulator's word table: states times letters ** k.
+_WORD_BUDGET = 1 << 17
 _TRACE_LEN = 16
 
 
@@ -127,6 +139,8 @@ class SimStats:
     seg_wait: np.ndarray = field(default=None)
     seg_class_time: np.ndarray = field(default=None)
     invariants_checked: int = 0
+    states_met: int = 0
+    word_length: int = 1
 
     def occupancy_distribution(self) -> np.ndarray:
         """Time-averaged joint (token level, backlog) distribution."""
@@ -177,7 +191,9 @@ class _StateTable:
     """The states met so far, by index, with their successor rows.
 
     A state's row (the grant's target, then one arrival target per class) is
-    read from the dynamics the first time the walk leaves it.
+    read from the dynamics the first time the walk leaves it.  ``arrays``
+    gives what the tallies read: per state its features, and per (state,
+    event code) the event's outcome (see ``simulate``) and class.
     """
 
     def __init__(self, traffic: TrafficSpec, config: FilterConfig):
@@ -188,6 +204,15 @@ class _StateTable:
         self.rows: list = []
         # cell, packets waiting, head class (0 when idle), packets per class
         self.features: list[list[int]] = []
+        self.read: list[int] = []  # rows read since ``arrays`` last ran
+        n = len(self.sizes)
+        # the arrays, regrown by doubling; a grant goes by its head's class
+        self.tables = (
+            np.zeros((16, 3 + n), np.int64),
+            np.zeros((16, 1 + n), np.int64),
+            np.tile(np.arange(-1, n), (16, 1)),
+        )
+        self.written = 0  # states whose features are in the arrays
 
     def intern(self, state: SystemState) -> int:
         s = self.index.get(state)
@@ -206,7 +231,140 @@ class _StateTable:
         arrive = (var_arrive(state, size, self.buffer_cap)[0] for size in self.sizes)
         row = [self.intern(t) for t in (var_replenish(state, self.bucket), *arrive)]
         self.rows[s] = row
+        self.read.append(s)
         return row
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Features by state, and outcomes and classes by (state, event code).
+
+        Only what was met or read since the last call is written, so the
+        cost follows the walk's new states, not all of them.
+        """
+        n, done = len(self.states), self.written
+        if n > len(self.tables[0]):
+            cap = max(n, 2 * len(self.tables[0]))
+            self.tables = tuple(np.resize(a, (cap, a.shape[1])) for a in self.tables)
+        features, outcomes, classes = self.tables
+        if n > done:
+            features[done:n] = self.features[done:]
+            classes[done:n, 0] = features[done:n, 2]
+            self.written = n
+        if self.read:
+            read = np.array(self.read)
+            rows = np.array([self.rows[s] for s in self.read])
+            grew = features[rows, 1] - features[read, 1:2]
+            # an arrival that leaves the state as it was is dropped
+            outcomes[read] = np.where(rows == read[:, None], 0, 1 + grew)
+            outcomes[read, 0] = 4 + grew[:, 0]
+            self.read = []
+        return features[:n], outcomes, classes
+
+    def read_closure(self, most: int) -> bool:
+        """Read the row of every state reachable from those met, breadth first.
+
+        Rows go in index order, so none may have been read before.  Returns
+        False, the table part read, once more than ``most`` states are met.
+        """
+        s = 0
+        while s < len(self.states) <= most:
+            self.read_row(s)
+            s += 1
+        return s == len(self.states)
+
+
+class _Walk:
+    """A block's post-event states, walked one word of ``k`` events a step.
+
+    With ``k`` == 1 the words are the event codes and ``rows`` the table's
+    own, each read as the walk first leaves its state.  With ``k`` > 1 the
+    table holds every state reachable from the start, rows read.  A word's
+    letters are the event codes and an idle letter, which leaves the state
+    as it is and pads a block's last word; ``rows`` maps a state and a word,
+    its first letter the most significant digit, to the state after it, and
+    ``k`` gathers on the successor array recover the state after each event.
+    """
+
+    def __init__(self, table: _StateTable, k: int):
+        self.table, self.k = table, k
+        n, letters = len(table.states), len(table.sizes) + 2
+        self.idle = letters - 1
+        self.powers = letters ** np.arange(k - 1, -1, -1)
+        if k == 1:
+            self.rows = table.rows
+            return
+        self.succ = np.column_stack((table.rows, np.arange(n)))
+        words = self.succ
+        for _ in range(k - 1):
+            words = self.succ[words].reshape(n, -1)
+        self.rows = words.tolist()
+        self.left = np.zeros(n, bool)
+        self.met = [0]  # the start state
+
+    @classmethod
+    def start(cls, traffic: TrafficSpec, config: FilterConfig) -> _Walk:
+        """The walk from the empty state, in the longest words that fit.
+
+        The closure of the start state is read when its word table fits
+        ``_WORD_BUDGET`` entries for some ``k`` >= 2; otherwise its reading
+        stops there and the walk steps a fresh table an event at a time.
+        """
+        letters = len(traffic.sizes) + 2
+        table = _StateTable(traffic, config)
+        table.intern(SystemState(0, ()))
+        if not table.read_closure(_WORD_BUDGET // letters**2):
+            table = _StateTable(traffic, config)
+            table.intern(SystemState(0, ()))
+            return cls(table, 1)
+        k = 2
+        while len(table.states) * letters ** (k + 1) <= _WORD_BUDGET:
+            k += 1
+        return cls(table, k)
+
+    @property
+    def states_met(self) -> int:
+        return len(self.table.states) if self.k == 1 else len(self.met)
+
+    def post(self, s: int, codes: np.ndarray) -> np.ndarray:
+        """The state after each event of ``codes``, starting from ``s``."""
+        first, k, rows = s, self.k, self.rows
+        letters = np.full(-(-codes.size // k) * k, self.idle)
+        letters[: codes.size] = codes
+        letters = letters.reshape(-1, k)
+        words = (letters @ self.powers).tolist()
+        ends = np.fromiter((s := rows[s][w] for w in words), np.int64, len(words))
+        if k == 1:
+            return ends
+        post = np.empty_like(letters)
+        at = np.append(first, ends[:-1])
+        for i in range(k):
+            at = post[:, i] = np.take(self.succ, at * (self.idle + 1) + letters[:, i])
+        return post.ravel()[: codes.size]
+
+    def meet(self, pre: np.ndarray):
+        """Index of the table's states in the order the walk met them.
+
+        The per-event walk meets a state when it reads the row of a state it
+        leaves for the first time, and the tallies add the states' held
+        times in that order, which shows in the last bits where those sums
+        round (a window from time 0, say).  The word walk reads every row up
+        front, so it keeps that order here from the block's pre-event
+        states, and its sums come out the same.  Without a closure the
+        table's own order is it, and the index is the whole table.
+        """
+        if self.k == 1:
+            return slice(None)
+        fresh = pre[~self.left[pre]]
+        if fresh.size:
+            firsts, at = np.unique(fresh, return_index=True)
+            seen = set(self.met)
+            for s in firsts[np.argsort(at)].tolist():
+                self.left[s] = True
+                for t in self.table.rows[s]:
+                    if t not in seen:
+                        seen.add(t)
+                        self.met.append(t)
+            self.order = np.array(self.met)
+        return self.order
 
 
 def _check_block(checker, table, times, codes, post, checked: set) -> None:
@@ -278,8 +436,8 @@ def simulate(
 
     checker = InvariantChecker(bucket, buffer_cap) if check_invariants else None
     checked: set[int] = set()  # states the checker has passed
-    table = _StateTable(traffic, config)
-    s = table.intern(SystemState(0, ()))
+    walk = _Walk.start(traffic, config)
+    table, s = walk.table, 0
 
     occupancy = np.zeros(cells)
     embedded = np.zeros(cells, dtype=np.int64)
@@ -295,6 +453,7 @@ def simulate(
     arr_t, arr_k = np.empty(0), np.empty(0, dtype=np.int64)
     clock = 0.0  # instant of the last arrival drawn
     last_t = 0.0  # instant of the last event processed
+    seg_last = segment(last_t)
     rep_n = 1
 
     while rep_n <= horizon:
@@ -317,39 +476,44 @@ def simulate(
         times = np.concatenate((grant_t, arr_t[:take]))
         codes = np.concatenate((np.zeros(grant_t.size, np.int64), arr_k[:take] + 1))
         order = np.argsort(times, kind="stable")
-        times, codes, arrival = times[order], codes[order], codes[order] > 0
+        times, codes = times[order], codes[order]
         arr_t, arr_k = arr_t[take:], arr_k[take:]
 
-        first, rows = s, table.rows
-        post = np.fromiter((s := rows[s][c] for c in codes.tolist()), np.int64)
+        first = s
+        post = walk.post(s, codes)
+        s = int(post[-1])
         if checker:
             _check_block(checker, table, times, codes, post, checked)
         pre = np.append(first, post[:-1])
-        features = np.array(table.features)
-        cell, queued, head, counts = *features[:, :3].T, features[:, 3:]
+        features, outcomes, classes = table.arrays()
+        meeting = walk.meet(pre)
+        met = features[meeting]
 
-        # the time since the previous event is held by the pre-event state;
-        # what each state held within a segment feeds its time-weighted sums
-        start = np.maximum(np.concatenate(([last_t], times[:-1])), warm_t)
-        last_t = times[-1]
-        dt = np.maximum(times - start, 0.0)
-        seg = segment(start)
+        # the time since the previous event, from the warmup's end on, is
+        # held by the pre-event state in the segment where it began; what
+        # each state held within a segment feeds its time-weighted sums,
+        # added up over the states in the order the walk met them
+        dt = np.diff(np.maximum(times, warm_t), prepend=max(last_t, warm_t))
+        seg_at = segment(times)
+        seg = np.maximum(np.append(seg_last, seg_at[:-1]), 0)
+        last_t, seg_last = times[-1], seg_at[-1]
         bounds = np.flatnonzero(np.diff(seg)) + 1
         for lo, hi in zip([0, *bounds], [*bounds, None]):
-            held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))
+            held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))[meeting]
             # tally only the states held: a row read interns targets the walk
             # may not have reached, which broken rules can put off the grid
             kept = np.flatnonzero(held)
-            occupancy += np.bincount(cell[kept], held[kept], cells)
+            occupancy += np.bincount(met[kept, 0], held[kept], cells)
             seg_span[seg[lo]] += held.sum()
-            seg_class_time[seg[lo]] += held @ counts
+            seg_class_time[seg[lo]] += held @ met[:, 3:]
 
-        grew = queued[post] - queued[pre]
-        outcome = np.where(arrival, np.where(post == pre, 0, 1 + grew), 4 + grew)
-        slot = (segment(times) + 1) * n_classes
-        slot += np.where(arrival, codes - 1, head[pre])
+        edge = pre * (n_classes + 1) + codes
+        outcome = np.take(outcomes, edge)
+        slot = (seg_at + 1) * n_classes + np.take(classes, edge)
         tallies += np.bincount(outcome * slots + slot, minlength=5 * slots)
-        embedded += np.bincount(cell[post[~arrival & (times >= warm_t)]], None, cells)
+        warm = int(np.searchsorted(times, warm_t))
+        grants = post[warm:][codes[warm:] == 0]
+        embedded += np.bincount(features[grants, 0], None, cells)
 
         # FIFO: the j-th packet served from the queue is its j-th entrant
         served = outcome == 3
@@ -392,6 +556,8 @@ def simulate(
         seg_wait=seg_wait,
         seg_class_time=seg_class_time,
         invariants_checked=checker.events_checked if checker else 0,
+        states_met=walk.states_met,
+        word_length=walk.k,
     )
 
 

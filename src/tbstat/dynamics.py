@@ -4,8 +4,9 @@ Two views of the same device.  The unit-size view tracks (backlog, tokens)
 when every packet costs one token; the variable-size view tracks the token
 count plus the exact string of queued packet sizes.  Replenishment functions
 apply one token grant, arrival functions apply one packet; both are pure and
-total.  The simulator reads them into a table of state indices of its own, a
-state's row the first time its walk leaves that state, so a run that only
+total.  The simulator reads them into a table of state indices of its own:
+the rows of every state reachable from its start when those are few, else
+a state's row the first time its walk leaves that state, so a run that only
 simulates never enumerates the state space.  The chain side uses their array
 form, ``var_rows``: the same rules read off the space's per-string arrays
 (head size, tail, append target per class) at any states.  The reachable
@@ -17,7 +18,8 @@ For the unit-size filter, at most one of backlog and tokens is ever positive
 on any trajectory started from a valid state: a packet and a spare token
 cannot coexist, because the packet would have consumed it.  That makes the
 single coordinate ``backlog - tokens + bucket`` a faithful summary, and the
-per-period recursions below evolve it directly.
+per-period recursions below evolve it directly, one coordinate at a time
+or, in their array forms, every coordinate at once.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
     "state_from_net_coord",
     "periodic_transfer_step",
     "md1_step",
+    "periodic_transfer_steps",
+    "md1_steps",
     "var_replenish",
     "var_arrive",
     "var_rows",
@@ -107,6 +111,21 @@ def md1_step(coord: int, arrivals: int, buffer_cap: int, bucket: int) -> int:
     if coord > 0:
         return max(0, min(cap, coord + arrivals) - 1)
     return max(0, min(cap, arrivals))
+
+
+def periodic_transfer_steps(
+    coords: np.ndarray, arrivals: int, buffer_cap: int, bucket: int
+) -> np.ndarray:
+    """``periodic_transfer_step`` at every coordinate of ``coords``."""
+    return np.maximum(0, np.minimum(buffer_cap + bucket, coords + arrivals) - 1)
+
+
+def md1_steps(
+    coords: np.ndarray, arrivals: int, buffer_cap: int, bucket: int
+) -> np.ndarray:
+    """``md1_step`` at every coordinate of ``coords``."""
+    busy = periodic_transfer_steps(coords, arrivals, buffer_cap, bucket)
+    return np.where(coords > 0, busy, min(buffer_cap + bucket, arrivals))
 
 
 def var_replenish(state: SystemState, bucket: int) -> SystemState:

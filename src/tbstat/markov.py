@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .statespace import StateSpace, reachable_indices
-from .dynamics import md1_step, periodic_transfer_step, var_rows
+from .dynamics import md1_steps, periodic_transfer_steps, var_rows
 
 __all__ = [
     "ArrivalDistribution",
@@ -236,15 +236,19 @@ def build_partitioned_generator(space: StateSpace) -> PartitionedGenerator:
 
 
 def _chain_from_step(
-    step: Callable[[int, int], int], mean_arrivals: float, n_states: int
+    steps: Callable[[np.ndarray, int], np.ndarray],
+    mean_arrivals: float,
+    n_states: int,
 ) -> np.ndarray:
     arr = ArrivalDistribution.from_mean(mean_arrivals)
     chain = np.zeros((n_states, n_states))
+    states = np.arange(n_states)
     saturating = n_states  # enough arrivals to pin the capped sum at its max
-    for s in range(n_states):
-        for a, p in enumerate(arr.pmf):
-            chain[s, step(s, a)] += p
-        chain[s, step(s, saturating)] += arr.tail
+    # one target per state and count, so no cell is named twice in one sum;
+    # each cell adds its counts' weights in increasing order, then the tail
+    for a, p in enumerate(arr.pmf):
+        chain[states, steps(states, a)] += p
+    chain[states, steps(states, saturating)] += arr.tail
     return chain
 
 
@@ -254,7 +258,7 @@ def build_periodic_transfer_chain(
     """Per-period chain of the unit-size filter's net coordinate."""
     n = buffer_cap + bucket + 1
     return _chain_from_step(
-        lambda s, a: periodic_transfer_step(s, a, buffer_cap, bucket),
+        lambda s, a: periodic_transfer_steps(s, a, buffer_cap, bucket),
         mean_arrivals,
         n,
     )
@@ -264,7 +268,7 @@ def build_md1_chain(mean_arrivals: float, buffer_cap: int, bucket: int) -> np.nd
     """Per-period chain of the finite M/D/1 contrast queue."""
     n = buffer_cap + bucket + 1
     return _chain_from_step(
-        lambda s, a: md1_step(s, a, buffer_cap, bucket), mean_arrivals, n
+        lambda s, a: md1_steps(s, a, buffer_cap, bucket), mean_arrivals, n
     )
 
 

@@ -511,6 +511,32 @@ class TestRunSimulateAndCompare:
             block["events"], rel=1e-9
         )
 
+    def test_the_walk_is_reported(self, tmp_path):
+        # the reference's 58 reachable states fit a word table; a buffer of
+        # 200 does not, and its walk steps one event at a time
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        out = tmp_path / "ref"
+        flags = ["--mode", "simulate", "--out", str(out)]
+        assert main(["run", str(scenarios / "reference.json"), *flags]) == 0
+        block = json.loads((out / "report.json").read_text())["simulation"]
+        assert block["events"] == 1_500_602
+        assert block["states_met"] == 58
+        assert block["word_length"] > 1
+        assert block["invariants_checked"] == 0
+        raw = {
+            "traffic": {
+                "sizes": [1, 2, 3, 4],
+                "probs": [0.4, 0.3, 0.2, 0.1],
+                "rate": 1,
+            },
+            "filter": {"bucket": 8, "buffer": 200, "period": 1.0},
+            "mode": "simulate",
+            "simulation": {"horizon": 2_000},
+        }
+        report = run_scenario(parse_scenario(raw), tmp_path / "long")
+        assert report["simulation"]["word_length"] == 1
+        assert report["simulation"]["states_met"] > 1_000
+
     def test_simulate_mode_skips_analytic_tables(self, tmp_path):
         raw = small_raw(mode="simulate", simulation={"horizon": 5_000})
         report = run_scenario(parse_scenario(raw), tmp_path)

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator and its output analysis."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -135,6 +136,71 @@ class TestPinnedTallies:
             )
 
 
+def per_event(monkeypatch) -> None:
+    """Leave the word table no room, so every walk steps one event at a time."""
+    monkeypatch.setattr(des, "_WORD_BUDGET", 0)
+
+
+class TestWordWalk:
+    """Words of k events give what the per-event walk gives, bit for bit."""
+
+    CASES = [
+        (reference_traffic(0.5), FilterConfig(5, 5, 1.0)),
+        (reference_traffic(1.0), FilterConfig(5, 5, 1.0)),
+        (reference_traffic(5.0), FilterConfig(5, 5, 1.0)),
+        (unit_traffic(0.9), FilterConfig(4, 6, 1.0)),
+    ]
+
+    # a window from time 0 in one segment holds sums that round, so the
+    # order in which states' held times are added shows in the last bits
+    @pytest.mark.parametrize(
+        "warmup, segments", [(None, 100), (0, 1)], ids=["window", "from0"]
+    )
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "checked"])
+    @pytest.mark.parametrize(
+        "traffic, config", CASES, ids=["rate0.5", "rate1", "rate5", "unit"]
+    )
+    def test_both_walks_agree(
+        self, monkeypatch, traffic, config, check, warmup, segments
+    ):
+        def run():
+            return simulate(
+                traffic,
+                config,
+                40_000,
+                seed=4,
+                warmup=warmup,
+                check_invariants=check,
+                segments=segments,
+            )
+
+        words = run()
+        per_event(monkeypatch)
+        events = run()
+        assert words.word_length > 1
+        assert events.word_length == 1
+        for f in dataclasses.fields(SimStats):
+            if f.name == "word_length":
+                continue
+            a, b = getattr(words, f.name), getattr(events, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, f.name
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    def test_the_reference_closure_is_walked_in_words_of_four(self):
+        stats = simulate(reference_traffic(0.5), FilterConfig(5, 5, 1.0), 20_000)
+        assert stats.states_met == 58
+        # 58 states times 6 letters (grant, four sizes, idle) to the fourth
+        assert stats.word_length == 4
+
+    def test_a_long_buffer_walks_event_by_event(self):
+        stats = simulate(reference_traffic(1.0), FilterConfig(8, 200, 1.0), 2_000)
+        assert stats.word_length == 1
+        assert stats.states_met > 1_000
+
+
 class TestCheckMode:
     def test_checks_every_event_and_changes_no_tally(self, reference_config):
         plain = simulate(reference_traffic(1.0), reference_config, 20_000, seed=1)
@@ -186,6 +252,19 @@ class TestCheckMode:
                 check_invariants=True,
             )
         assert err.value.trace[-1][2] == "-> SystemState(tokens=6, buffer=())"
+
+    # the two above walk the broken rule's 59-state closure in words
+    def test_a_broken_grant_rule_is_caught_event_by_event(
+        self, monkeypatch, reference_config
+    ):
+        per_event(monkeypatch)
+        self.test_a_broken_grant_rule_is_caught(monkeypatch, reference_config)
+
+    def test_an_off_grid_state_waits_for_its_visit_event_by_event(
+        self, monkeypatch
+    ):
+        per_event(monkeypatch)
+        self.test_an_interned_state_off_the_grid_waits_for_its_visit(monkeypatch)
 
 
 class TestSimStatsAccessors:

@@ -23,6 +23,8 @@ from tbstat import (
     build_state_space,
     expm_action,
     integrate_expm_action,
+    md1_step,
+    periodic_transfer_step,
     stationary_dense,
     stationary_power,
     var_arrive,
@@ -211,6 +213,23 @@ class TestFixedLengthChains:
             chain = build(0.5, 5, 5)
             assert chain.shape == (11, 11)
             assert np.abs(chain.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("buffer_cap, bucket", [(1, 0), (5, 5), (40, 3), (300, 8)])
+    @pytest.mark.parametrize("rate", [1e-9, 0.5, 0.99, 7.0, 120.0])
+    def test_matches_the_state_by_state_build(self, buffer_cap, bucket, rate):
+        # the scalar steps, one state and arrival count at a time
+        arr = ArrivalDistribution.from_mean(rate)
+        n = buffer_cap + bucket + 1
+        for build, step in (
+            (build_periodic_transfer_chain, periodic_transfer_step),
+            (build_md1_chain, md1_step),
+        ):
+            expected = np.zeros((n, n))
+            for s in range(n):
+                for a, p in enumerate(arr.pmf):
+                    expected[s, step(s, a, buffer_cap, bucket)] += p
+                expected[s, step(s, n, buffer_cap, bucket)] += arr.tail
+            assert np.array_equal(build(rate, buffer_cap, bucket), expected)
 
     def test_the_two_chains_differ(self):
         transfer = stationary_dense(build_periodic_transfer_chain(0.5, 5, 5))
