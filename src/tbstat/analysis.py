@@ -178,7 +178,9 @@ def _bicgstab(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
                 break
             t = apply(r)
             calls += 1
-            omega = float(t @ r) / float(t @ t) if t.any() else 0.0
+            # ``t @ t`` may underflow to 0 while ``t`` is not: a breakdown too
+            tt = float(t @ t)
+            omega = float(t @ r) / tt if tt else 0.0
             if omega == 0.0:
                 break
             x += omega * r

@@ -17,10 +17,11 @@ it leaves that state, so simulating never enumerates the state space.
 Both add up the states' held times in the order the per-event walk meets
 the states, so their tallies agree bit for bit; each tally is a
 ``np.bincount`` over the block's pre- and post-event indices, read through
-per-state and per-(state, event) tables.  Waits pair the j-th packet served
-from the queue with its j-th entrant (FIFO).  Statistics are time-weighted
-after a warmup span and split into equal-time segments for batch-means
-confidence intervals.
+one table of features per state and one of keys per (state, event), each
+key the event's class and outcome.  Waits pair the j-th packet served from
+the queue with its j-th entrant (FIFO).  Statistics are time-weighted after
+a warmup span and split into equal-time segments for batch-means confidence
+intervals; the window's totals are the segments' sums.
 """
 
 from __future__ import annotations
@@ -103,6 +104,11 @@ class InvariantChecker:
             )
 
 
+def _window_total(seg_field: str) -> property:
+    """The post-warmup total by class of a per-segment array of SimStats."""
+    return property(lambda stats: getattr(stats, seg_field).sum(axis=0))
+
+
 @dataclass
 class SimStats:
     """Time-weighted and per-event tallies from one simulation run.
@@ -110,7 +116,9 @@ class SimStats:
     Count arrays are indexed by traffic class, in traffic.sizes order.
     Whole-run totals back the conservation identity; the windowed arrays
     cover only the post-warmup span, split into ``segments`` equal spans
-    whose partial sums feed batch_confidence.
+    whose partial sums feed batch_confidence, and the window's totals
+    (``arrivals``, ``losses``, ``departures``, ``wait_sum``, ``class_time``)
+    are read off them.
     """
 
     traffic: TrafficSpec
@@ -123,11 +131,6 @@ class SimStats:
     events: int = 0
     occupancy_time: np.ndarray = field(default=None)
     embedded_counts: np.ndarray = field(default=None)
-    arrivals: np.ndarray = field(default=None)
-    losses: np.ndarray = field(default=None)
-    departures: np.ndarray = field(default=None)
-    wait_sum: np.ndarray = field(default=None)
-    class_time: np.ndarray = field(default=None)
     arrivals_all: np.ndarray = field(default=None)
     losses_all: np.ndarray = field(default=None)
     departures_all: np.ndarray = field(default=None)
@@ -141,6 +144,12 @@ class SimStats:
     invariants_checked: int = 0
     states_met: int = 0
     word_length: int = 1
+
+    arrivals = _window_total("seg_arrivals")
+    losses = _window_total("seg_losses")
+    departures = _window_total("seg_departures")
+    wait_sum = _window_total("seg_wait")
+    class_time = _window_total("seg_class_time")
 
     def occupancy_distribution(self) -> np.ndarray:
         """Time-averaged joint (token level, backlog) distribution."""
@@ -188,12 +197,13 @@ class _Unread:
 
 
 class _StateTable:
-    """The states met so far, by index, with their successor rows.
+    """The states met so far from the start, by index, with their successor rows.
 
     A state's row (the grant's target, then one arrival target per class) is
     read from the dynamics the first time the walk leaves it.  ``arrays``
     gives what the tallies read: per state its features, and per (state,
-    event code) the event's outcome (see ``simulate``) and class.
+    event code) one key, ``5 * class + outcome`` (outcomes as in
+    ``simulate``), a grant going by its head's class.
     """
 
     def __init__(self, traffic: TrafficSpec, config: FilterConfig):
@@ -202,17 +212,13 @@ class _StateTable:
         self.index: dict[SystemState, int] = {}
         self.states: list[SystemState] = []
         self.rows: list = []
-        # cell, packets waiting, head class (0 when idle), packets per class
-        self.features: list[list[int]] = []
         self.read: list[int] = []  # rows read since ``arrays`` last ran
         n = len(self.sizes)
-        # the arrays, regrown by doubling; a grant goes by its head's class
-        self.tables = (
-            np.zeros((16, 3 + n), np.int64),
-            np.zeros((16, 1 + n), np.int64),
-            np.tile(np.arange(-1, n), (16, 1)),
-        )
-        self.written = 0  # states whose features are in the arrays
+        # per state, regrown by doubling: its features (cell, packets waiting,
+        # head class or 0 when idle, packets per class) and its row of keys
+        self.features = np.zeros((16, 3 + n), np.int64)
+        self.keys = np.zeros((16, 1 + n), np.int64)
+        self.intern(SystemState(0, ()))  # the start, empty with an empty bucket
 
     def intern(self, state: SystemState) -> int:
         s = self.index.get(state)
@@ -221,9 +227,13 @@ class _StateTable:
             buf = state.buffer
             self.states.append(state)
             self.rows.append(_Unread(self, s))
+            if s == len(self.features):
+                self.features, self.keys = (
+                    np.vstack((a, a)) for a in (self.features, self.keys)
+                )
             cell = state.tokens * (self.buffer_cap + 1) + backlog(buf)
             head = self.sizes.index(buf[0]) if buf else 0
-            self.features.append([cell, len(buf), head, *map(buf.count, self.sizes)])
+            self.features[s] = (cell, len(buf), head, *map(buf.count, self.sizes))
         return s
 
     def read_row(self, s: int) -> list[int]:
@@ -234,30 +244,24 @@ class _StateTable:
         self.read.append(s)
         return row
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Features by state, and outcomes and classes by (state, event code).
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Features by state, and keys by (state, event code).
 
-        Only what was met or read since the last call is written, so the
+        Only the keys of rows read since the last call are written, so the
         cost follows the walk's new states, not all of them.
         """
-        n, done = len(self.states), self.written
-        if n > len(self.tables[0]):
-            cap = max(n, 2 * len(self.tables[0]))
-            self.tables = tuple(np.resize(a, (cap, a.shape[1])) for a in self.tables)
-        features, outcomes, classes = self.tables
-        if n > done:
-            features[done:n] = self.features[done:]
-            classes[done:n, 0] = features[done:n, 2]
-            self.written = n
+        features = self.features[: len(self.states)]
         if self.read:
             read = np.array(self.read)
             rows = np.array([self.rows[s] for s in self.read])
             grew = features[rows, 1] - features[read, 1:2]
             # an arrival that leaves the state as it was is dropped
-            outcomes[read] = np.where(rows == read[:, None], 0, 1 + grew)
-            outcomes[read, 0] = 4 + grew[:, 0]
+            keys = np.where(rows == read[:, None], 0, 1 + grew)
+            keys += 5 * np.arange(-1, len(self.sizes))
+            keys[:, 0] = 4 + grew[:, 0] + 5 * features[read, 2]
+            self.keys[read] = keys
             self.read = []
-        return features[:n], outcomes, classes
+        return features, self.keys
 
     def read_closure(self, most: int) -> bool:
         """Read the row of every state reachable from those met, breadth first.
@@ -310,11 +314,8 @@ class _Walk:
         """
         letters = len(traffic.sizes) + 2
         table = _StateTable(traffic, config)
-        table.intern(SystemState(0, ()))
         if not table.read_closure(_WORD_BUDGET // letters**2):
-            table = _StateTable(traffic, config)
-            table.intern(SystemState(0, ()))
-            return cls(table, 1)
+            return cls(_StateTable(traffic, config), 1)
         k = 2
         while len(table.states) * letters ** (k + 1) <= _WORD_BUDGET:
             k += 1
@@ -443,7 +444,7 @@ def simulate(
     embedded = np.zeros(cells, dtype=np.int64)
     seg_span = np.zeros(segments)
     seg_class_time = np.zeros((segments, n_classes))
-    # Counts per event outcome and (segment, class) slot, slot row 0 the warmup.
+    # Counts per (segment, class) slot and event outcome, slot row 0 the warmup.
     # Outcomes: 0 dropped, 1 passed through, 2 queued (arrivals), 3 served from
     # the queue, 4 served nothing (grants).  Waits go by their departure's slot.
     slots = (segments + 1) * n_classes
@@ -485,7 +486,7 @@ def simulate(
         if checker:
             _check_block(checker, table, times, codes, post, checked)
         pre = np.append(first, post[:-1])
-        features, outcomes, classes = table.arrays()
+        features, keys = table.arrays()
         meeting = walk.meet(pre)
         met = features[meeting]
 
@@ -507,10 +508,11 @@ def simulate(
             seg_span[seg[lo]] += held.sum()
             seg_class_time[seg[lo]] += held @ met[:, 3:]
 
-        edge = pre * (n_classes + 1) + codes
-        outcome = np.take(outcomes, edge)
-        slot = (seg_at + 1) * n_classes + np.take(classes, edge)
-        tallies += np.bincount(outcome * slots + slot, minlength=5 * slots)
+        # an event's key plus its segment's offset, 5 per slot: ``at % 5`` is
+        # its outcome and ``at // 5`` its (segment, class) slot
+        at = np.take(keys, pre * (n_classes + 1) + codes) + (seg_at + 1) * 5 * n_classes
+        tallies += np.bincount(at, minlength=5 * slots)
+        outcome = at % 5
         warm = int(np.searchsorted(times, warm_t))
         grants = post[warm:][codes[warm:] == 0]
         embedded += np.bincount(features[grants, 0], None, cells)
@@ -519,10 +521,11 @@ def simulate(
         served = outcome == 3
         waiting = np.concatenate((waiting, times[outcome == 2]))
         n_served = np.count_nonzero(served)
-        seg_wait += np.bincount(slot[served], times[served] - waiting[:n_served], slots)
+        waits = times[served] - waiting[:n_served]
+        seg_wait += np.bincount(at[served] // 5, waits, slots)
         waiting = waiting[n_served:]
 
-    tallies = tallies.reshape(5, segments + 1, n_classes)
+    tallies = np.moveaxis(tallies.reshape(segments + 1, n_classes, 5), 2, 0)
     lost, passed, queued, served, _ = tallies[:, 1:]
     lost_all, passed_all, queued_all, served_all, _ = tallies.sum(axis=1)
     seg_arrivals = lost + passed + queued
@@ -540,11 +543,6 @@ def simulate(
         events=horizon + int(arrivals_all.sum()),
         occupancy_time=occupancy.reshape(bucket + 1, buffer_cap + 1),
         embedded_counts=embedded.reshape(bucket + 1, buffer_cap + 1),
-        arrivals=seg_arrivals.sum(axis=0),
-        losses=lost.sum(axis=0),
-        departures=seg_departures.sum(axis=0),
-        wait_sum=seg_wait.sum(axis=0),
-        class_time=seg_class_time.sum(axis=0),
         arrivals_all=arrivals_all,
         losses_all=lost_all,
         departures_all=passed_all + served_all,

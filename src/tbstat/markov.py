@@ -359,7 +359,9 @@ def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:
     """One piece's series weights for ``m`` mean jumps, cut once the weight
     left is below ``tol`` or after ``m + 12 sqrt(m) + 60`` terms."""
     term = math.exp(-m)
-    survival = 1.0 - term
+    # ``1 - exp(-m)`` cancels for small m and the average's first weight,
+    # survival / m, magnifies the error: that series starts from expm1
+    survival = -math.expm1(-m) if average else 1.0 - term
     w = survival / m if average else term
     remaining = 1.0 - w if average else survival
     weights = [w]

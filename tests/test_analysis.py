@@ -305,6 +305,23 @@ class TestBiCGSTAB:
         assert np.linalg.norm(uniform - balance(x)) <= start
         assert calls < _MAX_MATVECS
 
+    def test_an_underflowing_product_is_a_breakdown(self):
+        # a target of 1e-302 sits below where ``t @ t`` underflows to 0
+        # while ``t`` is not: that ends the cycle and restarts it
+        space = build_state_space(reference_traffic(0.5), FilterConfig(5, 5, 1.0))
+        chain = reachable_chain(space)
+        n = len(chain.keep)
+        rates = scipy.sparse.csr_matrix(chain.rates)
+        period_t = chain.grant_t @ uniformize(rates, 1.0, 1e-14).operator()
+        uniform = np.full(n, 1.0 / n)
+
+        def balance(vec):
+            return vec - period_t @ vec + vec.sum() * uniform
+
+        x, calls = _bicgstab(balance, uniform, uniform, 1e-302, _MAX_MATVECS)
+        assert calls <= _MAX_MATVECS
+        assert np.linalg.norm(uniform - balance(x)) < 1e-14
+
     @pytest.mark.parametrize("max_calls", [7, 20, 41])
     def test_the_cap_bounds_the_products(self, max_calls):
         # spread 2 puts eigenvalues near zero: far from converged at the cap
@@ -606,6 +623,17 @@ class TestOccupancyTable:
         result = solve_stationary(space)
         table = occupancy_table(result)
         assert table[2, 0] > 1 - 1e-5
+
+    @pytest.mark.parametrize("rate", [1e-12, 1e-17])
+    def test_light_traffic_keeps_its_mass(self, rate):
+        # the average's first weight, (1 - exp(-m)) / m, lost 2.2e-5 to
+        # cancellation at 1e-12 and everything at 1e-17
+        space = build_state_space(
+            TrafficSpec((1, 2), (0.6, 0.4), rate), FilterConfig(2, 3, 1.0)
+        )
+        result = solve_stationary(space)
+        assert abs(result.averaged.sum() - 1.0) <= 1e-14
+        assert abs(occupancy_table(result).sum() - 1.0) <= 1e-14
 
 
 class TestLossRatio:

@@ -281,6 +281,14 @@ class TestSimStatsAccessors:
         assert stats.loss_ratio(2) == stats.losses[k] / stats.arrivals[k]
         assert stats.mean_wait(2) == stats.wait_sum[k] / stats.departures[k]
 
+    def test_window_totals_are_the_segment_sums(self):
+        stats = synthetic_stats([2, 4], [10, 10])
+        stats.seg_wait = np.array([[1.0], [3.0]])
+        stats.seg_class_time = np.array([[0.5], [1.5]])
+        assert stats.loss_ratio(1) == 6 / 20
+        assert stats.mean_wait(1) == 4.0 / 2.0
+        assert stats.mean_class_backlog(1) == 2.0 / stats.elapsed
+
 
 def synthetic_stats(seg_losses, seg_arrivals) -> SimStats:
     """Stats object with hand-picked per-segment loss tallies."""
