@@ -30,6 +30,7 @@ from .markov import (
     ReachableChain,
     SERIES_TOL,
     Uniformization,
+    _gth,
     expm_action,  # unused; perfbench's layer spans look it up here
     integrate_expm_action,
     reachable_chain,
@@ -111,39 +112,6 @@ class StationaryResult:
         return self.pi[self.space.nonempty_slice(level)].copy()
 
 
-def _gth(chain: np.ndarray, root: int) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix by GTH elimination
-    (Grassmann, Taksar & Heyman 1985), ``root`` eliminated last.
-
-    Each censored row's exit mass is summed from its entries toward the
-    states left, so no step subtracts, and none vanishes when every state
-    reaches ``root``.  One below the smallest normal float means the floats
-    lost the way back: elimination stops there and the states left get no
-    mass.  Back substitution keeps the largest mass at 1, so masses
-    spanning more than the float range do not overflow.
-    """
-    n = chain.shape[0]
-    order = np.r_[root, np.delete(np.arange(n), root)]
-    a = chain[np.ix_(order, order)]
-    last = 0
-    for k in range(n - 1, 0, -1):
-        leave = a[k, :k].sum()
-        if leave < np.finfo(float).tiny:
-            last = k
-            break
-        a[:k, k] /= leave
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    pi = np.zeros(n)
-    pi[last] = 1.0
-    for k in range(last + 1, n):
-        pi[k] = pi[:k] @ a[:k, k]
-        if pi[k] > 1.0:
-            pi[: k + 1] /= pi[k]
-    out = np.empty(n)
-    out[order] = pi / pi.sum()
-    return out
-
-
 def _bicgstab(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
               max_calls: int) -> tuple[np.ndarray, int]:
     """BiCGSTAB (van der Vorst 1992) for ``apply(x) = rhs`` from ``start``.
@@ -201,8 +169,9 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     uniformized once, as ``kernel``, cut at ``min(SERIES_TOL, tol / 10)``,
     in the form the chain was built in.  A dense chain runs the series
     densely into ``P^T = G^T exp(R t)^T`` and solves ``P`` exactly by GTH
-    elimination, rooted at the full-bucket idle state that every state
-    returns to.  A sparse chain assembles ``P^T`` when a column holds at most
+    elimination (``markov._gth``, which solves the fixed-length chains too),
+    rooted at the full-bucket idle state that every state returns to.  A
+    sparse chain assembles ``P^T`` when a column holds at most
     ``_ENTRIES_PER_STATE`` entries: between grants the buffer only gains
     packets, so a state is reached only from itself and its nonempty
     prefixes, one per series jump and per queued packet at most, and from

@@ -12,10 +12,11 @@ chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
 ``EVENT_BUDGET`` expected events, fixed-length chains whose Poisson law
 underflows or that hold over ``FIXED_LENGTH_STATES`` states, and
 ``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of the
-estimate are rejected with the offending field named, exit code 2.
-Solver failures exit with code 1.  Each table is built once as a list of
-records rounded to 12 significant digits; the report and the CSV files are
-written from the same records.
+estimate are rejected with the offending field named, exit code 2, as are
+paths that cannot be read or written, with the path named.  Solver failures
+exit with code 1.  ``markov._gth`` solves both fixed-length chains.  Each
+table is built once as a list of records rounded to 12 significant digits;
+the report and the CSV files are written from the same records.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .statespace import (
 )
 from .markov import (
     ConvergenceError,
+    _gth,
     build_md1_chain,
     build_periodic_transfer_chain,
-    stationary_dense,
 )
 from .analysis import (
     class_metrics,
@@ -74,10 +75,10 @@ STRING_ROW_BUDGET = 2_000_000_000
 # the 36- and 186-state spaces at rate 1e5 (Python 3.11.7, Xeon host).
 WORK_BUDGET = 10_000_000
 # Most states, buffer + bucket + 1, of the fixed-length chains: both are
-# dense and solved by LU, so a run grows as the states squared in memory and
-# cubed in time.  At bucket 5 and rate 0.5 ``tbstat run`` takes 0.52 s and
-# 64 MB at buffer 1,000, 0.71 s and 158 MB at 2,000, and 3.6 s and 409 MB at
-# 4,000 (14 s at rate 700), on the same host.
+# dense, so memory grows as the states squared, and GTH eliminates these
+# skip-free chains in time about squared too.  At bucket 5 and rate 0.5
+# ``tbstat run`` takes 0.28 s and 45 MB at buffer 1,000, 0.49 s and 91 MB at
+# 2,000, and 1.2 s and 273 MB at 4,000 (1.25 s at rate 700), on the same host.
 FIXED_LENGTH_STATES = 4_096
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
@@ -355,8 +356,8 @@ def _check_state_budget(traffic: TrafficSpec, config: FilterConfig) -> int:
 
 def _read_json(path: str | Path, fieldname: str):
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(fieldname, f"invalid JSON: {exc}") from None
 
 
@@ -433,8 +434,9 @@ def _fixed_length(scenario: Scenario, out: Path) -> dict:
     mean = scenario.traffic.rate * scenario.config.period
     buffer_cap = scenario.config.buffer
     bucket = scenario.config.bucket
-    transfer = stationary_dense(build_periodic_transfer_chain(mean, buffer_cap, bucket))
-    md1 = stationary_dense(build_md1_chain(mean, buffer_cap, bucket))
+    # root 0, the idle full bucket: every coordinate falls to it with no arrivals
+    transfer = _gth(build_periodic_transfer_chain(mean, buffer_cap, bucket), 0)
+    md1 = _gth(build_md1_chain(mean, buffer_cap, bucket), 0)
     tv = 0.5 * float(np.abs(transfer - md1).sum())
     _write_csv(out / "fixed_length.csv", _laws("coord", transfer, md1))
     _write_csv(
@@ -720,6 +722,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory read as a file, a file as --out
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

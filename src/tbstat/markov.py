@@ -17,7 +17,8 @@ stationary solve applies the whole period as one matrix.
 ``stationary_power`` iterates a per-period operator to a verified fixed
 point from a start index or a start vector, so the exact elimination or
 iterative solve of ``analysis.solve_stationary`` can hand it a law to
-certify; a dense linear solve is kept as an independent cross-check.
+certify.  ``_gth`` solves every dense chain exactly, the reachable chain and
+both fixed-length chains; a dense linear solve is kept as a cross-check.
 
 Partitioned form.  Idle-buffer states evolve autonomously: between grants
 the buffer can only gain packets, never lose them, so probability flows from
@@ -488,6 +489,44 @@ def stationary_power(
         residual=residual,
         iterations=max_iters,
     )
+
+
+def _gth(chain: np.ndarray, root: int) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix by GTH elimination
+    (Grassmann, Taksar & Heyman 1985), ``root`` eliminated last.
+
+    Each censored row's exit mass is summed from its entries toward the
+    states left, so no step subtracts, and none vanishes when every state
+    reaches ``root``.  One below the smallest normal float means the floats
+    lost the way back: elimination stops there and the states left get no
+    mass.  Each update starts at the eliminated row's first nonzero column,
+    the columns before it adding exact zeros, so a chain that falls at most
+    one state a step toward ``root`` costs O(n^2), not O(n^3).  Back
+    substitution keeps the largest mass at 1, so masses spanning more than
+    the float range do not overflow.
+    """
+    n = chain.shape[0]
+    order = np.r_[root, np.delete(np.arange(n), root)]
+    a = chain[np.ix_(order, order)]
+    last = 0
+    for k in range(n - 1, 0, -1):
+        row = a[k, :k]
+        leave = row.sum()
+        if leave < np.finfo(float).tiny:
+            last = k
+            break
+        a[:k, k] /= leave
+        first = row.nonzero()[0][0]
+        a[:k, first:k] += a[:k, k, None] * row[first:]
+    pi = np.zeros(n)
+    pi[last] = 1.0
+    for k in range(last + 1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+        if pi[k] > 1.0:
+            pi[: k + 1] /= pi[k]
+    out = np.empty(n)
+    out[order] = pi / pi.sum()
+    return out
 
 
 def stationary_dense(chain: np.ndarray) -> np.ndarray:

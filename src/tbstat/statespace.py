@@ -73,9 +73,10 @@ class TrafficSpec:
             raise ValueError("packet sizes must be strictly increasing")
         if len(self.probs) != len(self.sizes):
             raise ValueError("probs must match sizes in length")
-        if any(p <= 0 for p in self.probs):
+        # written so that a NaN fails them
+        if not all(p > 0 for p in self.probs):
             raise ValueError("size probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > PROB_TOL:
+        if not abs(sum(self.probs) - 1.0) <= PROB_TOL:
             raise ValueError("size probabilities must sum to 1 within 1e-12")
         if not (self.rate >= 0 and math.isfinite(self.rate)):
             raise ValueError("arrival rate must be finite and non-negative")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,11 +17,18 @@ from tbstat.cli import (
     Scenario,
     ScenarioError,
     _occupancy,
+    _sig,
     load_scenario,
     main,
     parse_scenario,
     run_scenario,
     run_sweep,
+)
+from tbstat.markov import (
+    _gth,
+    build_md1_chain,
+    build_periodic_transfer_chain,
+    stationary_dense,
 )
 
 
@@ -134,6 +142,11 @@ class TestParseScenario:
             (
                 {"traffic": {"sizes": [1, 1.5], "probs": [0.6, 0.4], "rate": 0.8}},
                 "traffic.sizes",
+            ),
+            # Python's json reads the literal NaN
+            (
+                {"traffic": {"sizes": [1, 2], "probs": [math.nan, 0.5], "rate": 0.8}},
+                "traffic",
             ),
         ],
     )
@@ -455,6 +468,29 @@ class TestRunFixedLength:
         assert header == ["backlog", "prob_periodic_transfer", "prob_md1"]
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("bucket", [0, 5])
+    @pytest.mark.parametrize("buffer_cap", [5, 40, 1000])
+    @pytest.mark.parametrize("mean", [0.1, 0.5, 0.99, 2.0, 20.0, 700.0])
+    def test_both_laws_are_probabilities(self, tmp_path, mean, buffer_cap, bucket):
+        raw = {
+            "traffic": {"sizes": [1], "probs": [1.0], "rate": mean},
+            "filter": {"bucket": bucket, "buffer": buffer_cap, "period": 1.0},
+            "mode": "fixed-length",
+        }
+        block = run_scenario(parse_scenario(raw), tmp_path)["fixed_length"]
+        _, rows = read_csv(tmp_path / "fixed_length.csv")
+        assert min(block["periodic_transfer"] + block["md1"]) >= 0
+        assert min(float(p) for row in rows for p in row[1:]) >= 0
+        for key, build in (
+            ("periodic_transfer", build_periodic_transfer_chain),
+            ("md1", build_md1_chain),
+        ):
+            chain = build(mean, buffer_cap, bucket)
+            pi = _gth(chain, 0)
+            assert block[key] == [_sig(x) for x in pi]  # the law reported
+            assert np.abs(pi @ chain - pi).sum() <= 1e-14
+            assert np.abs(pi - stationary_dense(chain)).sum() <= 1e-10
+
 
 class TestRunSimulateAndCompare:
     def test_simulated_artifacts(self, compare_run):
@@ -646,6 +682,27 @@ class TestMainEntry:
         code = main(["run", str(tmp_path / "absent.json")])
         assert code == 2
         assert "file not found" in capsys.readouterr().err
+
+    def test_a_directory_exits_two(self, tmp_path, capsys):
+        code = main(["run", str(tmp_path)])
+        assert code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_a_scenario_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(json.dumps(small_raw()).encode("utf-16"))
+        code = main(["run", str(scenario)])
+        assert code == 2
+        assert "scenario error: scenario:" in capsys.readouterr().err
+
+    def test_an_out_path_that_is_a_file_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["run", str(scenario), "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_invalid_json_exits_two(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
