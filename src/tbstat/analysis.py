@@ -24,12 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .statespace import StateSpace
+from .statespace import StateSpace, reachable_indices
 from .markov import (
     PartitionedGenerator,
     ReachableChain,
     SERIES_TOL,
     Uniformization,
+    _DENSE_STATES,
     _gth,
     expm_action,  # unused; perfbench's layer spans look it up here
     integrate_expm_action,
@@ -167,28 +168,29 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     applies the token grant, on the states reachable from the full-bucket
     idle state (``markov.reachable_chain``).  The period's exponential is
     uniformized once, as ``kernel``, cut at ``min(SERIES_TOL, tol / 10)``,
-    in the form the chain was built in.  A dense chain runs the series
-    densely into ``P^T = G^T exp(R t)^T`` and solves ``P`` exactly by GTH
-    elimination (``markov._gth``, which solves the fixed-length chains too),
-    rooted at the full-bucket idle state that every state returns to.  A
-    sparse chain assembles ``P^T`` when a column holds at most
-    ``_ENTRIES_PER_STATE`` entries: between grants the buffer only gains
-    packets, so a state is reached only from itself and its nonempty
-    prefixes, one per series jump and per queued packet at most, and from
-    idle states at most ``jumps * max(sizes)`` tokens above it.  Past that
-    bound it steps vector by vector (``period_nnz`` None).  BiCGSTAB then
-    solves ``x - P^T x + (1^T x) u = u``, the balance equations with the
+    in the form the chain was built in.  A dense chain adds each row of the
+    dense ``exp(R t)^T`` at its grant target, into ``P^T = G^T exp(R t)^T``,
+    and solves ``P`` exactly by GTH elimination (``markov._gth``, which
+    solves the fixed-length chains too), rooted at the full-bucket idle
+    state that every state returns to.  A sparse chain assembles ``P^T``
+    when a column holds at most ``_ENTRIES_PER_STATE`` entries: between
+    grants the buffer only gains packets, so a state is reached only from
+    itself and its nonempty prefixes, one per series jump and per queued
+    packet at most, and from idle states at most ``jumps * max(sizes)``
+    tokens above it.  Past that bound it steps vector by vector
+    (``period_nnz`` None).  BiCGSTAB then solves
+    ``x - P^T x + (1^T x) u = u``, the balance equations with the
     normalization added for the uniform ``u``, from ``x = u`` to
     ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products.
-    Either answer, clipped at zero and renormalized, starts power
-    iteration, which stops at the first iterate that one step moves by at
-    most ``tol`` in L1, so ``residual`` is verified whatever the solver
-    reached; a chain it cannot settle raises ``ConvergenceError``.  No mass
-    leaves the reachable set, so that is the residual of a step on the
-    full space, and ``pi`` is exactly zero on every other state.  A packet
-    size above ``bucket + 1`` is never paid for, leaving several absorbing
-    laws: it raises ``ValueError`` before anything is built.  ``wall_time``
-    starts after the first ``import scipy.sparse``, which it does not count.
+    Either answer, clipped at zero and renormalized, starts power iteration,
+    which stops at the first iterate that one step moves by at most ``tol``
+    in L1, so ``residual`` is verified whatever the solver reached; a chain
+    it cannot settle raises ``ConvergenceError``.  No mass leaves the
+    reachable set, so that is the residual of a step on the full space, and
+    ``pi`` is exactly zero on every other state.  A packet size above
+    ``bucket + 1`` is never paid for, leaving several absorbing laws: it
+    raises ``ValueError`` before anything is built.  Only a sparse chain
+    loads scipy.sparse, before ``wall_time`` starts.
     """
     config = space.config
     largest = max(space.traffic.sizes)
@@ -197,10 +199,10 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
             f"largest size {largest} exceeds bucket + 1 = {config.bucket + 1}, "
             f"so it can never be paid for"
         )
-    import scipy.sparse  # noqa: F401  untimed: loaded before the clock
+    if len(reachable_indices(space)) > _DENSE_STATES:
+        import scipy.sparse  # noqa: F401  untimed: loaded before the clock
     began = time.perf_counter()
     chain = reachable_chain(space)
-    grant_t = chain.grant_t
     n = len(chain.keep)
     dense = isinstance(chain.rates, np.ndarray)
     kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
@@ -208,13 +210,15 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     packets = config.buffer // min(space.traffic.sizes)
     sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
     if dense:
-        period_t = grant_t @ kernel.point(np.eye(n))
+        # rows added in the order ``grant_t @`` sums them, to the same bits
+        period_t = np.zeros((n, n))
+        np.add.at(period_t, chain.grant, kernel.point(np.eye(n)))
         period_nnz = int(np.count_nonzero(period_t))
     elif sources <= _ENTRIES_PER_STATE:
-        period_t = grant_t @ kernel.operator()
+        period_t = chain.grant_t @ kernel.operator()
         period_nnz = period_t.nnz
     else:
-        period_t = period_nnz = None
+        grant_t, period_t, period_nnz = chain.grant_t, None, None
 
     def step(vec: np.ndarray) -> np.ndarray:
         if period_t is None:

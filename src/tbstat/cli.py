@@ -10,13 +10,14 @@ never pay for (in the analytic, simulate and compare modes), analytic
 chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
 ``WORK_BUDGET`` states times mean arrivals a period, simulations over
 ``EVENT_BUDGET`` expected events, fixed-length chains whose Poisson law
-underflows or that hold over ``FIXED_LENGTH_STATES`` states, and
+underflows or that hold over ``FIXED_LENGTH_STATES`` states,
 ``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of the
-estimate are rejected with the offending field named, exit code 2, as are
-paths that cannot be read or written, with the path named.  Solver failures
-exit with code 1.  ``markov._gth`` solves both fixed-length chains.  Each
-table is built once as a list of records rounded to 12 significant digits;
-the report and the CSV files are written from the same records.
+estimate, and tolerances below ``TOLERANCE_FLOOR`` are rejected with the
+offending field named, exit code 2, as are paths that cannot be read or
+written, with the path named.  Solver failures exit with code 1.
+``markov._gth`` solves both fixed-length chains.  Each table is built once
+as a list of records rounded to 12 significant digits; the report and the
+CSV files are written from the same records.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ FIXED_LENGTH_STATES = 4_096
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
 # run 34 to 77 us an event, which the count alone does not bound.
 EVENT_BUDGET = 1_000_000_000
+# Smallest ``tolerance``: at 1e-300 sizes (1, 2), M=3, L=12, rate 20 stall at
+# 2.2e-16 for a million power steps (22 s), but reach 1e-15 in 0.34 s.
+TOLERANCE_FLOOR = 1e-15
 
 # Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
 # total up to it and writes one row per limit, so its cost grows with the
@@ -251,8 +255,8 @@ def parse_scenario(raw: dict) -> Scenario:
         )
 
     tolerance = _as_number(raw.get("tolerance", 1e-10), "tolerance")
-    if not 0 < tolerance < 1:
-        raise ScenarioError("tolerance", "must be in (0, 1)")
+    if not TOLERANCE_FLOOR <= tolerance < 1:
+        raise ScenarioError("tolerance", f"must be in [{TOLERANCE_FLOOR:g}, 1)")
 
     largest = max(traffic.sizes)
     if mode not in ("count-states", "fixed-length"):
@@ -395,7 +399,9 @@ def _occupancy(table: np.ndarray, path: Path) -> list[list[float]]:
     Writes what ``_write_csv`` would, formatting each cell once: the
     12-digit text of a value is also that of its ``_sig``-rounded float.
     """
-    text = [[f"{x:.12g}" for x in row] for row in table.tolist()]
+    grid = table.tolist()
+    zero = {1.0: "0", -1.0: "-0"}  # most cells: no need to format an exact zero
+    text = [[f"{x:.12g}" if x else zero[math.copysign(1, x)] for x in r] for r in grid]
     lines = ["tokens,backlog,probability\r\n"]
     lines += [
         f"{tokens},{queued},{p}\r\n"
@@ -404,7 +410,7 @@ def _occupancy(table: np.ndarray, path: Path) -> list[list[float]]:
     ]
     with path.open("w", newline="") as fh:
         fh.writelines(lines)
-    return [[float(p) for p in row] for row in text]
+    return [[float(p) if x else x for x, p in zip(*rows)] for rows in zip(grid, text)]
 
 
 def _laws(key: str, transfer: np.ndarray, md1: np.ndarray) -> list[dict]:
@@ -460,12 +466,12 @@ def _fixed_length(scenario: Scenario, out: Path) -> dict:
 def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
     """The solved chain's report blocks, and its unrounded class metrics."""
     space = build_state_space(scenario.traffic, scenario.config)
-    import scipy.sparse  # noqa: F401  untimed: loaded before the clock
-    began = time.perf_counter()
     result = solve_stationary(space, tol=scenario.tolerance)
+    # from the solve's clock, which leaves out a sparse chain's scipy import
+    solved = time.perf_counter()
     table = occupancy_table(result)
     metrics = class_metrics(result)
-    wall = time.perf_counter() - began
+    wall = result.wall_time + (time.perf_counter() - solved)
     classes = [
         {k: v if k == "size" else _sig(v) for k, v in asdict(m).items()}
         for m in metrics

@@ -5,10 +5,10 @@ driven by Poisson arrivals; each grant applies a deterministic jump.  This
 module builds the pieces: the arrival rate matrix and the 0/1 replenishment
 matrix, both read off the state space's transition table, and the same two
 on the reachable states alone (``reachable_chain``, which asks
-``dynamics.var_rows`` for the rows of ``reachable_indices`` only and hands
-them to the same private builders), small per-period chains for the
-unit-size filter, and a partitioned form of the rate matrix that exploits
-the block structure of the dynamics.
+``dynamics.var_rows`` for the rows of ``reachable_indices`` only and reads
+the same generator entries and grant targets off them), small per-period
+chains for the unit-size filter, and a partitioned form of the rate matrix
+that exploits the block structure of the dynamics.
 Matrix exponential actions use uniformization, the generator uniformized
 once per chain (``uniformize``) and each series summed by Horner's rule on
 a vector or the identity alike: ``Uniformization.operator`` sums it once
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -110,7 +111,7 @@ def _grant_matrix(grant: np.ndarray) -> sp.csr_matrix:
     """``build_replenishment_matrix`` for any table of grant targets.
 
     ``grant[i]`` indexes the rows of the matrix itself, like the arrival
-    table of ``_rate_matrix``.
+    table of ``_rate_entries``.
     """
     import scipy.sparse as sp
 
@@ -126,42 +127,47 @@ def build_rate_matrix(space: StateSpace) -> sp.csr_matrix:
     so contributes nothing.  Each diagonal entry balances its row, summing
     the class rates in class order, and no explicit zero is stored.
     """
-    class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
-    return _rate_matrix(space.transitions.arrive, class_rates)
-
-
-def _rate_matrix(arrive: np.ndarray, class_rates: np.ndarray) -> sp.csr_matrix:
-    """``build_rate_matrix`` for any table of arrival targets.
-
-    ``arrive[i, k]`` indexes the rows of the matrix itself, so a table
-    relabelled onto a closed subset of states gives that subset's generator.
-    """
     import scipy.sparse as sp
 
+    entries = _rate_entries(space, space.transitions.arrive)
+    return sp.csr_matrix(entries, shape=(space.n_states,) * 2)
+
+
+def _rate_entries(space: StateSpace, arrive: np.ndarray) -> tuple:
+    """``build_rate_matrix``'s nonzero entries, ``(data, (rows, cols))``, for
+    any table of arrival targets: ``arrive[i, k]`` indexes the rows of the
+    matrix itself, so a table relabelled onto a closed subset of states gives
+    that subset's generator.  No two entries name one cell."""
     n, n_classes = arrive.shape
     rows = np.repeat(np.arange(n), n_classes)
     cols = arrive.ravel()
-    data = np.tile(class_rates, n)
+    data = np.tile(space.traffic.rate * np.asarray(space.traffic.probs), n)
     moves = cols != rows
-    rows, data = rows[moves], data[moves]
-    jumps = sp.csr_matrix((data, (rows, cols[moves])), shape=(n, n))
-    # Sparse subtraction prunes zero results, so silent rows store nothing.
-    return jumps - sp.diags(np.bincount(rows, weights=data, minlength=n), format="csr")
+    rows, cols, data = rows[moves], cols[moves], data[moves]
+    data = np.r_[data, -np.bincount(rows, weights=data, minlength=n)]
+    rows, cols = np.r_[rows, np.arange(n)], np.r_[cols, np.arange(n)]
+    nonzero = data != 0
+    return data[nonzero], (rows[nonzero], cols[nonzero])
 
 
 class ReachableChain(NamedTuple):
     """The per-period chain on the states reachable from the full bucket.
 
     ``keep`` lists their indices in the full space, ascending; ``rates`` is
-    the arrival generator and ``grant_t`` the transposed grant map on them,
-    both indexed by position in ``keep``.  ``rates`` is a dense array on at
-    most ``_DENSE_STATES`` states, else CSC, whose transpose the kernels
-    take as a CSR view; every later stage reads it in that one form.
+    the arrival generator on them and ``grant[i]`` the grant target of state
+    ``i``, both indexed by position in ``keep``.  ``rates`` is a dense array
+    on at most ``_DENSE_STATES`` states, else CSC, whose transpose the
+    kernels take as a CSR view; every later stage reads it in that one form.
+    ``grant_t``, the transposed grant map as CSR, is built when asked for.
     """
 
     keep: np.ndarray
     rates: np.ndarray | sp.csc_matrix
-    grant_t: sp.csr_matrix
+    grant: np.ndarray
+
+    @property
+    def grant_t(self) -> sp.csr_matrix:
+        return _grant_matrix(self.grant).T.tocsr()
 
 
 def reachable_chain(space: StateSpace) -> ReachableChain:
@@ -171,15 +177,21 @@ def reachable_chain(space: StateSpace) -> ReachableChain:
     position in ``keep``.  The set is closed, so no transition leaves it,
     and every idle state in it moves at the full arrival rate, so the
     uniformization rate is that of the full space.  A chain of at most
-    ``_DENSE_STATES`` states has its generator densified here, once.
+    ``_DENSE_STATES`` states scatters its generator's entries into an array,
+    a larger one hands them to one CSC constructor.
     """
     keep = reachable_indices(space)
     table = var_rows(space, keep)
-    class_rates = space.traffic.rate * np.asarray(space.traffic.probs)
-    rates = _rate_matrix(np.searchsorted(keep, table.arrive), class_rates)
-    rates = rates.toarray() if len(keep) <= _DENSE_STATES else rates.tocsc()
-    grant_t = _grant_matrix(np.searchsorted(keep, table.grant)).T.tocsr()
-    return ReachableChain(keep, rates, grant_t)
+    n = len(keep)
+    data, cells = _rate_entries(space, np.searchsorted(keep, table.arrive))
+    if n <= _DENSE_STATES:
+        rates = np.zeros((n, n))
+        rates[cells] = data
+    else:
+        import scipy.sparse as sp
+
+        rates = sp.csc_matrix((data, cells), shape=(n, n))
+    return ReachableChain(keep, rates, np.searchsorted(keep, table.grant))
 
 
 @dataclass(frozen=True)
@@ -303,9 +315,9 @@ class Uniformization:
     ``pieces`` equal pieces sums the Poisson ``point_weights``, or the
     ``average_weights`` that integrate them over the piece, against the
     powers of ``step`` by Horner's rule, one accumulator multiplied by
-    ``step`` per term.  ``point`` and ``average`` apply the series to one
-    vector; ``operator`` sums the point series once into a matrix, for
-    callers that apply it many times.
+    ``step`` per term, or once for all pieces of a dense ``step``.  ``point``
+    and ``average`` apply the series to one vector; ``operator`` sums the
+    point series once into a matrix, for callers that apply it many times.
     """
 
     step: object
@@ -314,27 +326,45 @@ class Uniformization:
     point_weights: tuple[float, ...]
     average_weights: tuple[float, ...]
 
-    def _series(self, vec: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+    def _series(self, vec: np.ndarray, average: bool) -> np.ndarray:
+        if self.pieces > 1 and isinstance(self.step, np.ndarray):
+            return self._piece_matrices[average] @ vec
+        weights = self.average_weights if average else self.point_weights
         acc = weights[-1] * vec
         for w in reversed(weights[:-1]):
             acc = self.step @ acc + w * vec
         return acc
 
+    @cached_property
+    def _piece_matrices(self) -> list[np.ndarray]:
+        """Both series of a piece by Horner's rule on ``step - I``, the
+        identity's share added once, capped at the 1 a cut Poisson law sums
+        to at most: a state nothing leaves keeps its mass through every piece."""
+        identity = np.eye(self.dim)
+        moves = self.step - identity
+        out = []
+        for weights in (self.point_weights, self.average_weights):
+            acc = np.zeros_like(moves)
+            for rest in np.cumsum(weights[:0:-1]):  # the weights past each term
+                acc = self.step @ acc + rest * moves
+            out.append(min(1.0, math.fsum(weights)) * identity + acc)
+        return out
+
     def point(self, vec: np.ndarray) -> np.ndarray:
         """The row vector ``vec @ exp(gen * t)``."""
         out = np.asarray(vec, dtype=float)
         for _ in range(self.pieces):
-            out = self._series(out, self.point_weights)
+            out = self._series(out, False)
         return out
 
     def average(self, vec: np.ndarray) -> np.ndarray:
         """``vec @ exp(gen * s)`` averaged over s in [0, t], piece by piece
         from the action at each piece's left end."""
         current = np.asarray(vec, dtype=float)
-        acc = self._series(current, self.average_weights)
+        acc = self._series(current, True)
         for _ in range(1, self.pieces):
-            current = self._series(current, self.point_weights)
-            acc += self._series(current, self.average_weights)
+            current = self._series(current, False)
+            acc += self._series(current, True)
         return acc / self.pieces
 
     def operator(self) -> sp.csr_matrix:
@@ -352,7 +382,7 @@ class Uniformization:
         dense = isinstance(self.step, np.ndarray)
         out = np.eye(self.dim) if dense else sp.identity(self.dim, format="csr")
         for _ in range(self.pieces):
-            out = self._series(out, self.point_weights)
+            out = self._series(out, False)
         return sp.csr_matrix(out)
 
 

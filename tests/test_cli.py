@@ -148,6 +148,8 @@ class TestParseScenario:
                 {"traffic": {"sizes": [1, 2], "probs": [math.nan, 0.5], "rate": 0.8}},
                 "traffic",
             ),
+            # power steps cannot certify a residual this far below rounding
+            ({"tolerance": 1e-300}, "tolerance"),
         ],
     )
     def test_field_bounds(self, patch, fieldname):
@@ -803,3 +805,41 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "mode, traffic, filter_, loaded",
+    [
+        ("analytic", None, None, False),
+        ("compare", None, None, False),
+        ("analytic", ([1], [1.0], 0.99), (20, 40), False),
+        ("analytic", ([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1], 0.45), (8, 12), True),
+    ],
+    ids=["reference", "reference_compare", "critical_unit", "large_space"],
+)
+def test_only_a_sparse_chain_loads_scipy_sparse(tmp_path, mode, traffic, filter_, loaded):
+    # chains of at most 81 reachable states (58 and 61 here) are built,
+    # solved and reported with numpy alone; large_space has 5,473
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    raw = json.loads((scenarios / "reference.json").read_text())
+    raw["mode"] = mode
+    if traffic is not None:
+        raw["traffic"] = dict(zip(("sizes", "probs", "rate"), traffic))
+        raw["filter"].update(bucket=filter_[0], buffer=filter_[1])
+    src = str(Path(tbstat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from tbstat.cli import parse_scenario, run_scenario\n"
+        "run_scenario(parse_scenario(json.loads(sys.argv[1])), sys.argv[2])\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(raw), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == str(loaded)

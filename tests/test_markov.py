@@ -435,6 +435,53 @@ class TestOperator:
         assert peak <= 4 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
 
 
+@pytest.mark.parametrize("rate, pieces", [(200.0, 2), (1000.0, 8), (1e5, 782)])
+def test_a_dense_kernel_sums_one_piece_once(rate, pieces):
+    # unit sizes at M=L=5 hold 11 states densely; at rate 1e5 each piece
+    # sums about 230 terms, which the kernel sums once, not once a piece
+    space = build_state_space(TrafficSpec((1,), (1.0,), rate), FilterConfig(5, 5, 1.0))
+    kernel = uniformize(reachable_chain(space).rates, 1.0)
+    assert isinstance(kernel.step, np.ndarray) and kernel.pieces == pieces
+    vec = np.random.default_rng(pieces).random(kernel.dim)
+    vec /= vec.sum()
+
+    def series(vec, weights):  # Horner's rule, piece by piece
+        acc = weights[-1] * vec
+        for w in reversed(weights[:-1]):
+            acc = kernel.step @ acc + w * vec
+        return acc
+
+    current = vec
+    average = series(current, kernel.average_weights)
+    for _ in range(1, pieces):
+        current = series(current, kernel.point_weights)
+        average += series(current, kernel.average_weights)
+    point = series(current, kernel.point_weights)
+    assert np.abs(kernel.point(vec) - point).sum() <= 1e-13
+    assert np.abs(kernel.average(vec) - average / pieces).sum() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "traffic, config",
+    [
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)),
+        (reference_traffic(0.5), FilterConfig(5, 5, 1.0)),
+        (reference_traffic(0.45), FilterConfig(8, 12, 1.0)),
+    ],
+    ids=["critical_unit", "reference", "large_space"],
+)
+def test_grant_positions_are_the_replenishment_map_on_the_chain(traffic, config):
+    space = build_state_space(traffic, config)
+    chain = reachable_chain(space)
+    n = len(chain.keep)
+    full = build_replenishment_matrix(space)[chain.keep][:, chain.keep].tocsr()
+    # one grant target a state, so row i's one column is grant[i]
+    assert np.array_equal(np.diff(full.indptr), np.ones(n))
+    assert np.array_equal(full.indices, chain.grant)
+    assert np.array_equal(full.data, np.ones(n))
+    assert (chain.grant_t != full.T).nnz == 0
+
+
 @pytest.mark.parametrize(
     "traffic, config, n, dense",
     [
