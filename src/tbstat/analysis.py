@@ -40,6 +40,7 @@ from .markov import (
 )
 
 __all__ = [
+    "TOLERANCE_FLOOR",
     "StationaryResult",
     "solve_stationary",
     "net_to_backlog_distribution",
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 
+# Smallest ``tol`` a solve accepts: at 1e-300 sizes (1, 2), M=3, L=12, rate 20
+# stall at 2.2e-16 for a million power steps (24 s), but reach 1e-15 in 0.26 s
+# (Python 3.11.7, 2-vCPU Xeon host).
+TOLERANCE_FLOOR = 1e-15
 # Most entries a column of the sparse period operator may hold for the solve
 # to assemble it; past that it steps vector by vector.
 _ENTRIES_PER_STATE = 81
@@ -189,9 +194,12 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     reachable set, so that is the residual of a step on the full space, and
     ``pi`` is exactly zero on every other state.  A packet size above
     ``bucket + 1`` is never paid for, leaving several absorbing laws: it
-    raises ``ValueError`` before anything is built.  Only a sparse chain
-    loads scipy.sparse, before ``wall_time`` starts.
+    raises ``ValueError`` before anything is built, as does a ``tol`` below
+    ``TOLERANCE_FLOOR`` or NaN.  Only a sparse chain loads scipy.sparse,
+    before ``wall_time`` starts.
     """
+    if not tol >= TOLERANCE_FLOOR:
+        raise ValueError(f"tol {tol!r} is below the floor {TOLERANCE_FLOOR:g}")
     config = space.config
     largest = max(space.traffic.sizes)
     if largest > config.bucket + 1:

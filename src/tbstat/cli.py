@@ -49,6 +49,7 @@ from .markov import (
     build_periodic_transfer_chain,
 )
 from .analysis import (
+    TOLERANCE_FLOOR,
     class_metrics,
     net_to_backlog_distribution,
     occupancy_table,
@@ -86,9 +87,6 @@ FIXED_LENGTH_STATES = 4_096
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
 # run 34 to 77 us an event, which the count alone does not bound.
 EVENT_BUDGET = 1_000_000_000
-# Smallest ``tolerance``: at 1e-300 sizes (1, 2), M=3, L=12, rate 20 stall at
-# 2.2e-16 for a million power steps (22 s), but reach 1e-15 in 0.34 s.
-TOLERANCE_FLOOR = 1e-15
 
 # Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
 # total up to it and writes one row per limit, so its cost grows with the

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import scipy.sparse
 import tbstat
 
 from tbstat import (
+    TOLERANCE_FLOOR,
     FilterConfig,
     SystemState,
     TrafficSpec,
@@ -147,6 +149,90 @@ class TestPayability:
         with pytest.raises(ValueError, match=f"largest size {largest}") as err:
             solve_stationary(space)
         assert f"bucket + 1 = {bucket + 1}" in str(err.value)
+
+
+class TestToleranceFloor:
+    @pytest.fixture(scope="class")
+    def stalling(self):
+        # at 1e-300 its power steps stall at 2.2e-16 for a million steps
+        return build_state_space(
+            TrafficSpec((1, 2), (0.5, 0.5), 20.0), FilterConfig(3, 12, 1.0)
+        )
+
+    @pytest.mark.parametrize("tol", [1e-300, 9e-16, float("nan")])
+    def test_a_tolerance_below_the_floor_is_refused_at_once(
+        self, monkeypatch, stalling, tol
+    ):
+        def unreachable(_space):
+            raise AssertionError("the chain was built")
+
+        monkeypatch.setattr(tbstat.analysis, "reachable_chain", unreachable)
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="below the floor 1e-15"):
+            solve_stationary(stalling, tol=tol)
+        assert time.perf_counter() - began < 1.0
+
+    def test_the_floor_itself_solves(self, stalling):
+        result = solve_stationary(stalling, tol=TOLERANCE_FLOOR)
+        assert result.residual <= TOLERANCE_FLOOR
+        assert abs(result.pi.sum() - 1.0) <= 1e-14
+
+
+def _long_double_law(space, chain) -> np.ndarray:
+    """Stationary law of a dense chain's period operator ``exp(R t) G`` in
+    long double: ``R`` uniformized with its series cut at 1e-30, then GTH,
+    rooted at the full-bucket idle state, with no subtraction."""
+    ld = np.longdouble
+    n = len(chain.keep)
+    rates = np.asarray(chain.rates, dtype=ld)
+    q = -rates.diagonal().min()
+    jump = np.eye(n, dtype=ld) + rates / q
+    qt = q * ld(space.config.period)
+    weight, term = np.exp(-qt), np.eye(n, dtype=ld)
+    point, k = weight * term, 0
+    while weight > ld(1e-30) or k < qt:
+        k += 1
+        term = term @ jump
+        weight *= qt / k
+        point += weight * term
+    period_t = np.zeros((n, n), dtype=ld)
+    np.add.at(period_t, chain.grant, point.T)  # column i lands at grant[i]
+    root = int(np.searchsorted(chain.keep, space.empty_indices[-1]))
+    order = np.r_[root, np.delete(np.arange(n), root)]
+    a = period_t.T[np.ix_(order, order)]
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n, dtype=ld)
+    pi[0] = 1
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    law = np.empty(n, dtype=ld)
+    law[order] = pi / pi.sum()
+    return law
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="long double is no wider than a double here",
+)
+@pytest.mark.parametrize(
+    "traffic, config, bound",
+    [
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 1e-11),
+        (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 1e-13),
+    ],
+    ids=["critical_unit", "reference"],
+)
+def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
+    # the reported residual cannot see the kernel's truncation times the
+    # chain's conditioning; an independent wider solve measures the error
+    space = build_state_space(traffic, config)
+    result = solve_stationary(space)
+    chain = result.chain
+    exact = _long_double_law(space, chain)
+    assert abs(exact.sum() - 1) <= 1e-17
+    assert np.abs(result.pi[chain.keep] - exact).sum() <= bound
 
 
 def _per_column_bound(space, kernel) -> int:

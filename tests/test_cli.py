@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +575,54 @@ class TestRunSimulateAndCompare:
         report = run_scenario(parse_scenario(raw), tmp_path / "long")
         assert report["simulation"]["word_length"] == 1
         assert report["simulation"]["states_met"] > 1_000
+
+    def test_a_batch_without_samples_leaves_no_band(self, tmp_path):
+        # at horizon 60 one of the ten batches meets no size-1 arrival
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        raw = json.loads((scenarios / "reference.json").read_text())
+        raw["simulation"]["horizon"] = 60
+        report = run_scenario(parse_scenario(raw), tmp_path)
+        unavailable = report["simulation"]["confidence_unavailable"]
+        assert set(unavailable) == {"loss", "wait"}
+        assert "size 1" in unavailable["loss"]
+        header, rows = read_csv(tmp_path / "class_metrics_simulated.csv")
+        loss, wait = header.index("loss_half_width"), header.index("wait_half_width")
+        for record, row in zip(report["classes_simulated"], rows):
+            assert record["loss_half_width"] is record["wait_half_width"] is None
+            assert record["backlog_half_width"] is not None
+            assert row[loss] == row[wait] == ""
+        # a class with arrivals still reports its point estimate
+        assert report["classes_simulated"][0]["loss_ratio"] is not None
+        # and without a band there is no verdict
+        assert report["comparison"]["status"] == "consistent"
+        header, rows = read_csv(tmp_path / "compare_classes.csv")
+        loss, wait = header.index("loss_in_band"), header.index("wait_in_band")
+        assert all(row[loss] == row[wait] == "" for row in rows)
+
+    def test_a_loss_outside_the_band_is_flagged(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        solved = tbstat.cli.class_metrics
+
+        def shifted(result):
+            metrics = solved(result)
+            last = metrics[-1]
+            metrics[-1] = replace(last, loss_ratio=last.loss_ratio + 0.5)
+            return metrics
+
+        monkeypatch.setattr(tbstat.cli, "class_metrics", shifted)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        out = tmp_path / "out"
+        flags = ["--mode", "compare", "--horizon", "20000", "--seed", "1"]
+        assert main(["run", str(scenario), "--out", str(out), *flags]) == 0
+        comparison = json.loads((out / "report.json").read_text())["comparison"]
+        assert comparison["status"] == "analytic_outside_confidence_band"
+        assert {"size": 2, "metric": "loss"} in comparison["flagged"]
+        header, rows = read_csv(out / "compare_classes.csv")
+        assert rows[-1][header.index("loss_in_band")] == "false"
+        printed = capsys.readouterr().out
+        assert "comparison status: analytic_outside_confidence_band" in printed
 
     def test_simulate_mode_skips_analytic_tables(self, tmp_path):
         raw = small_raw(mode="simulate", simulation={"horizon": 5_000})
