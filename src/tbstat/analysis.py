@@ -35,6 +35,7 @@ from .markov import (
     expm_action,  # unused; perfbench's layer spans look it up here
     integrate_expm_action,
     reachable_chain,
+    reachable_kernel,
     stationary_power,
     uniformize,
 )
@@ -182,7 +183,13 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     grants the buffer only gains packets, so a state is reached only from
     itself and its nonempty prefixes, one per series jump and per queued
     packet at most, and from idle states at most ``jumps * max(sizes)``
-    tokens above it.  Past that bound it steps vector by vector
+    tokens above it.  ``markov.reachable_kernel`` builds its ``exp(R t)^T``
+    to the bits of ``kernel.operator()``: whether a packet fits depends on
+    the free room alone, so the column of every occupied source is the one
+    series run per room, translated to the source; idle sources below
+    ``jumps * max(sizes)`` tokens run over the whole chain, those above it,
+    which can queue no packet within the series' jumps, over the idle
+    states alone.  Past that bound it steps vector by vector
     (``period_nnz`` None).  BiCGSTAB then solves
     ``x - P^T x + (1^T x) u = u``, the balance equations with the
     normalization added for the uniform ``u``, from ``x = u`` to
@@ -223,7 +230,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
         np.add.at(period_t, chain.grant, kernel.point(np.eye(n)))
         period_nnz = int(np.count_nonzero(period_t))
     elif sources <= _ENTRIES_PER_STATE:
-        period_t = chain.grant_t @ kernel.operator()
+        period_t = chain.grant_t @ reachable_kernel(space, chain, kernel)
         period_nnz = period_t.nnz
     else:
         grant_t, period_t, period_nnz = chain.grant_t, None, None

@@ -563,6 +563,7 @@ def _compare(report: dict, metrics: list, sim_table: np.ndarray, out: Path) -> d
     tv = 0.5 * float(np.abs(np.array(report["occupancy_analytic"]) - sim_table).sum())
     flagged = []
     rows = []
+    formed = False
     for m, c in zip(metrics, report["classes_simulated"]):
         row = {"size": m.size}
         for name, key in (("loss", "loss_ratio"), ("wait", "mean_wait")):
@@ -572,6 +573,7 @@ def _compare(report: dict, metrics: list, sim_table: np.ndarray, out: Path) -> d
             in_band = None
             if analytic is not None and mean is not None and half is not None:
                 in_band = abs(analytic - mean) <= half
+                formed = True
             if in_band is False:
                 flagged.append({"size": m.size, "metric": name})
             row[f"{name}_analytic"] = _sig(analytic)
@@ -580,7 +582,11 @@ def _compare(report: dict, metrics: list, sim_table: np.ndarray, out: Path) -> d
             row[f"{name}_in_band"] = in_band
         rows.append(row)
     _write_csv(out / "compare_classes.csv", rows)
-    status = "consistent" if not flagged else "analytic_outside_confidence_band"
+    # without a single band nothing was compared, which is not agreement
+    if flagged:
+        status = "analytic_outside_confidence_band"
+    else:
+        status = "consistent" if formed else "no_band"
     return {
         "comparison": {"occupancy_tv": _sig(tv), "status": status, "flagged": flagged}
     }

@@ -14,6 +14,15 @@ once per chain (``uniformize``) and each series summed by Horner's rule on
 a vector or the identity alike: ``Uniformization.operator`` sums it once
 into a sparse matrix, and ``point`` of the identity gives it densely, so the
 stationary solve applies the whole period as one matrix.
+``reachable_kernel`` builds the same sparse matrix for a reachable chain
+from the structure of its columns.  Whether an arrival fits an occupied
+buffer depends on the free room ``buffer - backlog`` alone, and a string's
+extensions sit in the contiguous block of positions after it, so every
+occupied source with the same room has the same column, translated to its
+position: the series runs once a room.  Idle sources run it as dense
+blocks, split by level: below ``jumps * max(sizes)`` tokens a packet can
+queue within the series' jumps, so those run over the whole chain; above
+it only idle states are reached, so those run over the idle rows alone.
 ``stationary_power`` iterates a per-period operator to a verified fixed
 point from a start index or a start vector, so the exact elimination or
 iterative solve of ``analysis.solve_stationary`` can hand it a law to
@@ -61,6 +70,7 @@ __all__ = [
     "build_md1_chain",
     "Uniformization",
     "uniformize",
+    "reachable_kernel",
     "expm_action",
     "integrate_expm_action",
     "StationarySolve",
@@ -369,7 +379,8 @@ class Uniformization:
 
     def operator(self) -> sp.csr_matrix:
         """``exp(gen * t)^T`` as a CSR matrix ``K``, so ``K @ vec`` is
-        ``point(vec)``.
+        ``point(vec)``; for any generator, where ``reachable_kernel`` builds
+        a reachable chain's from its structure.
 
         The point series is run on the identity, so column ``j`` is
         ``point`` of the ``j``-th basis vector; Horner's rule holds no power
@@ -384,6 +395,141 @@ class Uniformization:
         for _ in range(self.pieces):
             out = self._series(out, False)
         return sp.csr_matrix(out)
+
+
+def reachable_kernel(
+    space: StateSpace, chain: ReachableChain, kernel: Uniformization
+) -> sp.csr_matrix:
+    """``kernel.operator()`` of a sparse reachable chain, to the same bits.
+
+    Column ``j`` is ``point`` of the ``j``-th basis vector, made in two ways.
+    An occupied source's arrivals only append to its string, and whether one
+    fits depends on the free room ``buffer - backlog`` alone; its extensions
+    are the contiguous block of positions after it, so the column is the
+    same for every source with the same room, shifted to the source.  One
+    source a room runs the series in pull form over the states its jumps
+    reach: each has one predecessor, its prefix, and a term is ``p *
+    acc[prefix] + d * acc + w * vec``, with ``p`` and ``d`` the step's
+    entries, so every entry sums what the sparse product sums.  Idle sources
+    run the series as a dense block: below ``jumps * max(sizes)`` tokens over
+    the whole chain, and above it, where no packet can queue within the
+    series' jumps, over the idle states alone, whose rows read no others.
+    """
+    import scipy.sparse as sp
+
+    step = kernel.step
+    if step is None:
+        return kernel.operator()
+    n = len(chain.keep)
+    level, string = np.divmod(chain.keep, space.n_strings)
+    idle, occupied = np.flatnonzero(string == 0), np.flatnonzero(string)
+    jumps = kernel.pieces * (len(kernel.point_weights) - 1)
+
+    # an occupied row holds its prefix's entry and, unless it is 0, its own
+    row = np.repeat(np.arange(n), np.diff(step.indptr))
+    own = step.indices == row
+    p, d = np.zeros(n), np.zeros(n)
+    p[row[~own]], d[row[own]] = step.data[~own], step.data[own]
+
+    # one root a room and the states its series' jumps reach, each with its
+    # prefix's node; a root's is -1, the last node, which stays 0
+    room = space.config.buffer - space.string_backlogs[string[occupied]]
+    _, first, which = np.unique(room, return_index=True, return_inverse=True)
+    roots = occupied[first]
+    # how far after a string its child by each size sits, 0 past the buffer
+    grow = space.string_appends - np.arange(space.n_strings)[:, None]
+    at, up, tree = [roots], [np.full(len(roots), -1)], [np.arange(len(roots))]
+    for _ in range(jumps):
+        shift = grow[string[at[-1]]]
+        parent, k = np.nonzero(shift)
+        if not len(parent):
+            break
+        up.append(parent + sum(map(len, at[:-1])))
+        at.append(at[-1][parent] + shift[parent, k])
+        tree.append(tree[-1][parent])
+    at, slot, tree = (np.concatenate(a) for a in (at, up + [[-1]], tree))
+    p, d = np.append(p[at], 0.0), np.append(d[at], 0.0)
+    vec = _basis_point(
+        kernel, lambda acc: p * acc[slot] + d * acc, len(at) + 1, np.arange(len(roots))
+    )
+
+    # each room's nonzeros, grouped by room, as offsets from its root
+    hit = np.flatnonzero(vec[:-1])
+    hit = hit[np.argsort(tree[hit], kind="stable")]
+    per_room = np.bincount(tree[hit], minlength=len(roots))
+    offset, value = (at[hit] - roots[tree[hit]]).astype(np.int32), vec[hit]
+    counts = np.zeros(n, np.intp)
+    counts[occupied] = per_room[which]
+
+    # idle sources: below ``jumps * max(sizes)`` tokens over the whole chain,
+    # above it over the idle rows, which read no other rows
+    low = level[idle] < jumps * max(space.traffic.sizes)
+    blocks = []
+    for kept, within in ((low, np.arange(n)), (~low, idle)):
+        sources = idle[kept]
+        if not len(sources):
+            continue
+        sub = step if len(within) == n else step[within][:, within]
+        cells = (np.searchsorted(within, sources), np.arange(len(sources)))
+        shape = (len(within), len(sources))
+        out = _basis_point(kernel, lambda acc: sub @ acc, shape, cells).T
+        nonzero = out != 0
+        blocks.append((sources, within, out, nonzero))
+        counts[sources] = nonzero.sum(axis=1)
+
+    # the columns end to end, as CSC, each kind written through a mask of its
+    # columns' entries; what is written is dropped before the one CSR copy
+    indptr = np.append(0, np.cumsum(counts))
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+
+    def entries_of(columns: np.ndarray) -> np.ndarray:
+        mask = np.zeros(n, bool)
+        mask[columns] = True
+        return np.repeat(mask, counts)
+
+    while blocks:
+        sources, within, out, nonzero = blocks.pop()
+        mine = entries_of(sources)
+        indices[mine] = np.broadcast_to(within.astype(np.int32), nonzero.shape)[nonzero]
+        data[mine] = out[nonzero]
+    del out, nonzero
+    # an occupied source's entries are its room's, each index taken from
+    # the room's run of nonzeros and shifted by the source's position
+    lengths = counts[occupied]
+    take = np.repeat(
+        ((np.cumsum(per_room) - per_room)[which] - np.cumsum(lengths) + lengths)
+        .astype(np.int32),
+        lengths,
+    )
+    take += np.arange(len(take), dtype=np.int32)
+    mine = entries_of(occupied)
+    data[mine] = value[take]
+    take = offset[take]
+    take += np.repeat(occupied.astype(np.int32), lengths)
+    indices[mine] = take
+    del mine, take
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+
+
+def _basis_point(kernel: Uniformization, apply, shape, cells) -> np.ndarray:
+    """``kernel.point`` of the unit vectors at ``cells`` of a zero array of
+    ``shape``, ``apply(acc)`` standing for ``kernel.step @ acc``.
+
+    Each Horner term is ``apply(acc) + w * vec``, summed in that order; in
+    the first piece ``vec`` is the basis, so ``w`` is added at its cells alone.
+    """
+    out = np.zeros(shape)
+    out[cells] = 1.0
+    for piece in range(kernel.pieces):
+        vec, acc = out, kernel.point_weights[-1] * out
+        for w in reversed(kernel.point_weights[:-1]):
+            acc = apply(acc)
+            if piece:
+                acc += w * vec
+            else:
+                acc[cells] += w
+        out = acc
+    return out
 
 
 def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:

@@ -40,7 +40,7 @@ from tbstat import (
     waiting_time,
 )
 from tbstat.analysis import _ENTRIES_PER_STATE, _MAX_MATVECS, _bicgstab, _gth
-from tbstat.markov import Uniformization, reachable_chain, uniformize
+from tbstat.markov import _DENSE_STATES, Uniformization, reachable_chain, uniformize
 from tests.conftest import reference_traffic
 from tests.test_markov import _exact_average
 
@@ -179,12 +179,13 @@ class TestToleranceFloor:
 
 
 def _long_double_law(space, chain) -> np.ndarray:
-    """Stationary law of a dense chain's period operator ``exp(R t) G`` in
-    long double: ``R`` uniformized with its series cut at 1e-30, then GTH,
-    rooted at the full-bucket idle state, with no subtraction."""
+    """Stationary law of a chain's period operator ``exp(R t) G`` in long
+    double, densely: ``R`` uniformized with its series cut at 1e-30, then
+    GTH, rooted at the full-bucket idle state, with no subtraction."""
     ld = np.longdouble
     n = len(chain.keep)
-    rates = np.asarray(chain.rates, dtype=ld)
+    dense = chain.rates.toarray() if scipy.sparse.issparse(chain.rates) else chain.rates
+    rates = np.asarray(dense, dtype=ld)
     q = -rates.diagonal().min()
     jump = np.eye(n, dtype=ld) + rates / q
     qt = q * ld(space.config.period)
@@ -221,8 +222,9 @@ def _long_double_law(space, chain) -> np.ndarray:
     [
         (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 1e-11),
         (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 1e-13),
+        (reference_traffic(0.45), FilterConfig(4, 6, 1.0), 1e-11),
     ],
-    ids=["critical_unit", "reference"],
+    ids=["critical_unit", "reference", "assembled"],
 )
 def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
     # the reported residual cannot see the kernel's truncation times the
@@ -230,6 +232,9 @@ def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
     space = build_state_space(traffic, config)
     result = solve_stationary(space)
     chain = result.chain
+    if len(chain.keep) > _DENSE_STATES:
+        # the assembled period operator, solved by BiCGSTAB
+        assert result.period_nnz is not None and result.solve_matvecs > 0
     exact = _long_double_law(space, chain)
     assert abs(exact.sum() - 1) <= 1e-17
     assert np.abs(result.pi[chain.keep] - exact).sum() <= bound

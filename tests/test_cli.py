@@ -594,10 +594,16 @@ class TestRunSimulateAndCompare:
         # a class with arrivals still reports its point estimate
         assert report["classes_simulated"][0]["loss_ratio"] is not None
         # and without a band there is no verdict
-        assert report["comparison"]["status"] == "consistent"
+        assert report["comparison"]["status"] == "no_band"
         header, rows = read_csv(tmp_path / "compare_classes.csv")
         loss, wait = header.index("loss_in_band"), header.index("wait_in_band")
         assert all(row[loss] == row[wait] == "" for row in rows)
+
+    def test_main_prints_no_band(self, tmp_path, capsys):
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "reference.json"
+        args = ["run", str(scenario), "--out", str(tmp_path / "out")]
+        assert main([*args, "--mode", "compare", "--horizon", "60"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "comparison status: no_band"
 
     def test_a_loss_outside_the_band_is_flagged(
         self, tmp_path, monkeypatch, capsys

@@ -33,6 +33,7 @@ from tbstat import (
 from tbstat.markov import (
     ArrivalDistribution,
     reachable_chain,
+    reachable_kernel,
     row_sum_defect,
     uniformize,
 )
@@ -433,6 +434,43 @@ class TestOperator:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
+
+
+@pytest.mark.parametrize(
+    "traffic, config, pieces",
+    [
+        (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 1),
+        (reference_traffic(0.45), FilterConfig(8, 14, 1.0), 1),
+        (TrafficSpec((1, 2), (0.5, 0.5), 5.0), FilterConfig(3, 16, 1.0), 1),
+        (reference_traffic(0.45), FilterConfig(90, 8, 1.0), 1),
+        (TrafficSpec((2, 5), (0.5, 0.5), 0.28), FilterConfig(4, 30, 1.0), 1),
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(150, 300, 1.0), 1),
+        (TrafficSpec((1, 2), (0.5, 0.5), 1.0), FilterConfig(100, 16, 1.0), 1),
+        (reference_traffic(200.0), FilterConfig(8, 8, 1.0), 2),
+        (reference_traffic(300.0), FilterConfig(8, 10, 1.0), 3),
+        (reference_traffic(0.0), FilterConfig(8, 12, 1.0), 1),
+    ],
+    ids=[
+        "large_space", "ladder_l14", "sizes_1_2_rate_5", "sizes_1_4_m90",
+        "sizes_2_5", "unit_m150", "sizes_1_2_m100", "two_pieces",
+        "three_pieces", "rate_0",
+    ],
+)
+def test_the_reachable_kernel_is_the_operator(traffic, config, pieces):
+    # occupied columns are their room's translated, idle ones run in dense
+    # blocks split by level; every entry sums what the sparse product sums
+    space = build_state_space(traffic, config)
+    chain = reachable_chain(space)
+    kernel = uniformize(chain.rates, config.period)
+    assert sp.issparse(chain.rates) and kernel.pieces == pieces
+    built, want = reachable_kernel(space, chain, kernel), kernel.operator()
+    assert built.format == "csr" and built.shape == want.shape
+    built.sort_indices()
+    want.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(built, name), getattr(want, name)), name
+    if traffic.rate == 0:
+        assert np.array_equal(built.toarray(), np.eye(len(chain.keep)))
 
 
 @pytest.mark.parametrize("rate, pieces", [(200.0, 2), (1000.0, 8), (1e5, 782)])
