@@ -16,15 +16,14 @@ estimate, and tolerances below ``TOLERANCE_FLOOR`` are rejected with the
 offending field named, exit code 2, as are paths that cannot be read or
 written, with the path named.  Solver failures exit with code 1.
 ``markov._gth`` solves both fixed-length chains.  Each table is built once
-as a list of records rounded to 12 significant digits; the report and the
-CSV files are written from the same records.
+as records rounded to 12 significant digits, and written from them to the
+report and the CSV files as ``json.dumps(indent=2)`` and ``csv.writer`` would.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import itertools
 import json
 import math
@@ -36,17 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from .statespace import (
-    FilterConfig,
-    TrafficSpec,
-    build_state_space,
-    cardinality_bound,
-    count_by_total,
+    FilterConfig, TrafficSpec, build_state_space, cardinality_bound, count_by_total
 )
 from .markov import (
-    ConvergenceError,
-    _gth,
-    build_md1_chain,
-    build_periodic_transfer_chain,
+    ConvergenceError, _gth, build_md1_chain, build_periodic_transfer_chain
 )
 from .analysis import (
     TOLERANCE_FLOOR,
@@ -383,32 +375,46 @@ def _cell(x) -> str:
     return f"{x:.12g}"
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for string keys.  An indent sends json to
+    its Python encoder, so each list of numbers goes to the C one in one call."""
+    inner = indent + "  "
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)  # a leaf, [] or {}
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+    elif {*map(type, obj)} <= {int, float, bool, type(None)}:
+        items = json.dumps(obj)[1:-1].split(", ")  # no number's text holds ", "
+    else:
+        items = [_dumps(x, inner) for x in obj]
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _write_csv(path: Path, records: list[dict]) -> None:
-    """One row per record, under a header of the record keys."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(records[0])
-        writer.writerows([_cell(x) for x in r.values()] for r in records)
+    """Rows of records under their keys, as ``csv.writer`` writes them."""
+    # CRLF line ends, and no quotes: no key or cell holds ',', '"' or a newline
+    lines = [",".join(records[0])]
+    lines += [",".join([_cell(x) for x in r.values()]) for r in records]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 def _occupancy(table: np.ndarray, path: Path) -> list[list[float]]:
-    """Write the (tokens, backlog) table as records; return its rounded grid.
-
-    Writes what ``_write_csv`` would, formatting each cell once: the
-    12-digit text of a value is also that of its ``_sig``-rounded float.
-    """
-    grid = table.tolist()
-    zero = {1.0: "0", -1.0: "-0"}  # most cells: no need to format an exact zero
-    text = [[f"{x:.12g}" if x else zero[math.copysign(1, x)] for x in r] for r in grid]
-    lines = ["tokens,backlog,probability\r\n"]
-    lines += [
-        f"{tokens},{queued},{p}\r\n"
-        for tokens, row in enumerate(text)
-        for queued, p in enumerate(row)
-    ]
-    with path.open("w", newline="") as fh:
-        fh.writelines(lines)
-    return [[float(p) if x else x for x, p in zip(*rows)] for rows in zip(grid, text)]
+    """Write the table as ``_write_csv`` would; return the grid its cells read."""
+    width = table.shape[1]
+    flat = table.ravel().tolist()
+    text = ["0"] * len(flat)
+    for i in np.flatnonzero((table != 0) | np.signbit(table)).tolist():
+        text[i] = f"{flat[i]:.12g}"  # also the text of its _sig-rounded float
+        flat[i] = float(text[i])
+    cols = [f"{b}," for b in range(width)]
+    rows = range(0, len(flat), width)
+    lines = ["tokens,backlog,probability"]
+    for start in rows:
+        lead = f"\r\n{start // width},"
+        lines += [lead, lead.join(map(str.__add__, cols, text[start : start + width]))]
+    path.write_text("".join(lines) + "\r\n", newline="")
+    return [flat[start : start + width] for start in rows]
 
 
 def _laws(key: str, transfer: np.ndarray, md1: np.ndarray) -> list[dict]:
@@ -610,7 +616,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict:
             report.update(simulated)
         if scenario.mode == "compare":
             report.update(_compare(report, metrics, sim_table, out))
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out / "report.json").write_text(_dumps(report) + "\n")
     return report
 
 
@@ -644,9 +650,7 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
             raise ScenarioError(f"grid.{key}", "expected a nonempty list of values")
 
     names = sorted(grid_raw)
-    points = list(itertools.product(*(grid_raw[n] for n in names)))
-    if not grid_raw:
-        points = []
+    points = list(itertools.product(*(grid_raw[n] for n in names))) if grid_raw else []
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -664,12 +668,8 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
             entry["error"] = str(exc)
         entries.append(entry)
 
-    index = {
-        "scenario": str(scenario_path),
-        "grid": grid_raw,
-        "points": entries,
-    }
-    (out_dir / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    index = {"scenario": str(scenario_path), "grid": grid_raw, "points": entries}
+    (out_dir / "index.json").write_text(_dumps(index) + "\n")
     return index
 
 

@@ -683,7 +683,8 @@ def _gth(chain: np.ndarray, root: int) -> np.ndarray:
     """
     n = chain.shape[0]
     order = np.r_[root, np.delete(np.arange(n), root)]
-    a = chain[np.ix_(order, order)]
+    # at root 0 the order is the identity, and a copy is cheaper than a gather
+    a = chain.copy() if root == 0 else chain[np.ix_(order, order)]
     last = 0
     for k in range(n - 1, 0, -1):
         row = a[k, :k]

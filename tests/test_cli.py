@@ -1,6 +1,7 @@
 """Tests for scenario parsing, report generation and the sweep runner."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -17,8 +18,11 @@ from tbstat import ConvergenceError
 from tbstat.cli import (
     Scenario,
     ScenarioError,
+    _cell,
+    _dumps,
     _occupancy,
     _sig,
+    _write_csv,
     load_scenario,
     main,
     parse_scenario,
@@ -383,20 +387,122 @@ class TestRunAnalytic:
             assert x == float(f"{x:.12g}")
 
 
+def csv_module_bytes(rows) -> bytes:
+    """What ``csv.writer`` writes for these rows."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+def occupancy_rows(table) -> list[list]:
+    rows = [["tokens", "backlog", "probability"]]
+    for tokens, row in enumerate(table):
+        rows += [[tokens, b, f"{p:.12g}"] for b, p in enumerate(row)]
+    return rows
+
+
 def test_occupancy_csv_matches_the_csv_module(tmp_path):
     rng = np.random.default_rng(3)
     table = rng.random((5, 7)) ** 9
-    table[0, 0], table[1, 1], table[2, 2] = 0.0, 1e-300, 1 / 3
+    table[0, 0], table[1, 1], table[2, 2], table[3, 3] = 0.0, 1e-300, 1 / 3, -0.0
     grid = _occupancy(table, tmp_path / "fast.csv")
     want = [[float(f"{x:.12g}") for x in row] for row in table]
-    with (tmp_path / "reference.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tokens", "backlog", "probability"])
-        for tokens, row in enumerate(want):
-            writer.writerows([tokens, b, f"{p:.12g}"] for b, p in enumerate(row))
     assert grid == want
-    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
-    assert fast.read_bytes() == reference.read_bytes()
+    assert math.copysign(1, grid[3][3]) == -1
+    written = (tmp_path / "fast.csv").read_bytes()
+    assert written == csv_module_bytes(occupancy_rows(want))
+
+
+def test_csv_cells_match_the_csv_module(tmp_path):
+    records = [
+        {"size": 1, "in_band": True, "mean": -0.0, "loss": 1e-300, "half": None},
+        {"size": 20, "in_band": False, "mean": 1 / 3, "loss": float("nan"),
+         "half": float("inf")},
+        {"size": 3, "in_band": None, "mean": 0.0, "loss": -2.5e-17,
+         "half": 12345678.9},
+    ]
+    _write_csv(tmp_path / "table.csv", records)
+    rows = [list(records[0])] + [[_cell(x) for x in r.values()] for r in records]
+    assert (tmp_path / "table.csv").read_bytes() == csv_module_bytes(rows)
+    assert rows[1] == ["1", "true", "-0", "1e-300", ""]
+
+
+# One scenario per mode, small enough for a unit test; at a horizon of 60
+# some of the reference's batches meet no sample, so the compare tables of
+# "compare-no-band" hold empty cells where "compare" holds bools.
+MODE_SCENARIOS = {
+    "analytic": small_raw(),
+    "compare": small_raw(mode="compare", simulation={"horizon": 20_000, "seed": 1}),
+    "compare-no-band": {
+        **json.loads(
+            (Path(__file__).resolve().parents[1] / "scenarios" / "reference.json")
+            .read_text()
+        ),
+        "simulation": {"horizon": 60, "seed": 1},
+    },
+    "simulate": small_raw(mode="simulate", simulation={"horizon": 5_000}),
+    "fixed-length": {
+        "traffic": {"sizes": [1], "probs": [1.0], "rate": 0.5},
+        "filter": {"bucket": 5, "buffer": 5, "period": 1.0},
+        "mode": "fixed-length",
+    },
+    "count-states": small_raw(mode="count-states", bounds=[0, 12]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MODE_SCENARIOS))
+def written(request, tmp_path_factory):
+    """A run of each mode, with the rows ``csv.writer`` would have written
+    for the records and tables behind each CSV."""
+    out = tmp_path_factory.mktemp(request.param)
+    tables = {}
+    write_csv, occupancy = tbstat.cli._write_csv, tbstat.cli._occupancy
+
+    def spy_csv(path, records):
+        tables[path.name] = [list(records[0])] + [
+            [_cell(x) for x in r.values()] for r in records
+        ]
+        write_csv(path, records)
+
+    def spy_occupancy(table, path):
+        tables[path.name] = occupancy_rows(table)
+        return occupancy(table, path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tbstat.cli, "_write_csv", spy_csv)
+        patch.setattr(tbstat.cli, "_occupancy", spy_occupancy)
+        report = run_scenario(parse_scenario(MODE_SCENARIOS[request.param]), out)
+    return out, report, tables
+
+
+def test_report_is_json_dumps_with_an_indent(written):
+    out, report, _ = written
+    assert (out / "report.json").read_text() == json.dumps(report, indent=2) + "\n"
+    assert _dumps(report) == json.dumps(report, indent=2)
+
+
+def test_every_csv_matches_the_csv_module(written):
+    out, _, tables = written
+    assert set(tables) == {p.name for p in out.glob("*.csv")}
+    for name, rows in tables.items():
+        assert (out / name).read_bytes() == csv_module_bytes(rows), name
+
+
+def test_dumps_matches_json_dumps_with_an_indent():
+    obj = {
+        "ints": [0, -3, 10**20],
+        "bools": [True, False, None],
+        "floats": [0.1, -0.0, 1e-300, float("nan"), float("inf"), -float("inf")],
+        "empty": {"list": [], "dict": {}, "tuple": ()},
+        "tuple": (1, (2.0, None), "a, b"),
+        "grid": [[0.25, 0.0], [], [[1, 2], [3]], [{}]],
+        "text": ["a, b", "ü: é, ñ", 'a quote " and a \\ and a \n'],
+        "ключ, и запятая": {"nested": [{"deep": [1, "x, y"]}, None]},
+        "leaf": 2.5,
+    }
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+    for leaf in (1, 2.5, None, True, "a, b", [], {}, (), [[]], float("nan")):
+        assert _dumps(leaf) == json.dumps(leaf, indent=2)
 
 
 class TestRunCountStates:
@@ -650,6 +756,18 @@ class TestSweep:
         assert (tmp_path / "sweep" / "index.json").exists()
         loaded = json.loads((tmp_path / "sweep" / "index.json").read_text())
         assert loaded["points"][1]["overrides"] == {"traffic.rate": 0.5}
+
+    def test_index_is_json_dumps_with_an_indent(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        grid = tmp_path / "grid.json"
+        # failing points, and an override holding ", " and non-ASCII text
+        modes = ["analytic", "prophesy, née"]
+        grid.write_text(json.dumps({"traffic.rate": [0.5, -1.0], "mode": modes}))
+        index = run_sweep(scenario, grid, tmp_path / "sweep")
+        assert [e["status"] for e in index["points"]] == ["ok"] + ["error"] * 3
+        written = (tmp_path / "sweep" / "index.json").read_text()
+        assert written == json.dumps(index, indent=2) + "\n"
 
     def test_empty_grid_writes_an_empty_index(self, tmp_path):
         scenario = tmp_path / "scenario.json"
