@@ -120,16 +120,20 @@ class StationaryResult:
 
 
 def _bicgstab(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
-              max_calls: int) -> tuple[np.ndarray, int]:
+              max_calls: int, precondition=np.asarray) -> tuple[np.ndarray, int]:
     """BiCGSTAB (van der Vorst 1992) for ``apply(x) = rhs`` from ``start``.
 
-    A cycle ends when the recurrence's residual is within ``rtol * |rhs|``
-    or at a breakdown (``rho``, ``omega`` or the pivot zero).  The true
-    residual then ends the solve or restarts the recurrence from itself.
-    Whenever the solve stops, at the target, at a true residual no smaller
-    than the last or after ``max_calls`` applications (two per step, one
-    per true residual), it returns the iterate with the smallest true
-    residual seen and the applications made.
+    Right-preconditioned: the recurrence runs on ``apply(precondition(.))``
+    and ``x`` advances by ``precondition`` of its search direction and of
+    its residual, so the residuals are those of ``apply(x) = rhs`` itself;
+    the identity (the default) leaves the plain method.  A cycle ends when
+    the recurrence's residual is within ``rtol * |rhs|`` or at a breakdown
+    (``rho``, ``omega`` or the pivot zero).  The true residual then ends the
+    solve or restarts the recurrence from itself.  Whenever the solve stops,
+    at the target, at a true residual no smaller than the last or after
+    ``max_calls`` applications of ``apply`` (two per step, one per true
+    residual; ``precondition`` is not counted), it returns the iterate with
+    the smallest true residual seen and the applications made.
     """
     target = rtol * float(np.linalg.norm(rhs))
     x = start.astype(float, copy=True)
@@ -141,30 +145,62 @@ def _bicgstab(apply, rhs: np.ndarray, start: np.ndarray, rtol: float,
         rho = alpha = omega = 1.0
         while calls + 3 <= max_calls and (rho_next := float(shadow @ r)) != 0.0:
             p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
-            v = apply(p)
+            y = precondition(p)
+            v = apply(y)
             calls += 1
             pivot = float(shadow @ v)
             if pivot == 0.0:
                 break
             rho, alpha = rho_next, rho_next / pivot
-            x += alpha * p
+            x += alpha * y
             r -= alpha * v
             if float(np.linalg.norm(r)) <= target:
                 break
-            t = apply(r)
+            z = precondition(r)
+            t = apply(z)
             calls += 1
             # ``t @ t`` may underflow to 0 while ``t`` is not: a breakdown too
             tt = float(t @ t)
             omega = float(t @ r) / tt if tt else 0.0
             if omega == 0.0:
                 break
-            x += omega * r
+            x += omega * z
             r -= omega * t
             if float(np.linalg.norm(r)) <= target:
                 break
         r = rhs - apply(x)
         calls += 1
     return (x if norm < last else best), calls
+
+
+def _grant_forest(chain: ReachableChain, period: float):
+    """Right preconditioner ``(I + F)(I + F^2)`` of ``I - P^T``, in O(n).
+
+    ``F``, the grant forest, holds in column ``i`` one entry, at row
+    ``grant[i]``: ``stay[i] = exp(period * R[i, i])``, the chance that no
+    arrival moves state ``i`` within a period.  Arrivals only append packets
+    or spend tokens, raising the debt (backlog minus tokens), so a state
+    left is not re-entered before the grant, which lowers the debt by one:
+    that is exactly the one entry of column ``i`` of ``P^T`` on a row of
+    lower debt.  The root, the full-bucket idle state and the grant's one
+    fixed point, has none, so every path of ``F`` ends there, ``F`` is
+    nilpotent and ``(I + F)(I + F^2)`` is the degree-3 Neumann polynomial of
+    ``(I - F)^-1``; ``F^2`` holds one entry a column too, at
+    ``grant[grant[i]]``.  The diagonal stays at one, not ``1 - P_ii``:
+    states whose every arrival is lost have ``P_ii`` near 1, and dividing by
+    it stalls BiCGSTAB on overloaded chains (sizes 1..4 at rates 200, 300).
+    """
+    grant = chain.grant
+    n = len(grant)
+    stay = np.exp(period * chain.rates.diagonal())
+    stay[grant == np.arange(n)] = 0.0
+    twice, stay_twice = grant[grant], stay * stay[grant]
+
+    def precondition(vec: np.ndarray) -> np.ndarray:
+        vec = vec + np.bincount(grant, stay * vec, n)
+        return vec + np.bincount(twice, stay_twice * vec, n)
+
+    return precondition
 
 
 def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
@@ -193,7 +229,13 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     (``period_nnz`` None).  BiCGSTAB then solves
     ``x - P^T x + (1^T x) u = u``, the balance equations with the
     normalization added for the uniform ``u``, from ``x = u`` to
-    ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products.
+    ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products,
+    right-preconditioned on either path by ``(I + F)(I + F^2)`` over the
+    grant forest ``F`` (``_grant_forest``), the one entry a column of
+    ``P^T`` by which a state falls in debt, set up in O(n) from
+    ``chain.grant`` and the generator's diagonal with a unit diagonal: sizes
+    1..4 at M=8, L=12 take 49 products where the plain method took 116, and
+    at L=16 70 where it took 161.
     Either answer, clipped at zero and renormalized, starts power iteration,
     which stops at the first iterate that one step moves by at most ``tol``
     in L1, so ``residual`` is verified whatever the solver reached; a chain
@@ -248,6 +290,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
         kept, matvecs = _bicgstab(
             lambda vec: vec - step(vec) + vec.sum() * uniform,
             uniform, uniform, tol / 100, _MAX_MATVECS,
+            _grant_forest(chain, config.period),
         )
     kept = np.clip(kept, 0.0, None)
     solve = stationary_power(step, n, kept / kept.sum(), tol)

@@ -39,7 +39,13 @@ from tbstat import (
     time_average_distribution,
     waiting_time,
 )
-from tbstat.analysis import _ENTRIES_PER_STATE, _MAX_MATVECS, _bicgstab, _gth
+from tbstat.analysis import (
+    _ENTRIES_PER_STATE,
+    _MAX_MATVECS,
+    _bicgstab,
+    _grant_forest,
+    _gth,
+)
 from tbstat.markov import _DENSE_STATES, Uniformization, reachable_chain, uniformize
 from tests.conftest import reference_traffic
 from tests.test_markov import _exact_average
@@ -255,7 +261,7 @@ class TestAssembledPeriodOperator:
         "traffic, config, matvecs",
         [
             (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 0),
-            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 116),
+            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 49),
             (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 0),
         ],
         ids=["critical_unit", "large_space", "reference"],
@@ -299,12 +305,64 @@ class TestAssembledPeriodOperator:
         kept, matvecs = _bicgstab(
             lambda vec: vec - step(vec) + vec.sum() * uniform,
             uniform, uniform, 1e-12, _MAX_MATVECS,
+            _grant_forest(chain, space.config.period),
         )
         kept = np.clip(kept, 0.0, None)
         stepped = stationary_power(step, n, kept / kept.sum(), 1e-10)
         assert np.array_equal(result.pi[chain.keep], stepped.pi)
         assert result.solve_matvecs == matvecs
         assert result.power_steps == stepped.iterations
+
+    @pytest.mark.parametrize(
+        "rate, config",
+        [(0.45, FilterConfig(8, 12, 1.0)), (300.0, FilterConfig(8, 10, 1.0))],
+        ids=["large_space", "rate_300"],
+    )
+    def test_the_grant_forest_is_the_operator_below_the_debt(self, rate, config):
+        # arrivals raise the debt (backlog - tokens) and a grant lowers it
+        # by one, so column i of P^T falls in debt only at grant[i], by the
+        # chance that no arrival moves i; the root, the grant's one fixed
+        # point, falls nowhere
+        space = build_state_space(reference_traffic(rate), config)
+        chain = reachable_chain(space)
+        n = len(chain.keep)
+        kernel = uniformize(chain.rates, config.period, 1e-14)
+        period_t = (chain.grant_t @ kernel.operator()).tocsc()
+        debt = (space.backlog_of_state - space.token_of_state)[chain.keep]
+        cols = np.repeat(np.arange(n), np.diff(period_t.indptr))
+        lower = debt[period_t.indices] < debt[cols]
+        root = chain.grant == np.arange(n)
+        assert root.sum() == 1
+        assert np.array_equal(cols[lower], np.flatnonzero(~root))
+        assert np.array_equal(period_t.indices[lower], chain.grant[~root])
+        stay = np.exp(config.period * chain.rates.diagonal()[~root])
+        # each piece of the period sums its own series, so the rounding
+        # compounds by piece: 2.0e-14 on the rate-300 chain's three pieces
+        rtol = kernel.pieces * 1e-14
+        assert np.allclose(period_t.data[lower], stay, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "traffic, config, exact",
+        [
+            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(150, 300, 1.0), True),
+            (TrafficSpec((1, 2), (0.5, 0.5), 5.0), FilterConfig(3, 16, 1.0), False),
+        ],
+        ids=["near_critical_unit", "nearly_periodic"],
+    )
+    def test_hard_sparse_chains_settle_in_one_power_step(self, traffic, config, exact):
+        # unpreconditioned, both spent every product and then 151,801 and
+        # 398 power steps, the first ending 1.3e-6 L1 off its exact law
+        space = build_state_space(traffic, config)
+        result = solve_stationary(space)
+        assert result.power_steps == 1
+        assert result.solve_matvecs < _MAX_MATVECS
+        if exact:
+            # 451 states: GTH on the dense period operator of the same kernel
+            chain = result.chain
+            period_t = (chain.grant_t @ result.kernel.operator()).toarray()
+            root = int(np.searchsorted(chain.keep, space.empty_indices[-1]))
+            law = _gth(period_t.T, root)
+            assert np.abs(result.pi[chain.keep] - law).sum() <= 1e-8
 
     @pytest.mark.parametrize(
         "traffic, config",
@@ -344,7 +402,7 @@ def _system(n: int, spread: float, seed: int):
 
 class TestBiCGSTAB:
     @staticmethod
-    def _solve(mat, rhs, rtol, max_calls, corrupt=None):
+    def _solve(mat, rhs, rtol, max_calls, corrupt=None, precondition=np.asarray):
         calls = []
 
         def apply(vec):
@@ -354,7 +412,9 @@ class TestBiCGSTAB:
                 out[0] += 1e-3
             return out
 
-        x, counted = _bicgstab(apply, rhs, np.zeros(len(rhs)), rtol, max_calls)
+        x, counted = _bicgstab(
+            apply, rhs, np.zeros(len(rhs)), rtol, max_calls, precondition
+        )
         assert counted == len(calls)
         exact = np.linalg.solve(mat, rhs)
         return np.abs(x - exact).max() / np.abs(exact).max(), len(calls)
@@ -412,6 +472,42 @@ class TestBiCGSTAB:
         x, calls = _bicgstab(balance, uniform, uniform, 1e-302, _MAX_MATVECS)
         assert calls <= _MAX_MATVECS
         assert np.linalg.norm(uniform - balance(x)) < 1e-14
+
+    def test_an_exact_preconditioner_converges_at_once(self):
+        # A M^-1 = I: the first step lands, then one true residual confirms
+        mat, rhs = _system(60, 2.0, 3)
+        inverse = np.linalg.inv(mat)
+        err, calls = self._solve(
+            mat, rhs, 1e-10, 811, precondition=lambda vec: inverse @ vec
+        )
+        assert err < 1e-9
+        assert calls <= 3
+
+    @pytest.mark.parametrize(
+        "spread, seed, max_calls, corrupt",
+        [(0.5, 1, 811, None), (0.5, 2, 811, 3), (2.0, 3, 41, None)],
+    )
+    def test_the_identity_preconditioner_is_the_plain_method(
+        self, spread, seed, max_calls, corrupt
+    ):
+        mat, rhs = _system(60, spread, seed)
+
+        def solve(*precondition):
+            products = []
+
+            def apply(vec):
+                products.append(1)
+                out = mat @ vec
+                if len(products) == corrupt:
+                    out[0] += 1e-3
+                return out
+
+            start = np.zeros(len(rhs))
+            return _bicgstab(apply, rhs, start, 1e-10, max_calls, *precondition)
+
+        (plain, plain_calls), (copied, copied_calls) = solve(), solve(np.copy)
+        assert np.array_equal(plain, copied)
+        assert plain_calls == copied_calls
 
     @pytest.mark.parametrize("max_calls", [7, 20, 41])
     def test_the_cap_bounds_the_products(self, max_calls):
