@@ -452,23 +452,31 @@ def class_metrics(
 ) -> list[ClassMetrics]:
     """Loss, backlog, wait and throughput for every traffic class.
 
-    All read off ``result.averaged``; ``part`` is ignored.
+    All read off ``result.averaged``; ``part`` is ignored.  A class's
+    throughput is ``rate * prob`` times its accepted mass, the mass of the
+    states with room for its size, summed directly: ``1 - loss`` cancels
+    where almost every packet is lost.  Its mean wait is None, as in
+    ``waiting_time``, when there is no throughput, and also when the
+    accepted mass is at most ``result.residual``, the least mass the solve
+    certifies, as the wait would then be rounding noise.
     """
     space = result.space
     rate = space.traffic.rate
     out = []
     for size, prob in zip(space.traffic.sizes, space.traffic.probs):
-        loss = loss_ratio(result, part, size)
         queued = class_backlog(result, part, size)
-        wait = waiting_time(queued, loss, rate, prob)
+        room = space.backlog_of_state <= space.config.buffer - size
+        accepted = float(result.averaged[room].sum())
+        throughput = rate * prob * accepted
+        certified = throughput > 0.0 and accepted > result.residual
         out.append(
             ClassMetrics(
                 size=size,
                 probability=prob,
-                loss_ratio=loss,
+                loss_ratio=loss_ratio(result, part, size),
                 mean_backlog=queued,
-                mean_wait=wait,
-                throughput=(1.0 - loss) * rate * prob,
+                mean_wait=queued / throughput if certified else None,
+                throughput=throughput,
             )
         )
     return out

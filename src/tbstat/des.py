@@ -14,12 +14,13 @@ walk then takes one Python step a word, and gathers on the successor array
 recover the state after each event.  Otherwise (a long buffer, say) ``k`` is
 1: the walk steps one event at a time and reads a state's row the first time
 it leaves that state, so simulating never enumerates the state space.
-Both add up the states' held times in the order the per-event walk meets
-the states, so their tallies agree bit for bit; each tally is a
-``np.bincount`` over the block's pre- and post-event indices, read through
-one table of features per state and one of keys per (state, event), each
-key the event's class and outcome.  Waits pair the j-th packet served from
-the queue with its j-th entrant (FIFO).  Statistics are time-weighted after
+Their tallies agree bit for bit, as none depends on how the table numbers
+its states: each state's held time is summed in event order, and the
+states' shares are added smallest first.  Each tally is a ``np.bincount``
+over the block's pre- and post-event indices, read through one table of
+features per state and one of keys per (state, event), each key the
+event's class and outcome.  Waits pair the j-th packet served from the
+queue with its j-th entrant (FIFO).  Statistics are time-weighted after
 a warmup span and split into equal-time segments for batch-means confidence
 intervals; the window's totals are the segments' sums.
 """
@@ -301,8 +302,7 @@ class _Walk:
         for _ in range(k - 1):
             words = self.succ[words].reshape(n, -1)
         self.rows = words.tolist()
-        self.left = np.zeros(n, bool)
-        self.met = [0]  # the start state
+        self.left = np.zeros(n, bool)  # states the walk has left
 
     @classmethod
     def start(cls, traffic: TrafficSpec, config: FilterConfig) -> _Walk:
@@ -323,7 +323,11 @@ class _Walk:
 
     @property
     def states_met(self) -> int:
-        return len(self.table.states) if self.k == 1 else len(self.met)
+        """The states the per-event walk meets: the start and the row
+        targets of every state it leaves."""
+        if self.k == 1:
+            return len(self.table.states)
+        return np.union1d(0, self.succ[self.left, :-1]).size
 
     def post(self, s: int, codes: np.ndarray) -> np.ndarray:
         """The state after each event of ``codes``, starting from ``s``."""
@@ -339,33 +343,9 @@ class _Walk:
         at = np.append(first, ends[:-1])
         for i in range(k):
             at = post[:, i] = np.take(self.succ, at * (self.idle + 1) + letters[:, i])
-        return post.ravel()[: codes.size]
-
-    def meet(self, pre: np.ndarray):
-        """Index of the table's states in the order the walk met them.
-
-        The per-event walk meets a state when it reads the row of a state it
-        leaves for the first time, and the tallies add the states' held
-        times in that order, which shows in the last bits where those sums
-        round (a window from time 0, say).  The word walk reads every row up
-        front, so it keeps that order here from the block's pre-event
-        states, and its sums come out the same.  Without a closure the
-        table's own order is it, and the index is the whole table.
-        """
-        if self.k == 1:
-            return slice(None)
-        fresh = pre[~self.left[pre]]
-        if fresh.size:
-            firsts, at = np.unique(fresh, return_index=True)
-            seen = set(self.met)
-            for s in firsts[np.argsort(at)].tolist():
-                self.left[s] = True
-                for t in self.table.rows[s]:
-                    if t not in seen:
-                        seen.add(t)
-                        self.met.append(t)
-            self.order = np.array(self.met)
-        return self.order
+        post = post.ravel()[: codes.size]
+        self.left[np.append(first, post[:-1])] = True
+        return post
 
 
 def _check_block(checker, table, times, codes, post, checked: set) -> None:
@@ -487,26 +467,28 @@ def simulate(
             _check_block(checker, table, times, codes, post, checked)
         pre = np.append(first, post[:-1])
         features, keys = table.arrays()
-        meeting = walk.meet(pre)
-        met = features[meeting]
 
         # the time since the previous event, from the warmup's end on, is
         # held by the pre-event state in the segment where it began; what
         # each state held within a segment feeds its time-weighted sums,
-        # added up over the states in the order the walk met them
+        # whose terms are added smallest first, so no sum depends on how
+        # the table numbers its states
         dt = np.diff(np.maximum(times, warm_t), prepend=max(last_t, warm_t))
         seg_at = segment(times)
         seg = np.maximum(np.append(seg_last, seg_at[:-1]), 0)
         last_t, seg_last = times[-1], seg_at[-1]
         bounds = np.flatnonzero(np.diff(seg)) + 1
         for lo, hi in zip([0, *bounds], [*bounds, None]):
-            held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))[meeting]
+            held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))
             # tally only the states held: a row read interns targets the walk
             # may not have reached, which broken rules can put off the grid
             kept = np.flatnonzero(held)
-            occupancy += np.bincount(met[kept, 0], held[kept], cells)
-            seg_span[seg[lo]] += held.sum()
-            seg_class_time[seg[lo]] += held @ met[:, 3:]
+            held, cell = held[kept], features[kept, 0]
+            by_cell = np.lexsort((held, cell))
+            occupancy += np.bincount(cell[by_cell], held[by_cell], cells)
+            seg_span[seg[lo]] += np.sort(held).sum()
+            by_class = np.sort(held[:, None] * features[kept, 3:], axis=0)
+            seg_class_time[seg[lo]] += by_class.sum(axis=0)
 
         # an event's key plus its segment's offset, 5 per slot: ``at % 5`` is
         # its outcome and ``at // 5`` its (segment, class) slot

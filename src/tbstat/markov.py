@@ -87,10 +87,12 @@ SERIES_TOL = 1e-14
 # Uniformization steps this many mean events at a time; larger horizons are
 # split so the Poisson weights stay far from underflow.
 _MAX_RATE_HORIZON = 128.0
-# Most states a reachable chain holds densely, to be eliminated by GTH.  Past
-# it BiCGSTAB wins: sizes 1..4 at rate 0.45 solve by BiCGSTAB or GTH in 5.1
-# or 5.7 ms at 108 states (M=4 L=6), 4.8 or 20.2 ms at 208 (M=5 L=7) and 7.2
-# or 121.8 ms at 400 (M=6 L=8), on a Xeon host with BLAS on one thread.
+# Most states a reachable chain holds densely, to be eliminated by GTH.  The
+# preconditioned BiCGSTAB wins between 61 and 108 states: sizes 1..4 at rate
+# 0.45 solve by BiCGSTAB or GTH in 1.9 or 3.4 ms at 108 states (M=4 L=6), 2.2
+# or 13.5 ms at 208 (M=5 L=7) and 2.8 or 84.3 ms at 400 (M=6 L=8), while unit
+# sizes at load 0.99 (M=20 L=40, 61 states) take 3.6 or 1.3 ms, GTH's answer
+# exact; median of 11, on a Xeon host with BLAS on one thread.
 _DENSE_STATES = 81
 
 

@@ -897,6 +897,21 @@ class TestClassMetrics:
                 m.mean_wait * m.throughput, abs=1e-12
             )
 
+    def test_a_class_lost_within_ulps_of_one_keeps_its_throughput(self):
+        # sizes 2..4 find room in masses of 1.5e-17 to 2.7e-16, below the
+        # residual of 5.5e-14, where 1 - loss leaves only rounding noise
+        space = build_state_space(reference_traffic(300.0), FilterConfig(8, 10, 1.0))
+        result = solve_stationary(space)
+        table = occupancy_table(result)
+        metrics = class_metrics(result)
+        for m in metrics:
+            accepted = table[:, : 11 - m.size].sum()
+            assert m.throughput == pytest.approx(
+                300.0 * m.probability * accepted, rel=1e-9, abs=0
+            )
+        assert metrics[0].mean_wait == metrics[0].mean_backlog / metrics[0].throughput
+        assert [m.mean_wait is None for m in metrics] == [False, True, True, True]
+
     def test_covers_every_class_in_order(self, solved_reference):
         _, result, part = solved_reference
         metrics = class_metrics(result, part)

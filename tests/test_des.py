@@ -189,6 +189,38 @@ class TestWordWalk:
             else:
                 assert a == b, f.name
 
+    # a table whose closure is read first numbers its states breadth first,
+    # not in the order the walk meets them
+    @pytest.mark.parametrize(
+        "warmup, segments", [(None, 100), (0, 1)], ids=["window", "from0"]
+    )
+    @pytest.mark.parametrize(
+        "traffic, config", CASES, ids=["rate0.5", "rate1", "rate5", "unit"]
+    )
+    def test_no_tally_depends_on_the_state_numbering(
+        self, monkeypatch, traffic, config, warmup, segments
+    ):
+        def run():
+            return simulate(
+                traffic, config, 40_000, seed=4, warmup=warmup, segments=segments
+            )
+
+        def breadth_first(traffic, config):
+            table = des._StateTable(traffic, config)
+            assert table.read_closure(des._WORD_BUDGET)
+            return des._Walk(table, 1)
+
+        words = run()
+        monkeypatch.setattr(des._Walk, "start", breadth_first)
+        events = run()
+        assert words.word_length > 1
+        assert events.word_length == 1
+        for f in dataclasses.fields(SimStats):
+            a, b = getattr(words, f.name), getattr(events, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, f.name
+                assert np.array_equal(a, b), f.name
+
     def test_the_reference_closure_is_walked_in_words_of_four(self):
         stats = simulate(reference_traffic(0.5), FilterConfig(5, 5, 1.0), 20_000)
         assert stats.states_met == 58
