@@ -427,7 +427,11 @@ def waiting_time(
     """Mean queueing delay of accepted packets of one class, by Little's law.
 
     Returns None when the class has no accepted throughput (fully blocked or
-    silenced), where the mean wait is undefined.
+    silenced), where the mean wait is undefined.  Kept for callers that hold
+    only a loss ratio; nothing in the package calls it.  Its throughput,
+    ``(1 - loss) * rate * probability``, cancels where the loss is within a
+    few ulps of 1, leaving a wait that is rounding noise; ``class_metrics``
+    sums the accepted mass directly instead and is the figure to use.
     """
     effective = (1.0 - loss) * rate * probability
     if effective <= 0.0:

@@ -16,13 +16,16 @@ recover the state after each event.  Otherwise (a long buffer, say) ``k`` is
 it leaves that state, so simulating never enumerates the state space.
 Their tallies agree bit for bit, as none depends on how the table numbers
 its states: each state's held time is summed in event order, and the
-states' shares are added smallest first.  Each tally is a ``np.bincount``
-over the block's pre- and post-event indices, read through one table of
-features per state and one of keys per (state, event), each key the
-event's class and outcome.  Waits pair the j-th packet served from the
-queue with its j-th entrant (FIFO).  Statistics are time-weighted after
-a warmup span and split into equal-time segments for batch-means confidence
-intervals; the window's totals are the segments' sums.
+states' shares are added smallest first.  A block's events are merged by
+position, not sorted: grants fall on the period's multiples, so
+``floor(t / period)``, mended by a comparison each way, counts the grants
+before an arrival.  As the segment never decreases with time, a search finds
+where each begins, and each run of events in one segment is tallied by one
+``np.bincount`` of its keys (class and outcome, from a table per state and
+event) and one of its held times by state.  Waits pair the j-th packet
+served from the queue with its j-th entrant (FIFO).  Statistics are
+time-weighted after a warmup span and split into equal-time segments for
+batch-means confidence intervals; the window's totals are the segments' sums.
 """
 
 from __future__ import annotations
@@ -286,7 +289,7 @@ class _Walk:
     letters are the event codes and an idle letter, which leaves the state
     as it is and pads a block's last word; ``rows`` maps a state and a word,
     its first letter the most significant digit, to the state after it, and
-    ``k`` gathers on the successor array recover the state after each event.
+    ``k`` - 1 gathers on the successor array recover the states within it.
     """
 
     def __init__(self, table: _StateTable, k: int):
@@ -329,23 +332,24 @@ class _Walk:
             return len(self.table.states)
         return np.union1d(0, self.succ[self.left, :-1]).size
 
-    def post(self, s: int, codes: np.ndarray) -> np.ndarray:
-        """The state after each event of ``codes``, starting from ``s``."""
-        first, k, rows = s, self.k, self.rows
-        letters = np.full(-(-codes.size // k) * k, self.idle)
-        letters[: codes.size] = codes
-        letters = letters.reshape(-1, k)
+    def path(self, s: int, codes: np.ndarray) -> np.ndarray:
+        """The states the walk passes from ``s``: ``s``, then the state
+        after each event of ``codes``."""
+        k, rows = self.k, self.rows
+        letters = np.full((-(-codes.size // k), k), self.idle)
+        letters.reshape(-1)[: codes.size] = codes
         words = (letters @ self.powers).tolist()
-        ends = np.fromiter((s := rows[s][w] for w in words), np.int64, len(words))
-        if k == 1:
-            return ends
-        post = np.empty_like(letters)
-        at = np.append(first, ends[:-1])
-        for i in range(k):
-            at = post[:, i] = np.take(self.succ, at * (self.idle + 1) + letters[:, i])
-        post = post.ravel()[: codes.size]
-        self.left[np.append(first, post[:-1])] = True
-        return post
+        path = np.empty(letters.size + 1, np.int64)
+        path[0] = s
+        # the state after each word, then the states within it by gathers
+        path[k::k] = np.fromiter((s := rows[s][w] for w in words), np.int64, len(words))
+        if k > 1:
+            post = path[1:].reshape(-1, k)
+            at = path[:-1:k]
+            for i in range(k - 1):
+                at = post[:, i] = self.succ.take(at * (self.idle + 1) + letters[:, i])
+            self.left[path[: codes.size]] = True
+        return path[: codes.size + 1]
 
 
 def _check_block(checker, table, times, codes, post, checked: set) -> None:
@@ -428,13 +432,14 @@ def simulate(
     # Outcomes: 0 dropped, 1 passed through, 2 queued (arrivals), 3 served from
     # the queue, 4 served nothing (grants).  Waits go by their departure's slot.
     slots = (segments + 1) * n_classes
-    tallies = np.zeros(5 * slots, dtype=np.int64)
+    tallies = np.zeros((segments + 1, 5 * n_classes), dtype=np.int64)
     seg_wait = np.zeros(slots)
+    outcome = np.arange(5 * n_classes) % 5  # the outcome of each key
     waiting = np.empty(0)  # arrival instants of the queued packets, head first
     arr_t, arr_k = np.empty(0), np.empty(0, dtype=np.int64)
     clock = 0.0  # instant of the last arrival drawn
     last_t = 0.0  # instant of the last event processed
-    seg_last = segment(last_t)
+    seg_last = int(segment(last_t))
     rep_n = 1
 
     while rep_n <= horizon:
@@ -449,36 +454,62 @@ def simulate(
         # arrivals end before the next grant, or the horizon
         grant_t = np.arange(rep_n, min(horizon, rep_n + _CHUNK - 1) + 1) * period
         if arr_t.size:
-            grant_t = grant_t[grant_t <= arr_t[-1]]
+            grant_t = grant_t[: np.searchsorted(grant_t, arr_t[-1], "right")]
         rep_n += grant_t.size
         take = int(np.searchsorted(arr_t, min(rep_n * period, end_t)))
+        arrive, arr_t = arr_t[:take], arr_t[take:]
 
-        # merge the events in time order, grants listed first go first on a tie
-        times = np.concatenate((grant_t, arr_t[:take]))
-        codes = np.concatenate((np.zeros(grant_t.size, np.int64), arr_k[:take] + 1))
-        order = np.argsort(times, kind="stable")
-        times, codes = times[order], codes[order]
-        arr_t, arr_k = arr_t[take:], arr_k[take:]
+        # merge the events in time order, a grant first on a tie: an arrival
+        # follows the grants at or before it, which ``floor`` counts up to a
+        # rounding step that one comparison each way with their instants mends
+        after = np.floor(arrive / period) - (rep_n - grant_t.size - 1)
+        after = np.clip(after, 0, grant_t.size).astype(np.intp)
+        bound = np.concatenate(([-np.inf], grant_t, [np.inf]))
+        after += bound[after + 1] <= arrive
+        after -= bound[after] > arrive
+        n = grant_t.size + take
+        at_arrival = np.arange(take) + after
+        codes = np.zeros(n, np.int64)
+        codes[at_arrival] = arr_k[:take] + 1
+        arr_k = arr_k[take:]
+        at_grant = np.flatnonzero(codes == 0)
+        stamps = np.empty(n + 1)  # the last block's last instant, then this one's
+        stamps[0], times = last_t, stamps[1:]
+        times[at_grant], times[at_arrival] = grant_t, arrive
 
-        first = s
-        post = walk.post(s, codes)
-        s = int(post[-1])
+        path = walk.path(s, codes)
+        pre, post, s = path[:-1], path[1:], int(path[-1])
         if checker:
             _check_block(checker, table, times, codes, post, checked)
-        pre = np.append(first, post[:-1])
         features, keys = table.arrays()
+        key = np.take(keys, pre * (n_classes + 1) + codes)
 
-        # the time since the previous event, from the warmup's end on, is
-        # held by the pre-event state in the segment where it began; what
-        # each state held within a segment feeds its time-weighted sums,
-        # whose terms are added smallest first, so no sum depends on how
-        # the table numbers its states
-        dt = np.diff(np.maximum(times, warm_t), prepend=max(last_t, warm_t))
-        seg_at = segment(times)
-        seg = np.maximum(np.append(seg_last, seg_at[:-1]), 0)
-        last_t, seg_last = times[-1], seg_at[-1]
-        bounds = np.flatnonzero(np.diff(seg)) + 1
-        for lo, hi in zip([0, *bounds], [*bounds, None]):
+        # segment j >= ``seg_last`` + 1 begins at event ``edge``, which a search
+        # finds up to a rounding step that ``segment`` mends
+        seg_hi = int(segment(times[-1]))
+        js = np.arange(seg_last + 1, seg_hi + 1)
+        edge = np.searchsorted(times, warm_t + js * seg_len)
+        while (fix := (edge > 0) & (segment(times[edge - 1]) >= js)).any():
+            edge -= fix
+        while (fix := segment(times[edge]) < js).any():
+            edge += fix
+        # tallies by the event's own segment, 5 * n_classes slots each
+        for j, lo, hi in zip(range(seg_last, seg_hi + 1), [0, *edge], [*edge, n]):
+            if lo < hi:
+                tallies[j + 1] += np.bincount(key[lo:hi], None, 5 * n_classes)
+
+        # the time since the previous event, from the warmup's end on, is held
+        # by the pre-event state in that event's segment (0 in the warmup), a
+        # run starting one past the segment's edge; what each state held in a
+        # segment feeds its time-weighted sums, whose terms are added smallest
+        # first, so no sum depends on how the table numbers its states
+        dt = np.diff(stamps if last_t >= warm_t else np.maximum(stamps, warm_t))
+        last_t = times[-1]
+        held_at = edge[js > 0] + 1
+        segs = range(max(seg_last, 0), seg_hi + 1)
+        for j, lo, hi in zip(segs, [0, *held_at], [*held_at, n]):
+            if lo == hi:
+                continue
             held = np.bincount(pre[lo:hi], dt[lo:hi], len(features))
             # tally only the states held: a row read interns targets the walk
             # may not have reached, which broken rules can put off the grid
@@ -486,34 +517,29 @@ def simulate(
             held, cell = held[kept], features[kept, 0]
             by_cell = np.lexsort((held, cell))
             occupancy += np.bincount(cell[by_cell], held[by_cell], cells)
-            seg_span[seg[lo]] += np.sort(held).sum()
+            seg_span[j] += np.sort(held).sum()
             by_class = np.sort(held[:, None] * features[kept, 3:], axis=0)
-            seg_class_time[seg[lo]] += by_class.sum(axis=0)
+            seg_class_time[j] += by_class.sum(axis=0)
+        seg_last = seg_hi
 
-        # an event's key plus its segment's offset, 5 per slot: ``at % 5`` is
-        # its outcome and ``at // 5`` its (segment, class) slot
-        at = np.take(keys, pre * (n_classes + 1) + codes) + (seg_at + 1) * 5 * n_classes
-        tallies += np.bincount(at, minlength=5 * slots)
-        outcome = at % 5
-        warm = int(np.searchsorted(times, warm_t))
-        grants = post[warm:][codes[warm:] == 0]
-        embedded += np.bincount(features[grants, 0], None, cells)
+        warm = int(np.searchsorted(grant_t, warm_t))
+        embedded += np.bincount(features[post.take(at_grant[warm:]), 0], None, cells)
 
-        # FIFO: the j-th packet served from the queue is its j-th entrant
-        served = outcome == 3
-        waiting = np.concatenate((waiting, times[outcome == 2]))
-        n_served = np.count_nonzero(served)
-        waits = times[served] - waiting[:n_served]
-        seg_wait += np.bincount(at[served] // 5, waits, slots)
-        waiting = waiting[n_served:]
+        # FIFO: the j-th packet served from the queue is its j-th entrant;
+        # an arrival's outcome is 2 if it queued, a grant's 3 if it served
+        queues = outcome.take(key.take(at_arrival)) == 2
+        waiting = np.concatenate((waiting, np.compress(queues, arrive)))
+        grant_key = key.take(at_grant)
+        serves = np.flatnonzero(outcome.take(grant_key) == 3)
+        served_t = grant_t.take(serves)
+        slot = (segment(served_t) + 1) * n_classes + grant_key.take(serves) // 5
+        seg_wait += np.bincount(slot, served_t - waiting[: serves.size], slots)
+        waiting = waiting[serves.size :]
 
     tallies = np.moveaxis(tallies.reshape(segments + 1, n_classes, 5), 2, 0)
     lost, passed, queued, served, _ = tallies[:, 1:]
     lost_all, passed_all, queued_all, served_all, _ = tallies.sum(axis=1)
-    seg_arrivals = lost + passed + queued
-    seg_departures = passed + served
     arrivals_all = lost_all + passed_all + queued_all
-    seg_wait = seg_wait.reshape(segments + 1, n_classes)[1:]
     return SimStats(
         traffic=traffic,
         config=config,
@@ -530,10 +556,10 @@ def simulate(
         departures_all=passed_all + served_all,
         final_state=table.states[s],
         seg_span=seg_span,
-        seg_arrivals=seg_arrivals,
+        seg_arrivals=lost + passed + queued,
         seg_losses=lost,
-        seg_departures=seg_departures,
-        seg_wait=seg_wait,
+        seg_departures=passed + served,
+        seg_wait=seg_wait.reshape(segments + 1, n_classes)[1:],
         seg_class_time=seg_class_time,
         invariants_checked=checker.events_checked if checker else 0,
         states_met=walk.states_met,

@@ -27,6 +27,12 @@ from tests.conftest import reference_traffic
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "simulate_pinned.json").read_text()
 )
+BLOCK_EDGES = {
+    case["label"]: case
+    for case in json.loads(
+        (Path(__file__).parent / "data" / "simulate_block_edges.json").read_text()
+    )
+}
 
 
 def unit_traffic(rate: float) -> TrafficSpec:
@@ -231,6 +237,116 @@ class TestWordWalk:
         stats = simulate(reference_traffic(1.0), FilterConfig(8, 200, 1.0), 2_000)
         assert stats.word_length == 1
         assert stats.states_met > 1_000
+
+
+def beside_grants(period: float, horizon: int):
+    """A stand-in for ``np.random.default_rng`` whose first draw of gaps puts
+    an arrival on each grant's instant and one ulp either side of it.
+
+    Later gaps pass the horizon, and sizes come from the seeded generator.
+    """
+    grants = np.arange(1, horizon + 1) * period
+    instants = np.concatenate(
+        [np.nextafter(grants, -np.inf), grants, np.nextafter(grants, np.inf)]
+    )
+    real = np.random.default_rng
+
+    class Generator:
+        def __init__(self, seed):
+            self.sizes = real(seed)
+            self.gaps = np.diff(np.sort(instants), prepend=0.0)
+
+        def exponential(self, scale, size):
+            gaps = np.full(size, 1e9)
+            gaps[: self.gaps.size] = self.gaps
+            self.gaps = self.gaps[:0]
+            return gaps
+
+        def choice(self, *args, **kwargs):
+            return self.sizes.choice(*args, **kwargs)
+
+    return Generator
+
+
+class TestBlockEdges:
+    """Runs at the edges of a block's merge and of its segments.
+
+    Every field was recorded from the simulator that merged each block with
+    a stable sort and found segments event by event (commit caa49ff), and
+    must come out the same bit for bit from either walk.
+    """
+
+    @staticmethod
+    def run(label: str) -> SimStats:
+        case = BLOCK_EDGES[label]
+        return simulate(
+            TrafficSpec(tuple(case["sizes"]), tuple(case["probs"]), case["rate"]),
+            FilterConfig(case["bucket"], case["buffer"], case["period"]),
+            case["horizon"],
+            seed=case["seed"],
+            warmup=case["warmup"],
+            segments=case["segments"],
+        )
+
+    @staticmethod
+    def assert_recorded(stats: SimStats, label: str) -> None:
+        case = BLOCK_EDGES[label]
+        assert stats.events == case["events"]
+        assert stats.states_met == case["states_met"]
+        tokens, buffer = case["final_state"]
+        assert stats.final_state == SystemState(tokens, tuple(buffer))
+        for kind, fields in (("i", case["ints"]), ("f", case["floats"])):
+            for name, expected in fields.items():
+                value = getattr(stats, name)
+                assert value.dtype.kind == kind, name
+                assert np.array_equal(value, expected), name
+
+    # at 1e5 arrivals a period one draw of 16,384 spans 0.16 periods, so
+    # most blocks hold arrivals and no grant
+    def test_blocks_of_arrivals_alone_match_the_recorded_run(self):
+        stats = self.run("arrivals-without-grants")
+        assert stats.word_length > 1
+        self.assert_recorded(stats, "arrivals-without-grants")
+
+    def test_both_walks_agree_on_blocks_of_arrivals_alone(self, monkeypatch):
+        words = self.run("arrivals-without-grants")
+        per_event(monkeypatch)
+        events = self.run("arrivals-without-grants")
+        for f in dataclasses.fields(SimStats):
+            if f.name == "word_length":
+                continue
+            a, b = getattr(words, f.name), getattr(events, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, f.name
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    # 100 segments of half a period: grants fall on every other segment's
+    # start and the two arrivals on two more, so most segments hold no event
+    @pytest.mark.parametrize("walk", ["words", "events"])
+    def test_segments_without_events(self, monkeypatch, walk):
+        if walk == "events":
+            per_event(monkeypatch)
+        stats = self.run("segments-without-events")
+        self.assert_recorded(stats, "segments-without-events")
+        assert (stats.seg_span == 0).sum() >= 40
+        assert stats.seg_span.sum() == pytest.approx(stats.elapsed, rel=1e-15)
+        assert stats.seg_arrivals.sum() == stats.arrivals_all.sum() == 2
+
+    # at period 0.7 both ``floor(t / period)`` and the search for a segment's
+    # first event miss by a rounding step, each way, near some grants
+    @pytest.mark.parametrize("walk", ["words", "events"])
+    def test_arrivals_an_ulp_from_a_grant(self, monkeypatch, walk):
+        case = BLOCK_EDGES["arrivals-beside-grants"]
+        generator = beside_grants(case["period"], case["horizon"])
+        monkeypatch.setattr(np.random, "default_rng", generator)
+        if walk == "events":
+            per_event(monkeypatch)
+        stats = self.run("arrivals-beside-grants")
+        self.assert_recorded(stats, "arrivals-beside-grants")
+        # the run ends before an arrival on the last grant or after it
+        assert stats.arrivals_all.sum() == 3 * case["horizon"] - 2
 
 
 class TestCheckMode:
