@@ -11,11 +11,12 @@ The public names of every module but ``cli`` are exported here, each
 declared once, in its module's ``__all__``.
 """
 
-from . import analysis, des, dynamics, markov, statespace
+from . import analysis, des, dynamics, markov, oracle, statespace
 from .statespace import *
 from .dynamics import *
 from .markov import *
 from .analysis import *
+from .oracle import *
 from .des import *
 
 __version__ = "0.1.0"
@@ -25,4 +26,5 @@ __all__ += statespace.__all__
 __all__ += dynamics.__all__
 __all__ += markov.__all__
 __all__ += analysis.__all__
+__all__ += oracle.__all__
 __all__ += des.__all__

@@ -6,13 +6,12 @@ only ones carrying mass, as ``markov.reachable_chain`` builds it.  Its
 stationary vector is integrated once through the solve's uniformization of
 the arrival generator on the same states, giving the time-averaged law over
 one replenishment period that every statistic below reads
-(``StationaryResult.averaged``; ``time_average`` integrates blockwise
-through the partitioned generator instead, for the time spent in a chosen
-set of states).  Because arrivals are Poisson, an arriving packet sees
-exactly those time-averaged probabilities, so the blocking probability of a
-size class is the time-averaged mass of the states whose buffer cannot fit
-one more packet of that size.  Waiting times then follow from the
-time-averaged per-class backlog and the accepted rate by Little's law.
+(``StationaryResult.averaged``).  Because arrivals are Poisson, an arriving
+packet sees exactly those time-averaged probabilities, so the blocking
+probability of a size class is the time-averaged mass of the states whose
+buffer cannot fit one more packet of that size.  Waiting times then follow
+from the time-averaged per-class backlog and the accepted rate by Little's
+law.
 """
 
 from __future__ import annotations
@@ -21,19 +20,21 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .oracle import PartitionedGenerator
+
 from .statespace import StateSpace, reachable_indices
 from .markov import (
-    PartitionedGenerator,
     ReachableChain,
     SERIES_TOL,
     Uniformization,
     _DENSE_STATES,
     _gth,
     expm_action,  # unused; perfbench's layer spans look it up here
-    integrate_expm_action,
     reachable_chain,
     reachable_kernel,
     stationary_power,
@@ -45,12 +46,9 @@ __all__ = [
     "StationaryResult",
     "solve_stationary",
     "net_to_backlog_distribution",
-    "time_average_distribution",
-    "time_average",
     "occupancy_table",
     "loss_ratio",
     "class_backlog",
-    "waiting_time",
     "ClassMetrics",
     "class_metrics",
 ]
@@ -320,63 +318,6 @@ def net_to_backlog_distribution(
     return out
 
 
-def time_average_distribution(
-    result: StationaryResult, part: PartitionedGenerator | None = None
-) -> np.ndarray:
-    """Time-averaged probability of every state over one period.
-
-    The result's read-only ``averaged`` vector, integrated once per result.
-    ``part`` is ignored and kept for callers that pass it; the blockwise
-    propagation it describes gives the same vector (see ``time_average``).
-    """
-    return result.averaged
-
-
-def _membership(space: StateSpace, members) -> np.ndarray:
-    if isinstance(members, np.ndarray) and members.dtype == bool:
-        if members.shape != (space.n_states,):
-            raise ValueError("membership mask has wrong length")
-        return members
-    mask = np.zeros(space.n_states, dtype=bool)
-    for state in members:
-        mask[space.index_of(state)] = True
-    return mask
-
-
-def time_average(
-    result: StationaryResult,
-    part: PartitionedGenerator,
-    members,
-    idle_term_level: int = 0,
-) -> float:
-    """Fraction of time the system spends in a set of states.
-
-    ``members`` is a boolean mask over the state space or an iterable of
-    states.  Occupied-buffer members are integrated level by level; the
-    idle-buffer members are read from the block of ``idle_term_level``,
-    whose choice cannot matter because the idle dynamics are shared.
-    """
-    space = result.space
-    mask = _membership(space, members)
-    n_idle = part.n_idle
-    idle = result.pi[space.empty_indices]
-    idle_mask = mask[space.empty_indices]
-    levels = [
-        level for level in range(n_idle) if mask[space.nonempty_slice(level)].any()
-    ]
-    if idle_mask.any() and idle_term_level not in levels:
-        levels.append(idle_term_level)
-    queued = idle_part = 0.0
-    for level in levels:
-        rows = space.nonempty_slice(level)
-        start = np.concatenate([idle, result.pi[rows], [0.0]])
-        block = integrate_expm_action(part.gamma(level), start, space.config.period)
-        queued += float(block[n_idle:-1][mask[rows]].sum())
-        if level == idle_term_level:
-            idle_part = float(block[:n_idle][idle_mask].sum())
-    return queued + idle_part
-
-
 def occupancy_table(
     result: StationaryResult, part: PartitionedGenerator | None = None
 ) -> np.ndarray:
@@ -421,24 +362,6 @@ def class_backlog(
     return float(result.averaged @ weights)
 
 
-def waiting_time(
-    mean_backlog: float, loss: float, rate: float, probability: float
-) -> float | None:
-    """Mean queueing delay of accepted packets of one class, by Little's law.
-
-    Returns None when the class has no accepted throughput (fully blocked or
-    silenced), where the mean wait is undefined.  Kept for callers that hold
-    only a loss ratio; nothing in the package calls it.  Its throughput,
-    ``(1 - loss) * rate * probability``, cancels where the loss is within a
-    few ulps of 1, leaving a wait that is rounding noise; ``class_metrics``
-    sums the accepted mass directly instead and is the figure to use.
-    """
-    effective = (1.0 - loss) * rate * probability
-    if effective <= 0.0:
-        return None
-    return mean_backlog / effective
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     """Per-size stationary performance figures."""
@@ -460,7 +383,7 @@ def class_metrics(
     throughput is ``rate * prob`` times its accepted mass, the mass of the
     states with room for its size, summed directly: ``1 - loss`` cancels
     where almost every packet is lost.  Its mean wait is None, as in
-    ``waiting_time``, when there is no throughput, and also when the
+    ``oracle.waiting_time``, when there is no throughput, and also when the
     accepted mass is at most ``result.residual``, the least mass the solve
     certifies, as the wait would then be rounding noise.
     """

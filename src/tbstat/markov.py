@@ -2,13 +2,11 @@
 
 Between token grants the variable-size filter is a continuous-time chain
 driven by Poisson arrivals; each grant applies a deterministic jump.  This
-module builds the pieces: the arrival rate matrix and the 0/1 replenishment
-matrix, both read off the state space's transition table, and the same two
-on the reachable states alone (``reachable_chain``, which asks
-``dynamics.var_rows`` for the rows of ``reachable_indices`` only and reads
-the same generator entries and grant targets off them), small per-period
-chains for the unit-size filter, and a partitioned form of the rate matrix
-that exploits the block structure of the dynamics.
+module builds the pieces: the arrival generator and the grant targets on the
+states reachable from the full-bucket idle state (``reachable_chain``, which
+asks ``dynamics.var_rows`` for the rows of ``reachable_indices`` only), and
+small per-period chains for the unit-size filter.  ``oracle`` builds the
+same generator and grant over the full space, from the same entries.
 Matrix exponential actions use uniformization, the generator uniformized
 once per chain (``uniformize``) and each series summed by Horner's rule on
 a vector or the identity alike: ``Uniformization.operator`` sums it once
@@ -28,19 +26,6 @@ point from a start index or a start vector, so the exact elimination or
 iterative solve of ``analysis.solve_stationary`` can hand it a law to
 certify.  ``_gth`` solves every dense chain exactly, the reachable chain and
 both fixed-length chains; a dense linear solve is kept as a cross-check.
-
-Partitioned form.  Idle-buffer states evolve autonomously: between grants
-the buffer can only gain packets, never lose them, so probability flows from
-idle states into occupied ones and never back.  Occupied states at token
-level T form a closed block fed only by the idle state at the same level.
-The assembled generator for level T therefore acts on the idle block, the
-level-T occupied block, and one explicit overflow coordinate that absorbs
-the flow leaving idle states toward other levels' queues.  The overflow
-coordinate keeps every row sum at zero, which the exponential kernels
-require, without touching the dynamics of the tracked coordinates.  The
-blocks are slices of the rate matrix: occupied rows at every level carry the
-same block, so the level-0 slice stands for all of them, and each level's
-generator is assembled from the slices when asked for.
 """
 
 from __future__ import annotations
@@ -60,12 +45,8 @@ from .dynamics import md1_steps, periodic_transfer_steps, var_rows
 
 __all__ = [
     "ArrivalDistribution",
-    "build_replenishment_matrix",
-    "build_rate_matrix",
     "ReachableChain",
     "reachable_chain",
-    "PartitionedGenerator",
-    "build_partitioned_generator",
     "build_periodic_transfer_chain",
     "build_md1_chain",
     "Uniformization",
@@ -114,13 +95,8 @@ class ArrivalDistribution:
         return cls(mean, pmf, max(0.0, 1.0 - pmf.sum()))
 
 
-def build_replenishment_matrix(space: StateSpace) -> sp.csr_matrix:
-    """Deterministic token-grant jump as a 0/1 stochastic matrix."""
-    return _grant_matrix(space.transitions.grant)
-
-
 def _grant_matrix(grant: np.ndarray) -> sp.csr_matrix:
-    """``build_replenishment_matrix`` for any table of grant targets.
+    """A table of grant targets as a 0/1 stochastic matrix.
 
     ``grant[i]`` indexes the rows of the matrix itself, like the arrival
     table of ``_rate_entries``.
@@ -131,25 +107,11 @@ def _grant_matrix(grant: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(n), (np.arange(n), grant)), shape=(n, n))
 
 
-def build_rate_matrix(space: StateSpace) -> sp.csr_matrix:
-    """Generator of the arrival process between token grants.
-
-    Each traffic class moves a state to its arrival target at rate
-    ``probability * rate``.  A dropped packet leaves the state unchanged and
-    so contributes nothing.  Each diagonal entry balances its row, summing
-    the class rates in class order, and no explicit zero is stored.
-    """
-    import scipy.sparse as sp
-
-    entries = _rate_entries(space, space.transitions.arrive)
-    return sp.csr_matrix(entries, shape=(space.n_states,) * 2)
-
-
 def _rate_entries(space: StateSpace, arrive: np.ndarray) -> tuple:
-    """``build_rate_matrix``'s nonzero entries, ``(data, (rows, cols))``, for
-    any table of arrival targets: ``arrive[i, k]`` indexes the rows of the
-    matrix itself, so a table relabelled onto a closed subset of states gives
-    that subset's generator.  No two entries name one cell."""
+    """The arrival generator's nonzero entries, ``(data, (rows, cols))``,
+    for any table of arrival targets: ``arrive[i, k]`` indexes the rows of
+    the matrix itself, so a table relabelled onto a closed subset of states
+    gives that subset's generator.  No two entries name one cell."""
     n, n_classes = arrive.shape
     rows = np.repeat(np.arange(n), n_classes)
     cols = arrive.ravel()
@@ -204,60 +166,6 @@ def reachable_chain(space: StateSpace) -> ReachableChain:
 
         rates = sp.csc_matrix((data, cells), shape=(n, n))
     return ReachableChain(keep, rates, np.searchsorted(keep, table.grant))
-
-
-@dataclass(frozen=True)
-class PartitionedGenerator:
-    """Blockwise view of the rate matrix.
-
-    ``idle_rows`` are the rate matrix's rows of the idle-buffer states.
-    ``idle_block`` couples the idle-buffer states across token levels,
-    ``queue_block`` couples occupied buffer strings (shared by every level),
-    and ``coupling(level)`` injects idle-state probability into that level's
-    queue.  All three are slices of the rate matrix.  ``gamma(level)``
-    assembles them into one conservative generator with a trailing overflow
-    coordinate; see the module docstring.
-    """
-
-    space: StateSpace
-    idle_rows: sp.csr_matrix
-    idle_block: np.ndarray
-    queue_block: sp.csr_matrix
-
-    @property
-    def n_idle(self) -> int:
-        return self.space.config.bucket + 1
-
-    def coupling(self, level: int) -> sp.csr_matrix:
-        return self.idle_rows[:, self.space.nonempty_slice(level)]
-
-    def gamma(self, level: int) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        idle = sp.csr_matrix(self.idle_block)
-        coupling = self.coupling(level)
-        leak = -np.asarray(idle.sum(axis=1) + coupling.sum(axis=1))
-        return sp.bmat(
-            [
-                [idle, coupling, sp.csr_matrix(leak)],
-                [None, self.queue_block, None],
-                [None, None, sp.csr_matrix((1, 1))],
-            ],
-            format="csr",
-        )
-
-
-def build_partitioned_generator(space: StateSpace) -> PartitionedGenerator:
-    """Split the rate matrix into idle, queue and per-level coupling blocks."""
-    rates = build_rate_matrix(space)
-    idle_rows = rates[space.empty_indices]
-    queue = space.nonempty_slice(0)
-    return PartitionedGenerator(
-        space,
-        idle_rows,
-        idle_rows[:, space.empty_indices].toarray(),
-        rates[queue, queue],
-    )
 
 
 def _chain_from_step(

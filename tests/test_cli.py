@@ -987,15 +987,24 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
         ("compare", None, None, False),
         ("analytic", ([1], [1.0], 0.99), (20, 40), False),
         ("analytic", ([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1], 0.45), (8, 12), True),
+        ("simulate", None, None, False),
+        ("count-states", None, None, False),
+        ("fixed-length", None, None, False),
     ],
-    ids=["reference", "reference_compare", "critical_unit", "large_space"],
+    ids=[
+        "reference", "reference_compare", "critical_unit", "large_space",
+        "simulate", "count_states", "fixed_length",
+    ],
 )
 def test_only_a_sparse_chain_loads_scipy_sparse(tmp_path, mode, traffic, filter_, loaded):
     # chains of at most 81 reachable states (58 and 61 here) are built,
-    # solved and reported with numpy alone; large_space has 5,473
+    # solved and reported with numpy alone; large_space has 5,473.  Modes
+    # without a chain load it neither, though ``import tbstat`` loads oracle
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     raw = json.loads((scenarios / "reference.json").read_text())
     raw["mode"] = mode
+    if mode in ("simulate", "count-states", "fixed-length"):
+        raw["simulation"]["horizon"] = 1_000
     if traffic is not None:
         raw["traffic"] = dict(zip(("sizes", "probs", "rate"), traffic))
         raw["filter"].update(bucket=filter_[0], buffer=filter_[1])

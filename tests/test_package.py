@@ -1,7 +1,7 @@
 """Tests for the package surface: ``tbstat`` exports each module's names."""
 
 import tbstat
-from tbstat import analysis, des, dynamics, markov, statespace
+from tbstat import analysis, cli, des, dynamics, markov, oracle, statespace
 
 # ``tbstat.__all__`` when it was written out by hand, before it was built
 # from the modules' own lists.
@@ -27,9 +27,16 @@ HAND_WRITTEN = [
 def test_the_package_exports_every_module_name_once():
     exported = tbstat.__all__
     assert len(exported) == len(set(exported))
-    for module in (statespace, dynamics, markov, analysis, des):
+    for module in (statespace, dynamics, markov, analysis, oracle, des):
         for name in module.__all__:
             assert name in exported, (module.__name__, name)
             assert getattr(tbstat, name) is getattr(module, name), name
     assert len(set(HAND_WRITTEN)) == 53
     assert set(HAND_WRITTEN) <= set(exported)
+
+
+def test_the_run_path_modules_bind_no_oracle():
+    # the full-space references live in ``oracle`` alone
+    for module in (markov, analysis, cli):
+        bound = set(oracle.__all__) & set(vars(module))
+        assert not bound, (module.__name__, bound)
