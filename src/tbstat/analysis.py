@@ -5,11 +5,13 @@ It is solved on the states reachable from the full-bucket idle state, the
 only ones carrying mass, as ``markov.reachable_chain`` builds it.  Its
 stationary vector is integrated once through the solve's uniformization of
 the arrival generator on the same states, giving the time-averaged law over
-one replenishment period that every statistic below reads
-(``StationaryResult.averaged``).  Because arrivals are Poisson, an arriving
+one replenishment period (``StationaryResult.averaged``).  The occupancy
+table reads it at the kept states; every class statistic reads one mass per
+buffer string, summed over token levels, as loss, backlog and delay depend
+on the buffer content alone.  Because arrivals are Poisson, an arriving
 packet sees exactly those time-averaged probabilities, so the blocking
-probability of a size class is the time-averaged mass of the states whose
-buffer cannot fit one more packet of that size.  Waiting times then follow
+probability of a size class is the time-averaged mass of the buffer strings
+that cannot fit one more packet of that size.  Waiting times then follow
 from the time-averaged per-class backlog and the accepted rate by Little's
 law.
 """
@@ -75,7 +77,8 @@ class StationaryResult:
     GTH elimination) and of the certifying power steps, ``period_nnz`` the
     nonzero entries of the assembled period operator (None when the solve
     stepped vector by vector), and ``averaged`` the time-averaged law over
-    one period that this module's statistics read.
+    one period, which this module's statistics read at ``chain.keep`` alone.
+    ``pi`` and ``averaged`` are the only full-length float arrays a run builds.
     """
 
     space: StateSpace
@@ -216,15 +219,11 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     when a column holds at most ``_ENTRIES_PER_STATE`` entries: between
     grants the buffer only gains packets, so a state is reached only from
     itself and its nonempty prefixes, one per series jump and per queued
-    packet at most, and from idle states at most ``jumps * max(sizes)``
-    tokens above it.  ``markov.reachable_kernel`` builds its ``exp(R t)^T``
-    to the bits of ``kernel.operator()``: whether a packet fits depends on
-    the free room alone, so the column of every occupied source is the one
-    series run per room, translated to the source; idle sources below
-    ``jumps * max(sizes)`` tokens run over the whole chain, those above it,
-    which can queue no packet within the series' jumps, over the idle
-    states alone.  Past that bound it steps vector by vector
-    (``period_nnz`` None).  BiCGSTAB then solves
+    packet at most, and from idle states at most ``kernel.jumps *
+    max(sizes)`` tokens above it; ``markov.reachable_kernel`` builds that
+    ``exp(R t)^T`` to the bits of ``kernel.operator()``, one series run per
+    free room.  Past that bound it steps vector by vector (``period_nnz``
+    None).  BiCGSTAB then solves
     ``x - P^T x + (1^T x) u = u``, the balance equations with the
     normalization added for the uniform ``u``, from ``x = u`` to
     ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products,
@@ -261,8 +260,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     n = len(chain.keep)
     dense = isinstance(chain.rates, np.ndarray)
     kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
-    jumps = kernel.pieces * (len(kernel.point_weights) - 1)
-    packets = config.buffer // min(space.traffic.sizes)
+    jumps, packets = kernel.jumps, config.buffer // min(space.traffic.sizes)
     sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
     if dense:
         # rows added in the order ``grant_t @`` sums them, to the same bits
@@ -318,18 +316,25 @@ def net_to_backlog_distribution(
     return out
 
 
+def _string_mass(result: StationaryResult) -> np.ndarray:
+    """Time-averaged mass of each buffer string, summed over token levels."""
+    keep, n_strings = result.chain.keep, result.space.n_strings
+    return np.bincount(keep % n_strings, result.averaged[keep], n_strings)
+
+
 def occupancy_table(
     result: StationaryResult, part: PartitionedGenerator | None = None
 ) -> np.ndarray:
     """Joint time-averaged distribution of (token level, backlog).
 
     Rows index token levels 0..bucket, columns backlog 0..buffer.  Read off
-    ``result.averaged``; ``part`` is ignored.
+    ``result.averaged`` at the kept states; ``part`` is ignored.
     """
-    space = result.space
+    space, keep = result.space, result.chain.keep
     shape = (space.config.bucket + 1, space.config.buffer + 1)
-    cells = space.token_of_state * shape[1] + space.backlog_of_state
-    return np.bincount(cells, result.averaged, shape[0] * shape[1]).reshape(shape)
+    level, string = np.divmod(keep, space.n_strings)
+    cells = level * shape[1] + space.string_backlogs[string]
+    return np.bincount(cells, result.averaged[keep], shape[0] * shape[1]).reshape(shape)
 
 
 def loss_ratio(
@@ -338,15 +343,15 @@ def loss_ratio(
     """Stationary loss probability for packets of one size.
 
     A Poisson arrival samples the time-averaged state, so the loss ratio is
-    the mass of ``result.averaged`` on states whose buffer lacks room for
-    the packet.  An idle buffer always has room because sizes never exceed
-    the buffer.  ``part`` is ignored.
+    the time-averaged mass of the buffer strings that lack room for the
+    packet.  An idle buffer always has room because sizes never exceed the
+    buffer.  ``part`` is ignored.
     """
     space = result.space
     if size not in space.traffic.sizes:
         raise ValueError(f"size {size} is not a traffic class")
-    blocking = space.backlog_of_state > space.config.buffer - size
-    return float(result.averaged[blocking].sum())
+    blocking = space.string_backlogs > space.config.buffer - size
+    return float(_string_mass(result)[blocking].sum())
 
 
 def class_backlog(
@@ -354,12 +359,11 @@ def class_backlog(
 ) -> float:
     """Time-averaged number of queued packets of one size.
 
-    Read off ``result.averaged``; ``part`` is ignored.
+    Read off each buffer string's time-averaged mass; ``part`` is ignored.
     """
     space = result.space
     counts = space.string_class_counts[:, space.traffic.class_index(size)]
-    weights = np.tile(counts, space.config.bucket + 1)
-    return float(result.averaged @ weights)
+    return float(_string_mass(result) @ counts)
 
 
 @dataclass(frozen=True)
@@ -379,31 +383,27 @@ def class_metrics(
 ) -> list[ClassMetrics]:
     """Loss, backlog, wait and throughput for every traffic class.
 
-    All read off ``result.averaged``; ``part`` is ignored.  A class's
-    throughput is ``rate * prob`` times its accepted mass, the mass of the
-    states with room for its size, summed directly: ``1 - loss`` cancels
-    where almost every packet is lost.  Its mean wait is None, as in
+    All read off one time-averaged mass per buffer string, every class at
+    once through a classes-by-strings room mask; ``part`` is ignored.  A
+    class's throughput is ``rate * prob`` times its accepted mass, the mass
+    of the strings with room for its size, summed directly: ``1 - loss``
+    cancels where almost every packet is lost.  Its mean wait is None, as in
     ``oracle.waiting_time``, when there is no throughput, and also when the
     accepted mass is at most ``result.residual``, the least mass the solve
     certifies, as the wait would then be rounding noise.
     """
-    space = result.space
-    rate = space.traffic.rate
+    space, traffic = result.space, result.space.traffic
+    mass = _string_mass(result)
+    free = space.config.buffer - space.string_backlogs
+    room = free >= np.array(traffic.sizes)[:, None]
+    accepted = np.where(room, mass, 0.0).sum(axis=1).tolist()
+    lost = np.where(room, 0.0, mass).sum(axis=1).tolist()
+    queued = [float(mass @ counts) for counts in space.string_class_counts.T]
     out = []
-    for size, prob in zip(space.traffic.sizes, space.traffic.probs):
-        queued = class_backlog(result, part, size)
-        room = space.backlog_of_state <= space.config.buffer - size
-        accepted = float(result.averaged[room].sum())
-        throughput = rate * prob * accepted
-        certified = throughput > 0.0 and accepted > result.residual
-        out.append(
-            ClassMetrics(
-                size=size,
-                probability=prob,
-                loss_ratio=loss_ratio(result, part, size),
-                mean_backlog=queued,
-                mean_wait=queued / throughput if certified else None,
-                throughput=throughput,
-            )
-        )
+    rows = zip(traffic.sizes, traffic.probs, accepted, lost, queued)
+    for size, prob, kept, loss, queue in rows:
+        throughput = traffic.rate * prob * kept
+        certified = throughput > 0.0 and kept > result.residual
+        wait = queue / throughput if certified else None
+        out.append(ClassMetrics(size, prob, loss, queue, wait, throughput))
     return out

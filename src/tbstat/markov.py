@@ -13,14 +13,8 @@ a vector or the identity alike: ``Uniformization.operator`` sums it once
 into a sparse matrix, and ``point`` of the identity gives it densely, so the
 stationary solve applies the whole period as one matrix.
 ``reachable_kernel`` builds the same sparse matrix for a reachable chain
-from the structure of its columns.  Whether an arrival fits an occupied
-buffer depends on the free room ``buffer - backlog`` alone, and a string's
-extensions sit in the contiguous block of positions after it, so every
-occupied source with the same room has the same column, translated to its
-position: the series runs once a room.  Idle sources run it as dense
-blocks, split by level: below ``jumps * max(sizes)`` tokens a packet can
-queue within the series' jumps, so those run over the whole chain; above
-it only idle states are reached, so those run over the idle rows alone.
+from the structure of its columns, running the series once per free room
+of an occupied source and as dense blocks for the idle ones.
 ``stationary_power`` iterates a per-period operator to a verified fixed
 point from a start index or a start vector, so the exact elimination or
 iterative solve of ``analysis.solve_stationary`` can hand it a law to
@@ -246,6 +240,11 @@ class Uniformization:
     point_weights: tuple[float, ...]
     average_weights: tuple[float, ...]
 
+    @property
+    def jumps(self) -> int:
+        """Most jumps the series follows: pieces times the terms past the first."""
+        return self.pieces * (len(self.point_weights) - 1)
+
     def _series(self, vec: np.ndarray, average: bool) -> np.ndarray:
         if self.pieces > 1 and isinstance(self.step, np.ndarray):
             return self._piece_matrices[average] @ vec
@@ -333,7 +332,6 @@ def reachable_kernel(
     n = len(chain.keep)
     level, string = np.divmod(chain.keep, space.n_strings)
     idle, occupied = np.flatnonzero(string == 0), np.flatnonzero(string)
-    jumps = kernel.pieces * (len(kernel.point_weights) - 1)
 
     # an occupied row holds its prefix's entry and, unless it is 0, its own
     row = np.repeat(np.arange(n), np.diff(step.indptr))
@@ -349,7 +347,7 @@ def reachable_kernel(
     # how far after a string its child by each size sits, 0 past the buffer
     grow = space.string_appends - np.arange(space.n_strings)[:, None]
     at, up, tree = [roots], [np.full(len(roots), -1)], [np.arange(len(roots))]
-    for _ in range(jumps):
+    for _ in range(kernel.jumps):
         shift = grow[string[at[-1]]]
         parent, k = np.nonzero(shift)
         if not len(parent):
@@ -373,7 +371,7 @@ def reachable_kernel(
 
     # idle sources: below ``jumps * max(sizes)`` tokens over the whole chain,
     # above it over the idle rows, which read no other rows
-    low = level[idle] < jumps * max(space.traffic.sizes)
+    low = level[idle] < kernel.jumps * max(space.traffic.sizes)
     blocks = []
     for kept, within in ((low, np.arange(n)), (~low, idle)):
         sources = idle[kept]

@@ -356,10 +356,12 @@ class StateSpace:
 
     @cached_property
     def token_of_state(self) -> np.ndarray:
+        """Token level of every state, a per-state helper no run builds."""
         return np.repeat(np.arange(self.config.bucket + 1), self.n_strings)
 
     @cached_property
     def backlog_of_state(self) -> np.ndarray:
+        """Backlog of every state, a per-state helper no run builds."""
         return np.tile(self.string_backlogs, self.config.bucket + 1)
 
 
@@ -374,15 +376,15 @@ def reachable_indices(space: StateSpace) -> np.ndarray:
     A grant that pays the head packet leaves no token over, so a waiting
     head always costs more than the tokens banked.  When some packet size
     is at most ``bucket + 1``, the idle state at every level is reachable
-    and so is each queued string at every level below its head's size.
-    When none is, no packet ever leaves and the tokens stay at the full
-    bucket, where every string is reachable.  The set is closed under the
-    dynamics, so the stationary solver restricts the chain to it and states
-    outside it carry zero mass.
+    and so is each queued string at every level below its head's size, read
+    off ``string_heads`` by level.  When none is, no packet ever leaves and
+    the tokens stay at the full bucket, where every string is reachable.
+    The set is closed under the dynamics, so the stationary solver restricts
+    the chain to it and states outside it carry zero mass.
     """
-    bucket = space.config.bucket
-    token = space.token_of_state
+    bucket, n = space.config.bucket, space.n_strings
     if min(space.traffic.sizes) > bucket + 1:
-        return np.flatnonzero(token == bucket)
-    head = np.tile(space.string_heads, bucket + 1)
-    return np.flatnonzero((head == 0) | (token < head))
+        return np.arange(bucket * n, (bucket + 1) * n)
+    # the empty string, head 0, is reachable at every level
+    head = np.where(space.string_heads, space.string_heads, bucket + 1)
+    return np.flatnonzero(np.arange(bucket + 1)[:, None] < head)

@@ -133,6 +133,36 @@ def test_the_analytic_path_builds_no_string_tuples():
     assert "transitions" not in space.__dict__
 
 
+def test_reachability_and_the_statistics_build_no_full_length_array():
+    # 422,180 states, 5,876 of them reachable: each call stays below half of
+    # one full-length float array, reading the per-string tables and the
+    # kept states alone
+    space = build_state_space(
+        TrafficSpec((1, 2), (0.5, 0.5), 1.0), FilterConfig(100, 16, 1.0)
+    )
+    result = solve_stationary(space)
+    result.averaged  # integrated on first use, before the traces
+    assert (space.n_states, len(result.chain.keep)) == (422_180, 5_876)
+    calls = {
+        "reachable_indices": lambda: reachable_indices(space),
+        "occupancy_table": lambda: occupancy_table(result),
+        "loss_ratio": lambda: loss_ratio(result, size=2),
+        "class_backlog": lambda: class_backlog(result, size=2),
+        "class_metrics": lambda: class_metrics(result),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / space.n_states
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 4.0, peaks
+    assert "token_of_state" not in space.__dict__
+    assert "backlog_of_state" not in space.__dict__
+
+
 class TestPayability:
     @pytest.mark.parametrize(
         "sizes, bucket, largest",
