@@ -38,7 +38,7 @@ from .markov import (
     _gth,
     expm_action,  # unused; perfbench's layer spans look it up here
     reachable_chain,
-    reachable_kernel,
+    reachable_period,
     stationary_power,
     uniformize,
 )
@@ -220,19 +220,16 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     grants the buffer only gains packets, so a state is reached only from
     itself and its nonempty prefixes, one per series jump and per queued
     packet at most, and from idle states at most ``kernel.jumps *
-    max(sizes)`` tokens above it; ``markov.reachable_kernel`` builds that
-    ``exp(R t)^T`` to the bits of ``kernel.operator()``, one series run per
-    free room.  Past that bound it steps vector by vector (``period_nnz``
-    None).  BiCGSTAB then solves
+    max(sizes)`` tokens above it; ``markov.reachable_period`` builds that
+    ``P^T`` to the bits of ``grant_t @ kernel.operator()``, one series run
+    per free room, each row added at its grant target.  Past that bound it
+    steps vector by vector (``period_nnz`` None).  BiCGSTAB then solves
     ``x - P^T x + (1^T x) u = u``, the balance equations with the
     normalization added for the uniform ``u``, from ``x = u`` to
     ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products,
-    right-preconditioned on either path by ``(I + F)(I + F^2)`` over the
-    grant forest ``F`` (``_grant_forest``), the one entry a column of
-    ``P^T`` by which a state falls in debt, set up in O(n) from
-    ``chain.grant`` and the generator's diagonal with a unit diagonal: sizes
-    1..4 at M=8, L=12 take 49 products where the plain method took 116, and
-    at L=16 70 where it took 161.
+    on either path with the grant forest (``_grant_forest``) as right
+    preconditioner: sizes 1..4 at M=8, L=12 take 49 products where the
+    plain method took 116, and at L=16 71 where it took 161.
     Either answer, clipped at zero and renormalized, starts power iteration,
     which stops at the first iterate that one step moves by at most ``tol``
     in L1, so ``residual`` is verified whatever the solver reached; a chain
@@ -241,8 +238,8 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     ``pi`` is exactly zero on every other state.  A packet size above
     ``bucket + 1`` is never paid for, leaving several absorbing laws: it
     raises ``ValueError`` before anything is built, as does a ``tol`` below
-    ``TOLERANCE_FLOOR`` or NaN.  Only a sparse chain loads scipy.sparse,
-    before ``wall_time`` starts.
+    ``TOLERANCE_FLOOR`` or NaN.  The reachable set is found once, and only
+    a sparse chain loads scipy.sparse, both before ``wall_time`` starts.
     """
     if not tol >= TOLERANCE_FLOOR:
         raise ValueError(f"tol {tol!r} is below the floor {TOLERANCE_FLOOR:g}")
@@ -253,10 +250,11 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
             f"largest size {largest} exceeds bucket + 1 = {config.bucket + 1}, "
             f"so it can never be paid for"
         )
-    if len(reachable_indices(space)) > _DENSE_STATES:
+    keep = reachable_indices(space)
+    if len(keep) > _DENSE_STATES:
         import scipy.sparse  # noqa: F401  untimed: loaded before the clock
     began = time.perf_counter()
-    chain = reachable_chain(space)
+    chain = reachable_chain(space, keep)
     n = len(chain.keep)
     dense = isinstance(chain.rates, np.ndarray)
     kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
@@ -268,7 +266,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
         np.add.at(period_t, chain.grant, kernel.point(np.eye(n)))
         period_nnz = int(np.count_nonzero(period_t))
     elif sources <= _ENTRIES_PER_STATE:
-        period_t = chain.grant_t @ reachable_kernel(space, chain, kernel)
+        period_t = reachable_period(space, chain, kernel)
         period_nnz = period_t.nnz
     else:
         grant_t, period_t, period_nnz = chain.grant_t, None, None

@@ -352,6 +352,12 @@ class _Walk:
         return path[: codes.size + 1]
 
 
+def _draw_classes(rng: np.random.Generator, probs, n: int) -> np.ndarray:
+    """``rng.choice(len(probs), n, p=probs)``, counting the cdf's edges."""
+    cdf = np.cumsum(probs)
+    return (rng.random(n) >= (cdf[:-1] / cdf[-1])[:, None]).sum(axis=0)
+
+
 def _check_block(checker, table, times, codes, post, checked: set) -> None:
     """Check each post-event state the first time the walk reaches it.
 
@@ -448,7 +454,7 @@ def simulate(
             # the same order, so the instants match stepping one at a time
             gaps = rng_times.exponential(1.0 / traffic.rate, _CHUNK)
             arr_t = np.cumsum(np.concatenate(([clock], gaps)))[1:]
-            arr_k = rng_sizes.choice(n_classes, _CHUNK, p=traffic.probs)
+            arr_k = _draw_classes(rng_sizes, traffic.probs, _CHUNK)
             clock = arr_t[-1]
         # the block's grants may not pass the last arrival drawn, and its
         # arrivals end before the next grant, or the horizon

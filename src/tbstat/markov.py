@@ -8,13 +8,10 @@ asks ``dynamics.var_rows`` for the rows of ``reachable_indices`` only), and
 small per-period chains for the unit-size filter.  ``oracle`` builds the
 same generator and grant over the full space, from the same entries.
 Matrix exponential actions use uniformization, the generator uniformized
-once per chain (``uniformize``) and each series summed by Horner's rule on
-a vector or the identity alike: ``Uniformization.operator`` sums it once
-into a sparse matrix, and ``point`` of the identity gives it densely, so the
-stationary solve applies the whole period as one matrix.
-``reachable_kernel`` builds the same sparse matrix for a reachable chain
-from the structure of its columns, running the series once per free room
-of an occupied source and as dense blocks for the idle ones.
+once per chain (``uniformize``) and each series summed by Horner's rule.
+The stationary solve applies the whole period as one matrix, which
+``reachable_period`` builds from the columns' structure, one series a free
+room, each row granted, to the bits of ``Uniformization.operator``.
 ``stationary_power`` iterates a per-period operator to a verified fixed
 point from a start index or a start vector, so the exact elimination or
 iterative solve of ``analysis.solve_stationary`` can hand it a law to
@@ -45,7 +42,7 @@ __all__ = [
     "build_md1_chain",
     "Uniformization",
     "uniformize",
-    "reachable_kernel",
+    "reachable_period",
     "expm_action",
     "integrate_expm_action",
     "StationarySolve",
@@ -138,20 +135,22 @@ class ReachableChain(NamedTuple):
         return _grant_matrix(self.grant).T.tocsr()
 
 
-def reachable_chain(space: StateSpace) -> ReachableChain:
-    """Build the chain on ``reachable_indices`` from their rows alone.
+def reachable_chain(space: StateSpace, keep=None) -> ReachableChain:
+    """Build the chain on ``keep``, ``reachable_indices`` unless given.
 
-    ``dynamics.var_rows`` gives the reachable states' targets, relabelled by
-    position in ``keep``.  The set is closed, so no transition leaves it,
-    and every idle state in it moves at the full arrival rate, so the
-    uniformization rate is that of the full space.  A chain of at most
-    ``_DENSE_STATES`` states scatters its generator's entries into an array,
-    a larger one hands them to one CSC constructor.
+    ``dynamics.var_rows`` gives the states' targets, relabelled by position
+    in ``keep``.  The set is closed, so no transition leaves it, and every
+    idle state in it moves at the full arrival rate, so the uniformization
+    rate is that of the full space.  A chain of at most ``_DENSE_STATES``
+    states scatters its generator's entries into an array, a larger one hands
+    them to one CSC constructor.
     """
-    keep = reachable_indices(space)
+    keep = reachable_indices(space) if keep is None else keep
     table = var_rows(space, keep)
     n = len(keep)
-    data, cells = _rate_entries(space, np.searchsorted(keep, table.arrive))
+    where = np.empty(space.n_states, np.intp)
+    where[keep] = np.arange(n)
+    data, cells = _rate_entries(space, where[table.arrive])
     if n <= _DENSE_STATES:
         rates = np.zeros((n, n))
         rates[cells] = data
@@ -159,7 +158,7 @@ def reachable_chain(space: StateSpace) -> ReachableChain:
         import scipy.sparse as sp
 
         rates = sp.csc_matrix((data, cells), shape=(n, n))
-    return ReachableChain(keep, rates, np.searchsorted(keep, table.grant))
+    return ReachableChain(keep, rates, where[table.grant])
 
 
 def _chain_from_step(
@@ -288,15 +287,10 @@ class Uniformization:
 
     def operator(self) -> sp.csr_matrix:
         """``exp(gen * t)^T`` as a CSR matrix ``K``, so ``K @ vec`` is
-        ``point(vec)``; for any generator, where ``reachable_kernel`` builds
-        a reachable chain's from its structure.
-
-        The point series is run on the identity, so column ``j`` is
-        ``point`` of the ``j``-th basis vector; Horner's rule holds no power
-        of ``step`` beside the sum.  The matrix stores an entry for every
-        pair of states the series' jumps connect; callers bound that count
-        before asking.
-        """
+        ``point(vec)``, for any generator: the reference of
+        ``reachable_period``.  The series runs on the identity, holding no
+        power of ``step`` beside the sum, and stores an entry for every pair
+        of states its jumps connect."""
         import scipy.sparse as sp
 
         dense = isinstance(self.step, np.ndarray)
@@ -306,38 +300,34 @@ class Uniformization:
         return sp.csr_matrix(out)
 
 
-def reachable_kernel(
+def reachable_period(
     space: StateSpace, chain: ReachableChain, kernel: Uniformization
 ) -> sp.csr_matrix:
-    """``kernel.operator()`` of a sparse reachable chain, to the same bits.
+    """``chain.grant_t @ kernel.operator()``, ``P^T``, of a sparse reachable
+    chain to the same bits, as CSR with each row's columns ascending.
 
-    Column ``j`` is ``point`` of the ``j``-th basis vector, made in two ways.
-    An occupied source's arrivals only append to its string, and whether one
-    fits depends on the free room ``buffer - backlog`` alone; its extensions
-    are the contiguous block of positions after it, so the column is the
-    same for every source with the same room, shifted to the source.  One
-    source a room runs the series in pull form over the states its jumps
-    reach: each has one predecessor, its prefix, and a term is ``p *
-    acc[prefix] + d * acc + w * vec``, with ``p`` and ``d`` the step's
-    entries, so every entry sums what the sparse product sums.  Idle sources
-    run the series as a dense block: below ``jumps * max(sizes)`` tokens over
-    the whole chain, and above it, where no packet can queue within the
-    series' jumps, over the idle states alone, whose rows read no others.
+    Column ``j`` of ``exp(R t)^T`` is ``point`` of the ``j``-th basis vector,
+    each row added at its grant target.  An occupied source's arrivals only
+    append to its string, and whether one fits depends on the free room
+    ``buffer - backlog`` alone; its extensions are the block of positions
+    after it, so the column is the same for every source with the same room,
+    shifted.  One source a room runs the series in pull form over the states
+    its jumps reach: each has one predecessor, its prefix, and a term is ``p
+    * acc[prefix] + d * acc + w * vec``, ``p`` and ``d`` the step's entries.
+    They keep the source's level and head, so no two share a grant target.
+    Idle sources run it as a dense block: below ``jumps * max(sizes)`` tokens
+    over the whole chain, above it over the idle states, whose rows read no
+    others and whose grants stay idle.  One ``bincount`` adds a block's rows
+    at their targets in ascending order, as ``grant_t @`` does.
     """
     import scipy.sparse as sp
 
     step = kernel.step
     if step is None:
-        return kernel.operator()
-    n = len(chain.keep)
+        return chain.grant_t
+    n, grant = len(chain.keep), chain.grant
     level, string = np.divmod(chain.keep, space.n_strings)
     idle, occupied = np.flatnonzero(string == 0), np.flatnonzero(string)
-
-    # an occupied row holds its prefix's entry and, unless it is 0, its own
-    row = np.repeat(np.arange(n), np.diff(step.indptr))
-    own = step.indices == row
-    p, d = np.zeros(n), np.zeros(n)
-    p[row[~own]], d[row[own]] = step.data[~own], step.data[own]
 
     # one root a room and the states its series' jumps reach, each with its
     # prefix's node; a root's is -1, the last node, which stays 0
@@ -356,7 +346,9 @@ def reachable_kernel(
         at.append(at[-1][parent] + shift[parent, k])
         tree.append(tree[-1][parent])
     at, slot, tree = (np.concatenate(a) for a in (at, up + [[-1]], tree))
-    p, d = np.append(p[at], 0.0), np.append(d[at], 0.0)
+    # the step's entries each node reads: its prefix's, and its own
+    p = np.append(np.asarray(step[at, at[slot[:-1]]]).ravel(), 0.0)
+    d = np.append(step.diagonal()[at], 0.0)
     vec = _basis_point(
         kernel, lambda acc: p * acc[slot] + d * acc, len(at) + 1, np.arange(len(roots))
     )
@@ -365,22 +357,27 @@ def reachable_kernel(
     hit = np.flatnonzero(vec[:-1])
     hit = hit[np.argsort(tree[hit], kind="stable")]
     per_room = np.bincount(tree[hit], minlength=len(roots))
+    room_start = np.cumsum(per_room) - per_room
     offset, value = (at[hit] - roots[tree[hit]]).astype(np.int32), vec[hit]
     counts = np.zeros(n, np.intp)
     counts[occupied] = per_room[which]
 
     # idle sources: below ``jumps * max(sizes)`` tokens over the whole chain,
-    # above it over the idle rows, which read no other rows
+    # above it over the idle rows, which read no other rows; each block's
+    # rows merged by one bincount over (source, grant target)
     low = level[idle] < kernel.jumps * max(space.traffic.sizes)
     blocks = []
     for kept, within in ((low, np.arange(n)), (~low, idle)):
         sources = idle[kept]
         if not len(sources):
             continue
-        sub = step if len(within) == n else step[within][:, within]
-        cells = (np.searchsorted(within, sources), np.arange(len(sources)))
-        shape = (len(within), len(sources))
-        out = _basis_point(kernel, lambda acc: sub @ acc, shape, cells).T
+        full, m = len(within) == n, len(sources)
+        sub = step if full else step[within][:, within]
+        target = grant if full else np.searchsorted(within, grant[within])
+        cells = (np.searchsorted(within, sources), np.arange(m))
+        out = _basis_point(kernel, lambda acc: sub @ acc, (len(within), m), cells)
+        key = np.arange(m) * len(within) + target[:, None]
+        out = np.bincount(key.ravel(), out.ravel(), out.size).reshape(m, -1)
         nonzero = out != 0
         blocks.append((sources, within, out, nonzero))
         counts[sources] = nonzero.sum(axis=1)
@@ -401,20 +398,18 @@ def reachable_kernel(
         indices[mine] = np.broadcast_to(within.astype(np.int32), nonzero.shape)[nonzero]
         data[mine] = out[nonzero]
     del out, nonzero
-    # an occupied source's entries are its room's, each index taken from
-    # the room's run of nonzeros and shifted by the source's position
+    # an occupied source's entries are its room's, each taken from the room's
+    # run of nonzeros, shifted by the source's position and granted
     lengths = counts[occupied]
     take = np.repeat(
-        ((np.cumsum(per_room) - per_room)[which] - np.cumsum(lengths) + lengths)
-        .astype(np.int32),
-        lengths,
+        (room_start[which] - np.cumsum(lengths) + lengths).astype(np.int32), lengths
     )
     take += np.arange(len(take), dtype=np.int32)
     mine = entries_of(occupied)
     data[mine] = value[take]
     take = offset[take]
     take += np.repeat(occupied.astype(np.int32), lengths)
-    indices[mine] = take
+    indices[mine] = grant[take]
     del mine, take
     return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
 
@@ -593,11 +588,11 @@ def _gth(chain: np.ndarray, root: int) -> np.ndarray:
     order = np.r_[root, np.delete(np.arange(n), root)]
     # at root 0 the order is the identity, and a copy is cheaper than a gather
     a = chain.copy() if root == 0 else chain[np.ix_(order, order)]
-    last = 0
+    last, tiny = 0, np.finfo(float).tiny
     for k in range(n - 1, 0, -1):
         row = a[k, :k]
         leave = row.sum()
-        if leave < np.finfo(float).tiny:
+        if leave < tiny:
             last = k
             break
         a[:k, k] /= leave

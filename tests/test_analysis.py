@@ -163,6 +163,30 @@ def test_reachability_and_the_statistics_build_no_full_length_array():
     assert "backlog_of_state" not in space.__dict__
 
 
+@pytest.mark.parametrize(
+    "traffic, config",
+    [
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)),
+        (reference_traffic(0.45), FilterConfig(8, 12, 1.0)),
+    ],
+    ids=["dense", "sparse"],
+)
+def test_a_solve_finds_the_reachable_set_once(monkeypatch, traffic, config):
+    # the set decides whether scipy.sparse loads and then builds the chain
+    space = build_state_space(traffic, config)
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return reachable_indices(space)
+
+    for module in (tbstat.analysis, tbstat.markov, tbstat.statespace):
+        monkeypatch.setattr(module, "reachable_indices", counted)
+    result = solve_stationary(space)
+    assert calls == [space]
+    assert np.array_equal(result.chain.keep, reachable_indices(space))
+
+
 class TestPayability:
     @pytest.mark.parametrize(
         "sizes, bucket, largest",

@@ -111,6 +111,26 @@ class TestSimulate:
             simulate(reference_traffic(0.5), reference_config, 100, warmup=100)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [(0.4, 0.3, 0.2, 0.1), (0.5, 0.5), (1.0,), (0.5, 0.0, 0.5), (0.0, 0.3, 0.7),
+     (0.1, 0.2, 0.3, 0.4), (1 / 3, 1 / 3, 1 / 3)],
+    ids=["reference", "halves", "single", "zero_inside", "zero_first",
+         "rising", "thirds"],
+)
+def test_class_draws_are_generator_choice(probs):
+    # the same uniforms against the same cdf, so a numpy whose ``choice``
+    # draws otherwise shows here; the generator is left where ``choice`` leaves it
+    for seed in range(12):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = des._draw_classes(ours, probs, des._CHUNK)
+            want = theirs.choice(len(probs), des._CHUNK, p=probs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert ours.random() == theirs.random()
+
+
 class TestPinnedTallies:
     """Tallies recorded from the event-at-a-time simulator (commit 6ad05ec).
 
@@ -262,8 +282,8 @@ def beside_grants(period: float, horizon: int):
             self.gaps = self.gaps[:0]
             return gaps
 
-        def choice(self, *args, **kwargs):
-            return self.sizes.choice(*args, **kwargs)
+        def random(self, size):
+            return self.sizes.random(size)
 
     return Generator
 

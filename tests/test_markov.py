@@ -33,7 +33,7 @@ from tbstat import (
 from tbstat.markov import (
     ArrivalDistribution,
     reachable_chain,
-    reachable_kernel,
+    reachable_period,
     row_sum_defect,
     uniformize,
 )
@@ -457,20 +457,30 @@ class TestOperator:
     ],
 )
 def test_the_reachable_kernel_is_the_operator(traffic, config, pieces):
-    # occupied columns are their room's translated, idle ones run in dense
-    # blocks split by level; every entry sums what the sparse product sums
+    # P^T folds each column of exp(R t)^T at its rows' grant targets: an
+    # occupied column's rows only move, idle blocks merge by one bincount;
+    # every entry sums what the two sparse products sum
     space = build_state_space(traffic, config)
     chain = reachable_chain(space)
     kernel = uniformize(chain.rates, config.period)
     assert sp.issparse(chain.rates) and kernel.pieces == pieces
-    built, want = reachable_kernel(space, chain, kernel), kernel.operator()
+    operator = kernel.operator()
+    built, want = reachable_period(space, chain, kernel), chain.grant_t @ operator
     assert built.format == "csr" and built.shape == want.shape
     built.sort_indices()
     want.sort_indices()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(built, name), getattr(want, name)), name
+    # the states an occupied source reaches keep its head, so their grant
+    # targets differ
+    n = len(chain.keep)
+    columns = operator.tocsc()
+    source = np.repeat(np.arange(n), np.diff(columns.indptr))
+    occupied = chain.keep[source] % space.n_strings != 0
+    cells = source[occupied] * n + chain.grant[columns.indices[occupied]]
+    assert len(np.unique(cells)) == len(cells) > 0
     if traffic.rate == 0:
-        assert np.array_equal(built.toarray(), np.eye(len(chain.keep)))
+        assert np.array_equal(built.toarray(), chain.grant_t.toarray())
 
 
 @pytest.mark.parametrize("rate, pieces", [(200.0, 2), (1000.0, 8), (1e5, 782)])
