@@ -70,9 +70,10 @@ STRING_ROW_BUDGET = 2_000_000_000
 WORK_BUDGET = 10_000_000
 # Most states, buffer + bucket + 1, of the fixed-length chains: both are
 # dense, so memory grows as the states squared, and GTH eliminates these
-# skip-free chains in time about squared too.  At bucket 5 and rate 0.5
-# ``tbstat run`` takes 0.28 s and 45 MB at buffer 1,000, 0.49 s and 91 MB at
-# 2,000, and 1.2 s and 273 MB at 4,000 (1.25 s at rate 700), on the same host.
+# skip-free chains in time about squared too, each in place, one at a time.
+# At bucket 5 and rate 0.5 ``tbstat run`` takes 0.25 s and 39 MB at buffer
+# 1,000, 0.40 s and 61 MB at 2,000, and 0.44 s and 152 MB at 4,000 (0.58 s
+# at rate 700), on the same host.
 FIXED_LENGTH_STATES = 4_096
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
@@ -444,9 +445,10 @@ def _fixed_length(scenario: Scenario, out: Path) -> dict:
     mean = scenario.traffic.rate * scenario.config.period
     buffer_cap = scenario.config.buffer
     bucket = scenario.config.bucket
-    # root 0, the idle full bucket: every coordinate falls to it with no arrivals
-    transfer = _gth(build_periodic_transfer_chain(mean, buffer_cap, bucket), 0)
-    md1 = _gth(build_md1_chain(mean, buffer_cap, bucket), 0)
+    # root 0, the idle full bucket: every coordinate falls to it with no
+    # arrivals; each chain is eliminated in place, held once
+    transfer = _gth(build_periodic_transfer_chain(mean, buffer_cap, bucket), 0, True)
+    md1 = _gth(build_md1_chain(mean, buffer_cap, bucket), 0, True)
     tv = 0.5 * float(np.abs(transfer - md1).sum())
     _write_csv(out / "fixed_length.csv", _laws("coord", transfer, md1))
     _write_csv(

@@ -15,8 +15,12 @@ room, each row granted, to the bits of ``Uniformization.operator``.
 ``stationary_power`` iterates a per-period operator to a verified fixed
 point from a start index or a start vector, so the exact elimination or
 iterative solve of ``analysis.solve_stationary`` can hand it a law to
-certify.  ``_gth`` solves every dense chain exactly, the reachable chain and
-both fixed-length chains; a dense linear solve is kept as a cross-check.
+certify.  ``_gth`` solves every dense chain exactly, each pivot's work cut
+to its envelope: the reachable chain in debt order (backlog minus tokens),
+and both fixed-length chains in place, in the order they are built.  In
+those orders a period lowers the state by at most one (Neuts 1989), so the
+elimination's fill stays in a band above the diagonal.  A dense linear
+solve is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -61,11 +65,14 @@ SERIES_TOL = 1e-14
 _MAX_RATE_HORIZON = 128.0
 # Most states a reachable chain holds densely, to be eliminated by GTH.  The
 # preconditioned BiCGSTAB wins between 61 and 108 states: sizes 1..4 at rate
-# 0.45 solve by BiCGSTAB or GTH in 1.9 or 3.4 ms at 108 states (M=4 L=6), 2.2
-# or 13.5 ms at 208 (M=5 L=7) and 2.8 or 84.3 ms at 400 (M=6 L=8), while unit
-# sizes at load 0.99 (M=20 L=40, 61 states) take 3.6 or 1.3 ms, GTH's answer
-# exact; median of 11, on a Xeon host with BLAS on one thread.
+# 0.45 solve by BiCGSTAB or GTH in 2.7 or 3.8 ms at 108 states (M=4 L=6), 3.0
+# or 15.8 ms at 208 (M=5 L=7) and 3.6 or 85 ms at 400 (M=6 L=8), most of
+# GTH's time spent building the dense period, while unit sizes at load 0.99
+# (M=20 L=40, 61 states) take 5.2 or 1.4 ms, GTH's answer exact; median of
+# 11, on a shared 2-vCPU Xeon host with BLAS on one thread.
 _DENSE_STATES = 81
+# Most cells ``_envelope`` reads into one boolean mask.
+_ENVELOPE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,8 @@ def _chain_from_step(
     n_states: int,
 ) -> np.ndarray:
     arr = ArrivalDistribution.from_mean(mean_arrivals)
-    chain = np.zeros((n_states, n_states))
+    # Fortran order, so each column GTH passes over is contiguous
+    chain = np.zeros((n_states, n_states), order="F")
     states = np.arange(n_states)
     saturating = n_states  # enough arrivals to pin the capped sum at its max
     # one target per state and count, so no cell is named twice in one sum;
@@ -570,38 +578,73 @@ def stationary_power(
     )
 
 
-def _gth(chain: np.ndarray, root: int) -> np.ndarray:
+def _envelope(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each pivot's column and row of GTH elimination start.
+
+    ``rows[k]`` bounds the first nonzero above the diagonal of column ``k``,
+    ``cols[k]`` the first left of it in row ``k``.  Both are suffix minima
+    of the first nonzeros, so the rank-1 update of pivot ``k`` fills only
+    cells within the envelopes of the pivots still to eliminate, those
+    before it.  The nonzeros are
+    read a block of rows at a time, so no n-by-n mask is held.
+    """
+    n = a.shape[0]
+    first_col = np.empty(n, np.intp)
+    first_row = np.full(n, n, np.intp)
+    block = max(1, _ENVELOPE_CELLS // n)
+    for start in range(0, n, block):
+        mask = a[start : start + block] != 0
+        first_col[start : start + block] = mask.argmax(axis=1)
+        hit = np.where(mask.any(axis=0), start + mask.argmax(axis=0), n)
+        np.minimum(first_row, hit, out=first_row)
+    diagonal = np.arange(n)
+    rows = np.minimum.accumulate(np.minimum(first_row, diagonal)[::-1])[::-1]
+    cols = np.minimum.accumulate(np.minimum(first_col, diagonal)[::-1])[::-1]
+    return rows, cols
+
+
+def _gth(chain: np.ndarray, root: int = 0, overwrite: bool = False) -> np.ndarray:
     """Stationary row vector of a stochastic matrix by GTH elimination
     (Grassmann, Taksar & Heyman 1985), ``root`` eliminated last.
 
-    Each censored row's exit mass is summed from its entries toward the
-    states left, so no step subtracts, and none vanishes when every state
-    reaches ``root``.  One below the smallest normal float means the floats
-    lost the way back: elimination stops there and the states left get no
-    mass.  Each update starts at the eliminated row's first nonzero column,
-    the columns before it adding exact zeros, so a chain that falls at most
-    one state a step toward ``root`` costs O(n^2), not O(n^3).  Back
+    Each censored row's exit mass is summed, exactly rounded, from its
+    entries toward the states left, so no step subtracts, and none vanishes
+    when every state reaches ``root``.  One below the smallest normal float
+    means the floats lost the way back: elimination stops there and the
+    states left get no mass.  Each pivot's division, rank-1 update and
+    back-substitution dot run on its envelope (``_envelope``): rows from its
+    column's first nonzero, columns from its row's, so only exact zeros are
+    skipped.  In an order where the chain falls at most one state a step
+    toward ``root``, as the period chains do in debt order, a row starts one
+    left of the diagonal and elimination costs O(n^2), not O(n^3).  Back
     substitution keeps the largest mass at 1, so masses spanning more than
-    the float range do not overflow.
+    the float range do not overflow.  Root 0 with ``overwrite`` eliminates
+    ``chain`` itself, else a copy in its memory order: a Fortran-ordered
+    chain keeps every column pass on contiguous memory.
     """
     n = chain.shape[0]
     order = np.r_[root, np.delete(np.arange(n), root)]
-    # at root 0 the order is the identity, and a copy is cheaper than a gather
-    a = chain.copy() if root == 0 else chain[np.ix_(order, order)]
+    if root:
+        a = chain[np.ix_(order, order)]
+    else:
+        a = chain if overwrite else chain.copy(order="K")
+    rows, cols = (starts.tolist() for starts in _envelope(a))
     last, tiny = 0, np.finfo(float).tiny
     for k in range(n - 1, 0, -1):
-        row = a[k, :k]
-        leave = row.sum()
+        r, c = rows[k], cols[k]
+        row = a[k, c:k]
+        leave = math.fsum(row)
         if leave < tiny:
             last = k
             break
-        a[:k, k] /= leave
-        first = row.nonzero()[0][0]
-        a[:k, first:k] += a[:k, k, None] * row[first:]
+        col = a[r:k, k]
+        col /= leave
+        a[r:k, c:k] += col[:, None] * row
     pi = np.zeros(n)
     pi[last] = 1.0
     for k in range(last + 1, n):
-        pi[k] = pi[:k] @ a[:k, k]
+        r = rows[k]
+        pi[k] = np.dot(pi[r:k], a[r:k, k])
         if pi[k] > 1.0:
             pi[: k + 1] /= pi[k]
     out = np.empty(n)

@@ -43,6 +43,8 @@ from tbstat.analysis import (
     _ENTRIES_PER_STATE,
     _MAX_MATVECS,
     _bicgstab,
+    _debt_order,
+    _dense_period,
     _grant_forest,
     _gth,
 )
@@ -572,6 +574,55 @@ class TestBiCGSTAB:
         assert max_calls - 2 <= calls <= max_calls
 
 
+def _unrestricted_gth(chain: np.ndarray) -> np.ndarray:
+    """GTH rooted at state 0, each pivot updating whole columns."""
+    a, n = chain.copy(), len(chain)
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += a[:k, k, None] * a[k, :k]
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
+
+
+@pytest.mark.parametrize(
+    "traffic, config",
+    [
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)),
+        (reference_traffic(0.5), FilterConfig(5, 5, 1.0)),
+        (reference_traffic(0.45), FilterConfig(5, 5, 1.0)),
+        (TrafficSpec((1, 2), (0.6, 0.4), 0.8), FilterConfig(2, 3, 1.0)),
+        (TrafficSpec((1,), (1.0,), 50.0), FilterConfig(5, 60, 1.0)),
+        (TrafficSpec((1, 2), (0.5, 0.5), 0.0), FilterConfig(3, 5, 1.0)),
+    ],
+    ids=[
+        "critical_unit", "reference", "reference_045", "small", "heavy_load", "rate_zero"
+    ],
+)
+def test_the_dense_period_is_the_grant_scatter(traffic, config):
+    # four states of the reference chain grant to one, and one product of
+    # the whole grant matrix can miss the scatter there by an ulp, as BLAS
+    # fixes no order of summation; the products, at most two sources a
+    # target in each, add each target's rows in ascending position, as the
+    # scatter does
+    space = build_state_space(traffic, config)
+    result = solve_stationary(space)
+    chain, kernel = result.chain, result.kernel
+    n = len(chain.keep)
+    assert n <= _DENSE_STATES
+    scatter = np.zeros((n, n))
+    np.add.at(scatter, chain.grant, kernel.point(np.eye(n)))
+    order = _debt_order(space, chain)
+    root = np.searchsorted(chain.keep, space.empty_indices[-1])
+    assert order[0] == root
+    rng = np.random.default_rng(10)
+    for order in [order, np.arange(n)] + [rng.permutation(n) for _ in range(8)]:
+        period_t = _dense_period(chain, kernel, order)
+        assert np.array_equal(period_t, scatter[np.ix_(order, order)])
+
+
 class TestGTH:
     @pytest.mark.parametrize("n, seed", [(2, 1), (9, 2), (40, 3), (81, 4)])
     def test_matches_the_dense_solve_on_random_chains(self, n, seed):
@@ -598,6 +649,41 @@ class TestGTH:
         expected = np.zeros(len(chain.keep))
         expected[root] = 1.0
         assert np.array_equal(pi, expected)
+
+    @pytest.mark.parametrize("tail", [0.0, 0.05], ids=["banded", "dense_last_column"])
+    @pytest.mark.parametrize("n, seed", [(2, 5), (9, 6), (40, 7), (81, 8)])
+    def test_skip_free_chains_in_a_random_order(self, n, seed, tail):
+        # in ``order`` each state falls at most one state a step toward the
+        # root, the order's first; a positive tail, as in the fixed-length
+        # chains, fills the whole upper triangle through the last column
+        rng = np.random.default_rng(seed)
+        band = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), -1)
+        band[np.arange(1, n), np.arange(n - 1)] += 0.1
+        band[np.arange(n - 1), np.arange(1, n)] += 0.1
+        band[:, -1] += tail
+        band /= band.sum(axis=1, keepdims=True)
+        order = rng.permutation(n)
+        chain = np.empty((n, n))
+        chain[np.ix_(order, order)] = band
+        pi = np.empty(n)
+        pi[order] = _gth(chain[np.ix_(order, order)])
+        full = np.empty(n)
+        full[order] = _unrestricted_gth(band)
+        assert np.abs(pi - full).sum() <= 1e-15
+        assert np.abs(pi - stationary_dense(chain)).sum() < 1e-13
+
+    @pytest.mark.parametrize("root", [0, 3])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_the_callers_chain_comes_back_unchanged(self, root, layout):
+        rng = np.random.default_rng(9)
+        chain = rng.random((12, 12)) * (rng.random((12, 12)) < 0.5) + 0.01
+        chain = np.array(chain / chain.sum(axis=1, keepdims=True), order=layout)
+        kept = chain.copy(order="K")
+        pi = _gth(chain, root)
+        assert np.array_equal(chain, kept)
+        if root == 0:
+            # eliminated in place, the same law to the bits
+            assert np.array_equal(_gth(chain, 0, overwrite=True), pi)
 
     @pytest.mark.parametrize("rate", [50.0, 1000.0])
     def test_heavy_load_past_the_float_range(self, rate):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from tbstat.cli import (
     ScenarioError,
     _cell,
     _dumps,
+    _fixed_length,
     _occupancy,
     _sig,
     _write_csv,
@@ -599,6 +601,25 @@ class TestRunFixedLength:
             assert block[key] == [_sig(x) for x in pi]  # the law reported
             assert np.abs(pi @ chain - pi).sum() <= 1e-14
             assert np.abs(pi - stationary_dense(chain)).sum() <= 1e-10
+
+    def test_each_chain_is_held_once(self, tmp_path):
+        # 1,006 states: each chain is eliminated where it was built, so the
+        # run never holds a second n-by-n array beside it
+        raw = {
+            "traffic": {"sizes": [1], "probs": [1.0], "rate": 0.5},
+            "filter": {"bucket": 5, "buffer": 1000, "period": 1.0},
+            "mode": "fixed-length",
+        }
+        scenario = parse_scenario(raw)
+        n = 1006
+        tracemalloc.start()
+        try:
+            block = _fixed_length(scenario, tmp_path)["fixed_length"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block["md1"]) == n
+        assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
 
 
 class TestRunSimulateAndCompare:
