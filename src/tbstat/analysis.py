@@ -212,36 +212,6 @@ def _debt_order(space: StateSpace, chain: ReachableChain) -> np.ndarray:
     return np.argsort(space.string_backlogs[string] - level, kind="stable")
 
 
-def _dense_period(
-    chain: ReachableChain, kernel: Uniformization, order: np.ndarray
-) -> np.ndarray:
-    """``P^T = G^T exp(R t)^T`` of a dense chain, both indices in ``order``.
-
-    Products with the 0/1 grant matrix add each row of ``exp(R t)^T`` at
-    its grant target.  A product that sums at most two nonzero terms into a
-    cell is exact whatever order BLAS adds them in, so the first product
-    takes each target's first two sources and every later one its next:
-    each target's rows are added in ascending position, as ``grant_t @``
-    adds them, to the same bits.
-    """
-    n = len(order)
-    where = np.empty(n, np.intp)
-    where[order] = np.arange(n)
-    target = where[chain.grant]
-    by_target = np.argsort(target, kind="stable")
-    ranked = target[by_target]
-    rank = np.empty(n, np.intp)
-    rank[by_target] = np.arange(n) - np.searchsorted(ranked, ranked)
-    columns = kernel.point(np.eye(n))[:, order]
-    period_t = np.zeros((n, n))
-    for layer in range(1, max(1, rank.max()) + 1):
-        sources = np.flatnonzero(rank <= 1 if layer == 1 else rank == layer)
-        grant = np.zeros((n, n))
-        grant[target[sources], sources] = 1.0
-        period_t += grant @ columns
-    return period_t
-
-
 def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     """Stationary vector of the per-period operator, certified by power steps.
 
@@ -249,31 +219,31 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     applies the token grant, on the states reachable from the full-bucket
     idle state (``markov.reachable_chain``).  The period's exponential is
     uniformized once, as ``kernel``, cut at ``min(SERIES_TOL, tol / 10)``,
-    in the form the chain was built in.  A dense chain is laid out in debt
-    order (``_debt_order``), the full-bucket idle state first, without
-    renumbering the chain itself; ``_dense_period`` adds each row of the
-    dense ``exp(R t)^T`` at its grant target, into ``P^T = G^T exp(R t)^T``
-    in that order, and ``P`` is solved exactly by GTH elimination
-    (``markov._gth``, which solves the fixed-length chains too), rooted at
-    that state, which every state returns to.  A period lowers the debt by
-    at most one, so each pivot's row starts one state left of the diagonal
-    and the elimination stays in a band: 61 states at load 0.99 with unit
-    sizes have lower bandwidth 1 and upper bandwidth 15.  The power steps
-    run in debt order too.  A sparse chain assembles ``P^T``
-    when a column holds at most ``_ENTRIES_PER_STATE`` entries: between
-    grants the buffer only gains packets, so a state is reached only from
-    itself and its nonempty prefixes, one per series jump and per queued
-    packet at most, and from idle states at most ``kernel.jumps *
-    max(sizes)`` tokens above it; ``markov.reachable_period`` builds that
-    ``P^T`` to the bits of ``grant_t @ kernel.operator()``, one series run
-    per free room, each row added at its grant target.  Past that bound it
-    steps vector by vector (``period_nnz`` None).  BiCGSTAB then solves
-    ``x - P^T x + (1^T x) u = u``, the balance equations with the
-    normalization added for the uniform ``u``, from ``x = u`` to
-    ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products,
-    on either path with the grant forest (``_grant_forest``) as right
-    preconditioner: sizes 1..4 at M=8, L=12 take 49 products where the
-    plain method took 116, and at L=16 71 where it took 161.
+    in the form the chain was built in.  ``markov.reachable_period`` builds
+    ``P^T = G^T exp(R t)^T``, each row of ``exp(R t)^T`` added at its grant
+    target, to the bits of ``grant_t @ kernel.operator()``: a dense chain's
+    whole, a sparse chain's when a column holds at most
+    ``_ENTRIES_PER_STATE`` entries.  Between grants the buffer only gains
+    packets, so a state is reached only from itself and its nonempty
+    prefixes, one per series jump and per queued packet at most, and from
+    idle states at most ``kernel.jumps * max(sizes)`` tokens above it.  A
+    dense ``P^T`` is permuted into debt order (``_debt_order``), the
+    full-bucket idle state first, without renumbering the chain itself, and
+    ``P`` is solved exactly by GTH elimination (``markov._gth``, which
+    solves the fixed-length chains too), rooted at that state, which every
+    state returns to.  A period lowers the debt by at most one, so each
+    pivot's row starts one state left of the diagonal and the elimination
+    stays in a band: 61 states at load 0.99 with unit sizes have lower
+    bandwidth 1 and upper bandwidth 15.  The power steps run in debt order
+    too.  A sparse chain past the bound steps vector by vector, each entry
+    of ``point`` added at its grant target (``period_nnz`` None).  BiCGSTAB
+    solves a sparse chain's ``x - P^T x + (1^T x) u = u``, the balance
+    equations with the normalization added for the uniform ``u``, from
+    ``x = u`` to ``tol / 100`` relative to ``|u|`` in at most
+    ``_MAX_MATVECS`` products, on either path with the grant forest
+    (``_grant_forest``) as right preconditioner: sizes 1..4 at M=8, L=12
+    take 49 products where the plain method took 116, and at L=16 71 where
+    it took 161.
     Either answer, clipped at zero and renormalized, starts power iteration,
     which stops at the first iterate that one step moves by at most ``tol``
     in L1, so ``residual`` is verified whatever the solver reached; a chain
@@ -304,21 +274,17 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
     jumps, packets = kernel.jumps, config.buffer // min(space.traffic.sizes)
     sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
-    labels = chain.keep
-    if dense:
-        order = _debt_order(space, chain)
-        labels = labels[order]
-        period_t = _dense_period(chain, kernel, order)
-        period_nnz = int(np.count_nonzero(period_t))
-    elif sources <= _ENTRIES_PER_STATE:
+    labels, period_t, period_nnz = chain.keep, None, None
+    if dense or sources <= _ENTRIES_PER_STATE:
         period_t = reachable_period(space, chain, kernel)
-        period_nnz = period_t.nnz
-    else:
-        grant_t, period_t, period_nnz = chain.grant_t, None, None
+        if dense:
+            order = _debt_order(space, chain)
+            labels, period_t = labels[order], period_t[np.ix_(order, order)]
+        period_nnz = int(np.count_nonzero(period_t)) if dense else period_t.nnz
 
     def step(vec: np.ndarray) -> np.ndarray:
         if period_t is None:
-            return grant_t @ kernel.point(vec)
+            return np.bincount(chain.grant, kernel.point(vec), n)
         return period_t @ vec
 
     if dense:

@@ -10,17 +10,19 @@ same generator and grant over the full space, from the same entries.
 Matrix exponential actions use uniformization, the generator uniformized
 once per chain (``uniformize``) and each series summed by Horner's rule.
 The stationary solve applies the whole period as one matrix, which
-``reachable_period`` builds from the columns' structure, one series a free
-room, each row granted, to the bits of ``Uniformization.operator``.
-``stationary_power`` iterates a per-period operator to a verified fixed
-point from a start index or a start vector, so the exact elimination or
-iterative solve of ``analysis.solve_stationary`` can hand it a law to
-certify.  ``_gth`` solves every dense chain exactly, each pivot's work cut
-to its envelope: the reachable chain in debt order (backlog minus tokens),
-and both fixed-length chains in place, in the order they are built.  In
-those orders a period lowers the state by at most one (Neuts 1989), so the
-elimination's fill stays in a band above the diagonal.  A dense linear
-solve is kept as a cross-check.
+``reachable_period`` builds for every chain, dense or sparse, to the bits
+of the grant applied to ``Uniformization.operator``: a dense chain runs the
+series on the identity, a sparse one a series a free room and dense blocks
+for the idle states, and ``_fold`` adds each row of a dense series at its
+grant target.  ``stationary_power`` iterates a per-period operator to a
+verified fixed point from a start index or a start vector, so the exact
+elimination or iterative solve of ``analysis.solve_stationary`` can hand it
+a law to certify.  ``_gth`` solves every dense chain exactly, each pivot's
+work cut to its envelope: the reachable chain in debt order (backlog minus
+tokens), and both fixed-length chains in place, in the order they are
+built.  In those orders a period lowers the state by at most one (Neuts
+1989), so the elimination's fill stays in a band above the diagonal.  A
+dense linear solve is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -310,30 +312,34 @@ class Uniformization:
 
 def reachable_period(
     space: StateSpace, chain: ReachableChain, kernel: Uniformization
-) -> sp.csr_matrix:
-    """``chain.grant_t @ kernel.operator()``, ``P^T``, of a sparse reachable
-    chain to the same bits, as CSR with each row's columns ascending.
+) -> np.ndarray | sp.csr_matrix:
+    """``chain.grant_t @ kernel.operator()``, ``P^T``, of any reachable chain
+    to the same bits: an array for a dense chain, else CSR with each row's
+    columns ascending.
 
     Column ``j`` of ``exp(R t)^T`` is ``point`` of the ``j``-th basis vector,
-    each row added at its grant target.  An occupied source's arrivals only
-    append to its string, and whether one fits depends on the free room
-    ``buffer - backlog`` alone; its extensions are the block of positions
-    after it, so the column is the same for every source with the same room,
-    shifted.  One source a room runs the series in pull form over the states
-    its jumps reach: each has one predecessor, its prefix, and a term is ``p
-    * acc[prefix] + d * acc + w * vec``, ``p`` and ``d`` the step's entries.
+    each row added at its grant target by ``_fold``.  A dense chain runs the
+    series on the identity, each piece summed once, and folds it whole.  In
+    a sparse chain an occupied source's arrivals only append to its string,
+    and whether one fits depends on the free room ``buffer - backlog``
+    alone; its extensions are the block of positions after it, so the
+    column is the same for every source with the same room, shifted.  One
+    source a room runs the series in pull form over the states its jumps
+    reach: each has one predecessor, its prefix, and a term is ``p *
+    acc[prefix] + d * acc + w * vec``, ``p`` and ``d`` the step's entries.
     They keep the source's level and head, so no two share a grant target.
     Idle sources run it as a dense block: below ``jumps * max(sizes)`` tokens
     over the whole chain, above it over the idle states, whose rows read no
-    others and whose grants stay idle.  One ``bincount`` adds a block's rows
-    at their targets in ascending order, as ``grant_t @`` does.
+    others and whose grants stay idle, each block folded whole.
     """
+    n, grant = len(chain.keep), chain.grant
+    if isinstance(chain.rates, np.ndarray):
+        return _fold(kernel.point(np.eye(n)), grant).T
     import scipy.sparse as sp
 
     step = kernel.step
     if step is None:
         return chain.grant_t
-    n, grant = len(chain.keep), chain.grant
     level, string = np.divmod(chain.keep, space.n_strings)
     idle, occupied = np.flatnonzero(string == 0), np.flatnonzero(string)
 
@@ -371,8 +377,7 @@ def reachable_period(
     counts[occupied] = per_room[which]
 
     # idle sources: below ``jumps * max(sizes)`` tokens over the whole chain,
-    # above it over the idle rows, which read no other rows; each block's
-    # rows merged by one bincount over (source, grant target)
+    # above it over the idle rows, which read no other rows
     low = level[idle] < kernel.jumps * max(space.traffic.sizes)
     blocks = []
     for kept, within in ((low, np.arange(n)), (~low, idle)):
@@ -384,8 +389,7 @@ def reachable_period(
         target = grant if full else np.searchsorted(within, grant[within])
         cells = (np.searchsorted(within, sources), np.arange(m))
         out = _basis_point(kernel, lambda acc: sub @ acc, (len(within), m), cells)
-        key = np.arange(m) * len(within) + target[:, None]
-        out = np.bincount(key.ravel(), out.ravel(), out.size).reshape(m, -1)
+        out = _fold(out, target)
         nonzero = out != 0
         blocks.append((sources, within, out, nonzero))
         counts[sources] = nonzero.sum(axis=1)
@@ -420,6 +424,16 @@ def reachable_period(
     indices[mine] = grant[take]
     del mine, take
     return sp.csc_matrix((data, indices, indptr), shape=(n, n)).tocsr()
+
+
+def _fold(columns: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The rows of ``columns`` added at their ``target`` rows, transposed:
+    row ``j`` of the result is column ``j`` folded.  One ``bincount`` over
+    (column, target) adds each target's rows in ascending order, as
+    ``grant_t @`` does, to the same bits."""
+    rows, m = columns.shape
+    key = np.arange(m) * rows + target[:, None]
+    return np.bincount(key.ravel(), columns.ravel(), columns.size).reshape(m, -1)
 
 
 def _basis_point(kernel: Uniformization, apply, shape, cells) -> np.ndarray:
@@ -471,11 +485,13 @@ def uniformize(gen, t: float, tol: float = SERIES_TOL) -> Uniformization:
     Rows of ``gen`` may sum to zero (mass-conserving) or to a negative
     value (leaky, as in a killed process), but never to a positive one
     beyond 1e-9.  Each piece's series is truncated at ``tol / pieces``.
+    When no jump is expected, ``rate * t`` zero or underflowing to zero, the
+    kernel is the identity.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     rate = _check_generator(gen)
-    if rate == 0.0 or t == 0.0:
+    if rate == 0.0 or rate * t == 0.0:
         return Uniformization(None, gen.shape[0], 1, (1.0,), (1.0,))
     if isinstance(gen, np.ndarray):
         step = np.eye(gen.shape[0]) + gen.T / rate

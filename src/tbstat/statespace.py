@@ -16,6 +16,7 @@ them by value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -113,8 +114,9 @@ class FilterConfig:
             raise ValueError("bucket capacity must be >= 0")
         if self.buffer < 1:
             raise ValueError("buffer capacity must be >= 1")
-        if not (self.period > 0 and math.isfinite(self.period)):
-            raise ValueError("replenishment period must be positive and finite")
+        # a subnormal period's simulated segments underflow to zero length
+        if not sys.float_info.min <= self.period < math.inf:
+            raise ValueError("replenishment period must be normal, positive and finite")
 
 
 def _normalized_sizes(sizes: Iterable[int]) -> tuple[int, ...]:

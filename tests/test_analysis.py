@@ -44,11 +44,16 @@ from tbstat.analysis import (
     _MAX_MATVECS,
     _bicgstab,
     _debt_order,
-    _dense_period,
     _grant_forest,
     _gth,
 )
-from tbstat.markov import _DENSE_STATES, Uniformization, reachable_chain, uniformize
+from tbstat.markov import (
+    _DENSE_STATES,
+    Uniformization,
+    reachable_chain,
+    reachable_period,
+    uniformize,
+)
 from tests.conftest import reference_traffic
 from tests.test_markov import _exact_average
 
@@ -587,26 +592,31 @@ def _unrestricted_gth(chain: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-@pytest.mark.parametrize(
-    "traffic, config",
-    [
-        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)),
-        (reference_traffic(0.5), FilterConfig(5, 5, 1.0)),
-        (reference_traffic(0.45), FilterConfig(5, 5, 1.0)),
-        (TrafficSpec((1, 2), (0.6, 0.4), 0.8), FilterConfig(2, 3, 1.0)),
-        (TrafficSpec((1,), (1.0,), 50.0), FilterConfig(5, 60, 1.0)),
-        (TrafficSpec((1, 2), (0.5, 0.5), 0.0), FilterConfig(3, 5, 1.0)),
-    ],
-    ids=[
-        "critical_unit", "reference", "reference_045", "small", "heavy_load", "rate_zero"
-    ],
-)
+DENSE_CHAINS = [
+    pytest.param(
+        TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), id="critical_unit"
+    ),
+    pytest.param(reference_traffic(0.5), FilterConfig(5, 5, 1.0), id="reference"),
+    pytest.param(reference_traffic(0.45), FilterConfig(5, 5, 1.0), id="reference_045"),
+    pytest.param(
+        TrafficSpec((1, 2), (0.6, 0.4), 0.8), FilterConfig(2, 3, 1.0), id="small"
+    ),
+    pytest.param(
+        TrafficSpec((1,), (1.0,), 50.0), FilterConfig(5, 60, 1.0), id="heavy_load"
+    ),
+    pytest.param(
+        TrafficSpec((1, 2), (0.5, 0.5), 0.0), FilterConfig(3, 5, 1.0), id="rate_zero"
+    ),
+]
+
+
+@pytest.mark.parametrize("traffic, config", DENSE_CHAINS)
 def test_the_dense_period_is_the_grant_scatter(traffic, config):
     # four states of the reference chain grant to one, and one product of
     # the whole grant matrix can miss the scatter there by an ulp, as BLAS
-    # fixes no order of summation; the products, at most two sources a
-    # target in each, add each target's rows in ascending position, as the
-    # scatter does
+    # fixes no order of summation; the fold adds each target's rows in
+    # ascending position, as the scatter does, and the debt order only
+    # permutes the result
     space = build_state_space(traffic, config)
     result = solve_stationary(space)
     chain, kernel = result.chain, result.kernel
@@ -618,9 +628,34 @@ def test_the_dense_period_is_the_grant_scatter(traffic, config):
     root = np.searchsorted(chain.keep, space.empty_indices[-1])
     assert order[0] == root
     rng = np.random.default_rng(10)
+    period_t = reachable_period(space, chain, kernel)
     for order in [order, np.arange(n)] + [rng.permutation(n) for _ in range(8)]:
-        period_t = _dense_period(chain, kernel, order)
-        assert np.array_equal(period_t, scatter[np.ix_(order, order)])
+        cells = np.ix_(order, order)
+        assert np.array_equal(period_t[cells], scatter[cells])
+
+
+@pytest.mark.parametrize(
+    "traffic, config",
+    DENSE_CHAINS
+    + [
+        pytest.param(
+            TrafficSpec((1,), (1.0,), 1000.0), FilterConfig(5, 5, 1.0), id="pieces_8"
+        )
+    ],
+)
+def test_one_chain_held_both_ways_gives_one_period(traffic, config):
+    # the dense chain's period folds the series on the identity, the sparse
+    # one's runs a series a room or idle block; both sum the same terms in
+    # their own order, to within rounding, and hold the same zeros
+    space = build_state_space(traffic, config)
+    chain = reachable_chain(space)
+    assert isinstance(chain.rates, np.ndarray)
+    held = chain._replace(rates=scipy.sparse.csc_matrix(chain.rates))
+    dense = reachable_period(space, chain, uniformize(chain.rates, config.period))
+    sparse = reachable_period(space, held, uniformize(held.rates, config.period))
+    sparse = sparse.toarray()
+    assert np.array_equal(dense != 0, sparse != 0)
+    assert np.allclose(dense, sparse, rtol=4e-15, atol=0.0)
 
 
 class TestGTH:

@@ -842,6 +842,15 @@ class TestSweep:
             run_sweep(scenario, grid, tmp_path / "sweep")
 
 
+def test_a_mean_arrival_count_that_underflows_keeps_the_mass(tmp_path):
+    # 1e-30 * 1e-300 rounds to 0: no arrival is expected within a period
+    raw = small_raw(traffic={"sizes": [1], "probs": [1.0], "rate": 1e-30})
+    raw["filter"]["period"] = 1e-300
+    report = run_scenario(parse_scenario(raw), tmp_path)
+    total = sum(map(sum, report["occupancy_analytic"]))
+    assert abs(total - 1) <= 1e-12, total
+
+
 class TestMainEntry:
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -952,6 +961,16 @@ class TestMainEntry:
         code = main(["run", str(scenario), "--out", str(tmp_path / "out"), *flags])
         assert code == 2
         assert f"scenario error: {fieldname}:" in capsys.readouterr().err
+
+    def test_a_subnormal_period_exits_two_naming_filter(self, tmp_path, capsys):
+        # the simulator's segments of the window would underflow to length 0
+        raw = small_raw(mode="simulate", simulation={"horizon": 100})
+        raw["filter"]["period"] = 5e-324
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "scenario error: filter:" in capsys.readouterr().err
 
     def test_solver_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         scenario = tmp_path / "scenario.json"

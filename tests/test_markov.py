@@ -390,6 +390,17 @@ class TestUniformize:
             assert np.array_equal(kernel.point(vec), vec)
             assert np.array_equal(kernel.average(vec), vec)
 
+    def test_nothing_moves_when_the_mean_jump_count_underflows(self):
+        # 0.5 * 5e-324 rounds to 0: the average's first weight would divide
+        # by that zero mean
+        vec = np.array([0.25, 0.75])
+        gen = np.array([[-0.5, 0.5], [0.0, 0.0]])
+        for form in (np.asarray, sp.csr_matrix):
+            kernel = uniformize(form(gen), 5e-324)
+            assert kernel.step is None
+            assert np.array_equal(kernel.point(vec), vec)
+            assert np.array_equal(kernel.average(vec), vec)
+
 
 class TestOperator:
     @pytest.mark.parametrize("form", ["dense", "csr", "csc"])
