@@ -2,19 +2,20 @@
 
 ``tbstat run scenario.json`` evaluates one scenario and writes a JSON report
 plus plot-ready CSV tables; ``tbstat sweep scenario.json --grid grid.json``
-repeats that over a cartesian parameter grid, isolating per-point failures.
+repeats that over a cartesian parameter grid, isolating per-point failures
+and rewriting its ``index.json`` as each point finishes.
 Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, packets the bucket can
 never pay for (in the analytic, simulate and compare modes), analytic
 chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
 ``WORK_BUDGET`` states times mean arrivals a period, simulations over
-``EVENT_BUDGET`` expected events, fixed-length chains whose Poisson law
-underflows or that hold over ``FIXED_LENGTH_STATES`` states,
-``count-states`` limits over ``BOUNDS_LIMIT`` or past the float range of the
-estimate, and tolerances below ``TOLERANCE_FLOOR`` are rejected with the
-offending field named, exit code 2, as are paths that cannot be read or
-written, with the path named.  Solver failures exit with code 1.
+``EVENT_BUDGET`` expected events or ``OCCUPANCY_CELLS`` occupancy cells,
+fixed-length chains whose Poisson law underflows or that hold over
+``FIXED_LENGTH_STATES`` states, ``count-states`` limits over
+``BOUNDS_LIMIT`` or past the float range of the estimate, and tolerances
+below ``TOLERANCE_FLOOR`` are rejected with the offending field named, exit
+code 2, as are paths that cannot be read or written, with the path named.  Solver failures exit with code 1.
 ``markov._gth`` solves both fixed-length chains.  Each table is built once
 as records rounded to 12 significant digits, and written from them to the
 report and the CSV files as ``json.dumps(indent=2)`` and ``csv.writer`` would.
@@ -70,16 +71,25 @@ STRING_ROW_BUDGET = 2_000_000_000
 WORK_BUDGET = 10_000_000
 # Most states, buffer + bucket + 1, of the fixed-length chains: both are
 # dense, so memory grows as the states squared, and GTH eliminates these
-# skip-free chains in time about squared too, each in place, one at a time.
-# At bucket 5 and rate 0.5 ``tbstat run`` takes 0.25 s and 39 MB at buffer
-# 1,000, 0.40 s and 61 MB at 2,000, and 0.44 s and 152 MB at 4,000 (0.58 s
-# at rate 700), on the same host.
+# skip-free chains in time about squared too, each in place, one at a time,
+# all pivots at once by the cut equations' suffix sums.  At bucket 5 and
+# rate 0.5 ``tbstat run`` takes 0.17 s and 38 MB at buffer 1,000, 0.22 s and
+# 62 MB at 2,000, and 0.35 s and 153 MB at 4,000 (0.52 s at rate 700), of
+# which ``_gth`` takes 70 ms a chain at 4,000 (82 ms at rate 700); medians
+# of 5, on the same host.
 FIXED_LENGTH_STATES = 4_096
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
 # run 34 to 77 us an event, which the count alone does not bound.
 EVENT_BUDGET = 1_000_000_000
+# Most cells, (bucket + 1) * (buffer + 1), of the occupancy table a simulation
+# tallies and writes.  A run holds about 340 bytes a cell: sizes (5,) at
+# bucket 4 and buffer 199,999 (10^6 cells), horizon 100, take 1.7 s and
+# 340 MB.  The cap admits buffer 6,000,000 at bucket 4 (30,000,005 cells),
+# whose admission the parser's tests pin, and refuses buffer 10^9 at bucket
+# 3, whose tables alone would take 2 * 29.8 GiB.
+OCCUPANCY_CELLS = 32_000_000
 
 # Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
 # total up to it and writes one row per limit, so its cost grows with the
@@ -287,6 +297,13 @@ def parse_scenario(raw: dict) -> Scenario:
                 f"the fixed-length chains have {states:,} states, buffer + "
                 f"bucket + 1, over the cap of {FIXED_LENGTH_STATES:,}",
             )
+    cells = (config.bucket + 1) * (config.buffer + 1)
+    if mode in ("simulate", "compare") and cells > OCCUPANCY_CELLS:
+        raise ScenarioError(
+            "filter.buffer",
+            f"the occupancy table has {cells:,} cells, (filter.bucket + 1) * "
+            f"(filter.buffer + 1), over the budget of {OCCUPANCY_CELLS:,}",
+        )
     events = horizon * (1 + mean)
     if mode in ("simulate", "compare") and events > EVENT_BUDGET:
         raise ScenarioError(
@@ -641,7 +658,12 @@ def _with_overrides(raw: dict, overrides: dict) -> Scenario:
 
 
 def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
-    """Run the scenario once per grid point; failures stay per-point."""
+    """Run the scenario once per grid point; failures stay per-point.
+
+    Any exception a point raises is recorded as its ``error``, with its type
+    name as ``error_class``, and the sweep goes on.  ``index.json`` is
+    rewritten after every point, so it lists each point finished so far.
+    """
     raw = _read_json(scenario_path, "scenario")
     parse_scenario(raw)  # validate the baseline before spending any work
     grid_raw = _read_json(grid_path, "grid")
@@ -655,7 +677,9 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
     points = list(itertools.product(*(grid_raw[n] for n in names))) if grid_raw else []
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+    entries: list[dict] = []
+    index = {"scenario": str(scenario_path), "grid": grid_raw, "points": entries}
+    (out_dir / "index.json").write_text(_dumps(index) + "\n")
     for i, combo in enumerate(points):
         overrides = dict(zip(names, combo))
         point_name = f"point_{i:03d}"
@@ -665,13 +689,12 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
             run_scenario(_with_overrides(raw, overrides), point_dir)
             entry["status"] = "ok"
             entry["report"] = f"{point_name}/report.json"
-        except (ConvergenceError, InsufficientData, ValueError) as exc:
+        except Exception as exc:
             entry["status"] = "error"
             entry["error"] = str(exc)
+            entry["error_class"] = type(exc).__name__
         entries.append(entry)
-
-    index = {"scenario": str(scenario_path), "grid": grid_raw, "points": entries}
-    (out_dir / "index.json").write_text(_dumps(index) + "\n")
+        (out_dir / "index.json").write_text(_dumps(index) + "\n")
     return index
 
 

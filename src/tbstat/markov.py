@@ -17,12 +17,17 @@ for the idle states, and ``_fold`` adds each row of a dense series at its
 grant target.  ``stationary_power`` iterates a per-period operator to a
 verified fixed point from a start index or a start vector, so the exact
 elimination or iterative solve of ``analysis.solve_stationary`` can hand it
-a law to certify.  ``_gth`` solves every dense chain exactly, each pivot's
-work cut to its envelope: the reachable chain in debt order (backlog minus
-tokens), and both fixed-length chains in place, in the order they are
-built.  In those orders a period lowers the state by at most one (Neuts
-1989), so the elimination's fill stays in a band above the diagonal.  A
-dense linear solve is kept as a cross-check.
+a law to certify.  ``_gth`` solves every dense chain exactly: the reachable
+chain in debt order (backlog minus tokens), and both fixed-length chains in
+place, in the order they are built.  It reads the route off the chain's
+envelope.  Where every row holds at most one entry left of the diagonal, as
+every unit- or single-size chain in debt order and both fixed-length chains
+do (skip-free to the left, Neuts 1989), all pivots are eliminated at once
+(``_cut_sums``): each column becomes its rows' suffix sums over the cut,
+divided by the one exit across it, and only back substitution steps state
+by state.  Otherwise each pivot is eliminated in turn on its envelope
+(``_eliminate``), the fill staying in a band above the diagonal.  A dense
+linear solve is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ _MAX_RATE_HORIZON = 128.0
 # (M=20 L=40, 61 states) take 5.2 or 1.4 ms, GTH's answer exact; median of
 # 11, on a shared 2-vCPU Xeon host with BLAS on one thread.
 _DENSE_STATES = 81
-# Most cells ``_envelope`` reads into one boolean mask.
+# Most cells ``_envelope`` reads into one boolean mask, and ``_cut_sums`` into
+# one block of sums.
 _ENVELOPE_CELLS = 1 << 18
 
 
@@ -601,16 +607,22 @@ def _envelope(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``cols[k]`` the first left of it in row ``k``.  Both are suffix minima
     of the first nonzeros, so the rank-1 update of pivot ``k`` fills only
     cells within the envelopes of the pivots still to eliminate, those
-    before it.  The nonzeros are
-    read a block of rows at a time, so no n-by-n mask is held.
+    before it.  The nonzeros are read a block of rows at a time, so no
+    n-by-n mask is held; a Fortran-ordered chain's through its transpose,
+    whose rows are its contiguous columns, the two bounds swapping roles.
     """
+    if a.flags.f_contiguous and not a.flags.c_contiguous:
+        cols, rows = _envelope(a.T)
+        return rows, cols
     n = a.shape[0]
     first_col = np.empty(n, np.intp)
     first_row = np.full(n, n, np.intp)
     block = max(1, _ENVELOPE_CELLS // n)
     for start in range(0, n, block):
         mask = a[start : start + block] != 0
-        first_col[start : start + block] = mask.argmax(axis=1)
+        first_col[start : start + block] = np.where(
+            mask.any(axis=1), mask.argmax(axis=1), n
+        )
         hit = np.where(mask.any(axis=0), start + mask.argmax(axis=0), n)
         np.minimum(first_row, hit, out=first_row)
     diagonal = np.arange(n)
@@ -627,14 +639,16 @@ def _gth(chain: np.ndarray, root: int = 0, overwrite: bool = False) -> np.ndarra
     entries toward the states left, so no step subtracts, and none vanishes
     when every state reaches ``root``.  One below the smallest normal float
     means the floats lost the way back: elimination stops there and the
-    states left get no mass.  Each pivot's division, rank-1 update and
-    back-substitution dot run on its envelope (``_envelope``): rows from its
-    column's first nonzero, columns from its row's, so only exact zeros are
-    skipped.  In an order where the chain falls at most one state a step
-    toward ``root``, as the period chains do in debt order, a row starts one
-    left of the diagonal and elimination costs O(n^2), not O(n^3).  Back
-    substitution keeps the largest mass at 1, so masses spanning more than
-    the float range do not overflow.  Root 0 with ``overwrite`` eliminates
+    states left get no mass.  The route is read off the envelope
+    (``_envelope``): rows from each column's first nonzero, columns from
+    each row's.  When every row has at most one entry left of the diagonal,
+    as each unit- or single-size period chain has in debt order and both
+    fixed-length chains as built (Neuts 1989), all pivots are eliminated in
+    one pass (``_cut_sums``).  Otherwise each pivot's division and rank-1
+    update run on its envelope (``_eliminate``), so only exact zeros are
+    skipped.  Back substitution reads each column from its first nonzero
+    and keeps the largest mass at 1, so masses spanning more than the float
+    range do not overflow.  Root 0 with ``overwrite`` eliminates
     ``chain`` itself, else a copy in its memory order: a Fortran-ordered
     chain keeps every column pass on contiguous memory.
     """
@@ -644,18 +658,10 @@ def _gth(chain: np.ndarray, root: int = 0, overwrite: bool = False) -> np.ndarra
         a = chain[np.ix_(order, order)]
     else:
         a = chain if overwrite else chain.copy(order="K")
-    rows, cols = (starts.tolist() for starts in _envelope(a))
-    last, tiny = 0, np.finfo(float).tiny
-    for k in range(n - 1, 0, -1):
-        r, c = rows[k], cols[k]
-        row = a[k, c:k]
-        leave = math.fsum(row)
-        if leave < tiny:
-            last = k
-            break
-        col = a[r:k, k]
-        col /= leave
-        a[r:k, c:k] += col[:, None] * row
+    rows, cols = _envelope(a)
+    skip_free = (cols >= np.arange(n) - 1).all()
+    rows, cols = rows.tolist(), cols.tolist()
+    last = _cut_sums(a) if skip_free else _eliminate(a, rows, cols)
     pi = np.zeros(n)
     pi[last] = 1.0
     for k in range(last + 1, n):
@@ -666,6 +672,58 @@ def _gth(chain: np.ndarray, root: int = 0, overwrite: bool = False) -> np.ndarra
     out = np.empty(n)
     out[order] = pi / pi.sum()
     return out
+
+
+def _eliminate(a: np.ndarray, rows: list, cols: list) -> int:
+    """GTH's elimination of ``a`` in place, pivot by pivot from the last,
+    each pivot's work cut to its envelope.  In an order where the chain falls
+    at most a few states a step, a row starts that far left of the diagonal
+    and elimination costs O(n^2), not O(n^3).  Returns the pivot it stopped
+    at, 0 when every pivot was eliminated."""
+    tiny = np.finfo(float).tiny
+    for k in range(len(a) - 1, 0, -1):
+        r, c = rows[k], cols[k]
+        row = a[k, c:k]
+        leave = math.fsum(row)
+        if leave < tiny:
+            return k
+        col = a[r:k, k]
+        col /= leave
+        a[r:k, c:k] += col[:, None] * row
+    return 0
+
+
+def _cut_sums(a: np.ndarray) -> int:
+    """GTH's elimination of a chain that falls at most one state a step,
+    every pivot at once, in place above the diagonal.
+
+    Pivot ``k``'s one exit is ``P[k, k-1]``, which no later pivot changes;
+    eliminating it divides column ``k`` by that exit and adds it to column
+    ``k - 1``.  So column ``k`` ends as ``U[:, k] / P[k, k-1]``, where
+    ``U[i, k]``, the sum of ``P[i, j]`` over ``j >= k``, is row ``i``'s mass
+    across the cut below ``k``: back substitution then solves the cut
+    equations ``pi[k] P[k, k-1] = sum over i < k of pi[i] U[i, k]``.  The
+    sums run right to left in place, over blocks of ``_ENVELOPE_CELLS``
+    cells, each block's left column carried into the next, so every entry
+    is the same sequence of additions whatever the block.  Returns the
+    highest pivot whose exit is below the smallest normal float, where
+    elimination stops, else 0.
+    """
+    n = len(a)
+    exits = a.diagonal(-1).copy()  # P[k, k-1] at k - 1
+    low = np.flatnonzero(exits < np.finfo(float).tiny)
+    last = int(low[-1]) + 1 if len(low) else 0
+    block = max(1, _ENVELOPE_CELLS // n)
+    carry = 0.0
+    for stop in range(n, last + 1, -block):
+        start = max(last + 1, stop - block)
+        # the rows above the last column's diagonal, columns right to left
+        sums = a[: stop - 1, start:stop][:, ::-1]
+        sums[:, 0] += carry
+        np.cumsum(sums, axis=1, out=sums)
+        carry = sums[: start - 1, -1].copy()
+        sums /= exits[start - 1 : stop - 1][::-1]
+    return last
 
 
 def stationary_dense(chain: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.sparse
 
 import tbstat
 
+from tbstat import markov
 from tbstat import (
     TOLERANCE_FLOOR,
     FilterConfig,
@@ -50,6 +52,7 @@ from tbstat.analysis import (
 from tbstat.markov import (
     _DENSE_STATES,
     Uniformization,
+    build_md1_chain,
     reachable_chain,
     reachable_period,
     uniformize,
@@ -735,6 +738,114 @@ class TestGTH:
         full = space.backlog_of_state[result.pi.argmax()]
         assert full >= 59
 
+
+
+def _debt_period(traffic: TrafficSpec, config: FilterConfig) -> np.ndarray:
+    """``P`` of the reachable chain in debt order, as the solve eliminates it."""
+    space = build_state_space(traffic, config)
+    result = solve_stationary(space)
+    order = _debt_order(space, result.chain)
+    period_t = reachable_period(space, result.chain, result.kernel)
+    return period_t[np.ix_(order, order)].T
+
+
+def _per_pivot(a: np.ndarray) -> int:
+    """``_cut_sums``'s stand-in: the general elimination, pivot by pivot."""
+    return markov._eliminate(a, *(starts.tolist() for starts in markov._envelope(a)))
+
+
+def _unit_period(rate: float, bucket: int, buffer: int) -> np.ndarray:
+    traffic = TrafficSpec((1,), (1.0,), rate)
+    return _debt_period(traffic, FilterConfig(bucket, buffer, 1.0))
+
+
+# (build, whether every mass stays in the float range)
+SKIP_FREE_CHAINS = [
+    pytest.param(partial(_unit_period, 0.99, 20, 40), True, id="critical_unit"),
+    pytest.param(partial(_unit_period, 50.0, 5, 60), False, id="heavy_load_50"),
+    pytest.param(partial(_unit_period, 1000.0, 5, 60), False, id="heavy_load_1000"),
+    pytest.param(
+        partial(_debt_period, TrafficSpec((2,), (1.0,), 0.5), FilterConfig(3, 40, 1.0)),
+        True,
+        id="sizes_2",
+    ),
+] + [
+    pytest.param(partial(build, rate, 1000, 5), rate < 1, id=f"{build.__name__}_{rate}")
+    for build in (build_periodic_transfer_chain, build_md1_chain)
+    for rate in (0.5, 0.99, 700.0)
+]
+
+
+class TestOnePassElimination:
+    """A chain that falls at most one state a step toward the root, as the
+    unit- and single-size period chains do in debt order and the
+    fixed-length chains as built, is eliminated in one pass."""
+
+    @pytest.mark.parametrize("build, finite", SKIP_FREE_CHAINS)
+    def test_skip_free_chains_take_the_one_pass(self, monkeypatch, build, finite):
+        chain = build()
+        one_pass, calls = markov._cut_sums, []
+
+        def spy(a: np.ndarray) -> int:
+            calls.append(len(a))
+            return one_pass(a)
+
+        monkeypatch.setattr(markov, "_cut_sums", spy)
+        pi = _gth(chain)
+        assert calls == [len(chain)]
+        assert np.abs(pi @ chain - pi).sum() <= 1e-14
+        if finite:
+            # whole-column GTH without rescaling: the masses stay in range
+            assert np.abs(pi - _unrestricted_gth(chain)).sum() <= 1e-15
+        # past the float range, and where exits underflow to 0, the pivot by
+        # pivot elimination keeps GTH's stop and rescaling rules
+        monkeypatch.setattr(markov, "_cut_sums", _per_pivot)
+        assert np.abs(pi - _gth(chain)).sum() <= 1e-15
+
+    @pytest.mark.parametrize("cells", [64, 1000])
+    def test_the_sums_are_the_same_in_any_block(self, monkeypatch, cells):
+        # 61 states: one block by default, a column a block at 64 cells
+        chain = _unit_period(0.99, 20, 40)
+        pi = _gth(chain)
+        one_pass, calls = markov._cut_sums, []
+
+        def spy(a: np.ndarray) -> int:
+            calls.append(markov._ENVELOPE_CELLS)
+            return one_pass(a)
+
+        monkeypatch.setattr(markov, "_ENVELOPE_CELLS", cells)
+        monkeypatch.setattr(markov, "_cut_sums", spy)
+        assert np.array_equal(_gth(chain), pi)
+        assert calls == [cells]
+
+    def test_the_reference_chain_keeps_the_pivot_by_pivot_elimination(
+        self, monkeypatch
+    ):
+        # sizes 1..4: several states share each debt, so a row reaches
+        # states one debt lower that sit several positions to its left
+        chain = _debt_period(reference_traffic(0.5), FilterConfig(5, 5, 1.0))
+        n = len(chain)
+        assert (markov._envelope(chain)[1] < np.arange(n) - 1).any()
+        calls = []
+        monkeypatch.setattr(markov, "_cut_sums", lambda a: calls.append(a))
+        pi = _gth(chain)
+        assert calls == []
+        assert np.abs(pi @ chain - pi).sum() <= 1e-14
+        assert np.abs(pi - _unrestricted_gth(chain)).sum() <= 1e-15
+
+
+
+@pytest.mark.parametrize("traffic, config", DENSE_CHAINS)
+def test_the_envelope_is_read_the_same_in_either_layout(traffic, config):
+    # a Fortran-ordered chain is read through its transpose; the rate-zero
+    # chain has columns no state enters, and random sparse chains empty rows
+    chain = _debt_period(traffic, config)
+    rng = np.random.default_rng(11)
+    sparse = rng.random((30, 30)) * (rng.random((30, 30)) < 0.05)
+    for a in (chain, sparse, sparse.T):
+        by_rows = markov._envelope(np.ascontiguousarray(a))
+        by_columns = markov._envelope(np.asfortranarray(a))
+        assert all(map(np.array_equal, by_rows, by_columns))
 
 def test_a_dense_chain_averages_like_its_sparse_copy(solved_reference):
     # the 58-state reference chain is held densely; integrating its sparse

@@ -275,6 +275,32 @@ class TestParseScenario:
         raw["filter"].update(buffer=4_000)
         assert parse_scenario(raw).config.buffer == 4_000
 
+    @pytest.mark.parametrize(
+        "mode, sizes, bucket, buffer, cells",
+        [
+            # numpy refused the array as too big
+            ("simulate", [1, 2], 3, 10**18, "4,000,000,000,000,000,004 cells"),
+            # the simulator's int64 state table overflowed
+            ("simulate", [1, 2], 3, 2**63 - 1, "36,893,488,147,419,103,232 cells"),
+            # a 29.8 GiB occupancy array, and a second beside it
+            ("simulate", [1, 2], 3, 10**9, "4,000,000,004 cells"),
+            # 100,000 states pass the analytic budget, not the table's cells
+            ("compare", [1000], 999, 99_999, "100,000,000 cells"),
+        ],
+        ids=["1e18", "int64_max", "1e9", "compare"],
+    )
+    def test_simulated_occupancy_over_the_budget(
+        self, mode, sizes, bucket, buffer, cells
+    ):
+        raw = small_raw(mode=mode)
+        probs = [1 / len(sizes)] * len(sizes)
+        raw["traffic"] = {"sizes": sizes, "probs": probs, "rate": 0.5}
+        raw["filter"].update(buffer=buffer, bucket=bucket)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert cells in str(err.value)
+
     def test_every_scenario_and_workload_stays_admitted(self):
         # the scenario files, the benchmark's analytic workloads, and the
         # state budget's 988,704-state run
@@ -832,6 +858,45 @@ class TestSweep:
         # 514,228 strings of total <= 26 over sizes {1, 2}, at 3 token levels
         assert index["points"][1]["error"].startswith("filter.buffer:")
         assert "1,542,684 states" in index["points"][1]["error"]
+
+    def test_every_point_fails_alone(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"traffic.rate": [0.25, 0.5, 0.75]}))
+        run = tbstat.cli.run_scenario
+
+        def flaky(scenario, out_dir):
+            if scenario.traffic.rate == 0.5:
+                raise RuntimeError("lost the point")
+            return run(scenario, out_dir)
+
+        monkeypatch.setattr(tbstat.cli, "run_scenario", flaky)
+        index = run_sweep(scenario, grid, tmp_path / "sweep")
+        points = index["points"]
+        assert [e["status"] for e in points] == ["ok", "error", "ok"]
+        assert points[1]["error"] == "lost the point"
+        assert points[1]["error_class"] == "RuntimeError"
+        assert "error_class" not in points[0]
+        loaded = json.loads((tmp_path / "sweep" / "index.json").read_text())
+        assert loaded == index
+
+    def test_the_index_lists_each_point_as_it_finishes(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"traffic.rate": [0.25, 0.5]}))
+        path = tmp_path / "sweep" / "index.json"
+        run, seen = tbstat.cli.run_scenario, {}
+
+        def watched(scenario, out_dir):
+            listed = json.loads(path.read_text())["points"] if path.exists() else []
+            seen[Path(out_dir).name] = [e["point"] for e in listed]
+            return run(scenario, out_dir)
+
+        monkeypatch.setattr(tbstat.cli, "run_scenario", watched)
+        run_sweep(scenario, grid, tmp_path / "sweep")
+        assert seen == {"point_000": [], "point_001": ["point_000"]}
 
     def test_invalid_baseline_fails_fast(self, tmp_path):
         scenario = tmp_path / "scenario.json"
