@@ -229,14 +229,13 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     idle states at most ``kernel.jumps * max(sizes)`` tokens above it.  A
     dense ``P^T`` is permuted into debt order (``_debt_order``), the
     full-bucket idle state first, without renumbering the chain itself, and
-    ``P`` is solved exactly by GTH elimination (``markov._gth``, which
-    solves the fixed-length chains too), rooted at that state, which every
-    state returns to.  A period lowers the debt by at most one, so the
-    elimination stays in a band; where each debt holds one state, as with
-    unit sizes, each row starts one state left of the diagonal and every
-    pivot is eliminated in one pass: 61 states at load 0.99 with unit sizes
-    have lower bandwidth 1 and upper bandwidth 15.  The power steps run in
-    debt order too.  A sparse chain past the bound steps vector by vector,
+    ``P`` is solved exactly by GTH elimination (``markov._gth``), rooted at
+    that state, which every state returns to.  A period lowers the debt by at
+    most one, so the elimination stays in a band; where each debt holds one
+    state, as with unit sizes, each row starts one state left of the diagonal
+    and every pivot is eliminated in one pass: 61 states at load 0.99 with unit
+    sizes have lower bandwidth 1 and upper bandwidth 15.  The power steps run
+    in debt order too.  A sparse chain past the bound steps vector by vector,
     each entry of ``point`` added at its grant target (``period_nnz`` None).  BiCGSTAB
     solves a sparse chain's ``x - P^T x + (1^T x) u = u``, the balance
     equations with the normalization added for the uniform ``u``, from

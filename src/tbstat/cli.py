@@ -16,9 +16,10 @@ fixed-length chains whose Poisson law underflows or that hold over
 ``BOUNDS_LIMIT`` or past the float range of the estimate, and tolerances
 below ``TOLERANCE_FLOOR`` are rejected with the offending field named, exit
 code 2, as are paths that cannot be read or written, with the path named.  Solver failures exit with code 1.
-``markov._gth`` solves both fixed-length chains.  Each table is built once
-as records rounded to 12 significant digits, and written from them to the
-report and the CSV files as ``json.dumps(indent=2)`` and ``csv.writer`` would.
+``markov._fixed_length_law`` solves both fixed-length chains with no matrix.
+Each table is built once as records rounded to 12 significant digits, and
+written from them to the report and the CSV files as ``json.dumps(indent=2)``
+and ``csv.writer`` would.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ import numpy as np
 from .statespace import (
     FilterConfig, TrafficSpec, build_state_space, cardinality_bound, count_by_total
 )
-from .markov import (
-    ConvergenceError, _gth, build_md1_chain, build_periodic_transfer_chain
-)
+from .markov import ConvergenceError, _fixed_length_law
 from .analysis import (
     TOLERANCE_FLOOR,
     class_metrics,
@@ -69,15 +68,12 @@ STRING_ROW_BUDGET = 2_000_000_000
 # 1e5 (6e9); small chains add about 4 us a series term, 0.78 s a product on
 # the 36- and 186-state spaces at rate 1e5 (Python 3.11.7, Xeon host).
 WORK_BUDGET = 10_000_000
-# Most states, buffer + bucket + 1, of the fixed-length chains: both are
-# dense, so memory grows as the states squared, and GTH eliminates these
-# skip-free chains in time about squared too, each in place, one at a time,
-# all pivots at once by the cut equations' suffix sums.  At bucket 5 and
-# rate 0.5 ``tbstat run`` takes 0.17 s and 38 MB at buffer 1,000, 0.22 s and
-# 62 MB at 2,000, and 0.35 s and 153 MB at 4,000 (0.52 s at rate 700), of
-# which ``_gth`` takes 70 ms a chain at 4,000 (82 ms at rate 700); medians
-# of 5, on the same host.
-FIXED_LENGTH_STATES = 4_096
+# Most states, buffer + bucket + 1, of the fixed-length chains.  Their laws
+# hold no matrix, but back substitution takes time about squared: at bucket 5
+# and buffer 16,000 ``tbstat run`` takes 0.29 to 0.47 s in process (0.44 to
+# 0.70 s with start-up) and 36 to 38 MB at rates 0.5, 0.97 and 700; 5 runs
+# each, on the same host with BLAS on one thread.
+FIXED_LENGTH_STATES = 16_384
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
@@ -462,10 +458,9 @@ def _fixed_length(scenario: Scenario, out: Path) -> dict:
     mean = scenario.traffic.rate * scenario.config.period
     buffer_cap = scenario.config.buffer
     bucket = scenario.config.bucket
-    # root 0, the idle full bucket: every coordinate falls to it with no
-    # arrivals; each chain is eliminated in place, held once
-    transfer = _gth(build_periodic_transfer_chain(mean, buffer_cap, bucket), 0, True)
-    md1 = _gth(build_md1_chain(mean, buffer_cap, bucket), 0, True)
+    # root 0, the idle full bucket: every coordinate falls to it
+    transfer = _fixed_length_law(mean, buffer_cap, bucket, md1=False)
+    md1 = _fixed_length_law(mean, buffer_cap, bucket, md1=True)
     tv = 0.5 * float(np.abs(transfer - md1).sum())
     _write_csv(out / "fixed_length.csv", _laws("coord", transfer, md1))
     _write_csv(

@@ -17,17 +17,14 @@ for the idle states, and ``_fold`` adds each row of a dense series at its
 grant target.  ``stationary_power`` iterates a per-period operator to a
 verified fixed point from a start index or a start vector, so the exact
 elimination or iterative solve of ``analysis.solve_stationary`` can hand it
-a law to certify.  ``_gth`` solves every dense chain exactly: the reachable
-chain in debt order (backlog minus tokens), and both fixed-length chains in
-place, in the order they are built.  It reads the route off the chain's
-envelope.  Where every row holds at most one entry left of the diagonal, as
-every unit- or single-size chain in debt order and both fixed-length chains
-do (skip-free to the left, Neuts 1989), all pivots are eliminated at once
-(``_cut_sums``): each column becomes its rows' suffix sums over the cut,
-divided by the one exit across it, and only back substitution steps state
-by state.  Otherwise each pivot is eliminated in turn on its envelope
-(``_eliminate``), the fill staying in a band above the diagonal.  A dense
-linear solve is kept as a cross-check.
+a law to certify.  ``_gth`` solves the dense reachable chain exactly in
+debt order (backlog minus tokens), on its envelope: where every row holds at
+most one entry left of the diagonal, as every unit- or single-size chain
+does (skip-free to the left, Neuts 1989), all pivots are eliminated at once
+(``_cut_sums``), else one by one (``_eliminate``).  Both fixed-length chains
+fall one state a period, so ``_fixed_length_law`` reads their cut sums off
+the Poisson tails with no matrix; the built chains are its reference.  A
+dense linear solve is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -78,9 +75,6 @@ _MAX_RATE_HORIZON = 128.0
 # (M=20 L=40, 61 states) take 5.2 or 1.4 ms, GTH's answer exact; median of
 # 11, on a shared 2-vCPU Xeon host with BLAS on one thread.
 _DENSE_STATES = 81
-# Most cells ``_envelope`` reads into one boolean mask, and ``_cut_sums`` into
-# one block of sums.
-_ENVELOPE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -607,31 +601,19 @@ def _envelope(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``cols[k]`` the first left of it in row ``k``.  Both are suffix minima
     of the first nonzeros, so the rank-1 update of pivot ``k`` fills only
     cells within the envelopes of the pivots still to eliminate, those
-    before it.  The nonzeros are read a block of rows at a time, so no
-    n-by-n mask is held; a Fortran-ordered chain's through its transpose,
-    whose rows are its contiguous columns, the two bounds swapping roles.
+    before it.
     """
-    if a.flags.f_contiguous and not a.flags.c_contiguous:
-        cols, rows = _envelope(a.T)
-        return rows, cols
     n = a.shape[0]
-    first_col = np.empty(n, np.intp)
-    first_row = np.full(n, n, np.intp)
-    block = max(1, _ENVELOPE_CELLS // n)
-    for start in range(0, n, block):
-        mask = a[start : start + block] != 0
-        first_col[start : start + block] = np.where(
-            mask.any(axis=1), mask.argmax(axis=1), n
-        )
-        hit = np.where(mask.any(axis=0), start + mask.argmax(axis=0), n)
-        np.minimum(first_row, hit, out=first_row)
+    mask = a != 0
+    first_col = np.where(mask.any(axis=1), mask.argmax(axis=1), n)
+    first_row = np.where(mask.any(axis=0), mask.argmax(axis=0), n)
     diagonal = np.arange(n)
     rows = np.minimum.accumulate(np.minimum(first_row, diagonal)[::-1])[::-1]
     cols = np.minimum.accumulate(np.minimum(first_col, diagonal)[::-1])[::-1]
     return rows, cols
 
 
-def _gth(chain: np.ndarray, root: int = 0, overwrite: bool = False) -> np.ndarray:
+def _gth(chain: np.ndarray, root: int = 0) -> np.ndarray:
     """Stationary row vector of a stochastic matrix by GTH elimination
     (Grassmann, Taksar & Heyman 1985), ``root`` eliminated last.
 
@@ -642,22 +624,16 @@ def _gth(chain: np.ndarray, root: int = 0, overwrite: bool = False) -> np.ndarra
     states left get no mass.  The route is read off the envelope
     (``_envelope``): rows from each column's first nonzero, columns from
     each row's.  When every row has at most one entry left of the diagonal,
-    as each unit- or single-size period chain has in debt order and both
-    fixed-length chains as built (Neuts 1989), all pivots are eliminated in
-    one pass (``_cut_sums``).  Otherwise each pivot's division and rank-1
-    update run on its envelope (``_eliminate``), so only exact zeros are
-    skipped.  Back substitution reads each column from its first nonzero
-    and keeps the largest mass at 1, so masses spanning more than the float
-    range do not overflow.  Root 0 with ``overwrite`` eliminates
-    ``chain`` itself, else a copy in its memory order: a Fortran-ordered
-    chain keeps every column pass on contiguous memory.
+    as each unit- or single-size period chain has in debt order (Neuts
+    1989), all pivots are eliminated in one pass (``_cut_sums``).  Otherwise
+    each pivot's division and rank-1 update run on its envelope
+    (``_eliminate``), so only exact zeros are skipped.  Back substitution
+    reads each column from its first nonzero and keeps the largest mass at
+    1, so masses spanning more than the float range do not overflow.
     """
     n = chain.shape[0]
     order = np.r_[root, np.delete(np.arange(n), root)]
-    if root:
-        a = chain[np.ix_(order, order)]
-    else:
-        a = chain if overwrite else chain.copy(order="K")
+    a = chain[np.ix_(order, order)] if root else chain.copy(order="K")
     rows, cols = _envelope(a)
     skip_free = (cols >= np.arange(n) - 1).all()
     rows, cols = rows.tolist(), cols.tolist()
@@ -703,27 +679,56 @@ def _cut_sums(a: np.ndarray) -> int:
     ``U[i, k]``, the sum of ``P[i, j]`` over ``j >= k``, is row ``i``'s mass
     across the cut below ``k``: back substitution then solves the cut
     equations ``pi[k] P[k, k-1] = sum over i < k of pi[i] U[i, k]``.  The
-    sums run right to left in place, over blocks of ``_ENVELOPE_CELLS``
-    cells, each block's left column carried into the next, so every entry
-    is the same sequence of additions whatever the block.  Returns the
-    highest pivot whose exit is below the smallest normal float, where
-    elimination stops, else 0.
+    sums run right to left in place.  Returns the highest pivot whose exit
+    is below the smallest normal float, where elimination stops, else 0.
     """
-    n = len(a)
     exits = a.diagonal(-1).copy()  # P[k, k-1] at k - 1
     low = np.flatnonzero(exits < np.finfo(float).tiny)
     last = int(low[-1]) + 1 if len(low) else 0
-    block = max(1, _ENVELOPE_CELLS // n)
-    carry = 0.0
-    for stop in range(n, last + 1, -block):
-        start = max(last + 1, stop - block)
-        # the rows above the last column's diagonal, columns right to left
-        sums = a[: stop - 1, start:stop][:, ::-1]
-        sums[:, 0] += carry
-        np.cumsum(sums, axis=1, out=sums)
-        carry = sums[: start - 1, -1].copy()
-        sums /= exits[start - 1 : stop - 1][::-1]
+    # the rows above the last column's diagonal, columns right to left
+    sums = a[: len(a) - 1, last + 1 :][:, ::-1]
+    np.cumsum(sums, axis=1, out=sums)
+    sums /= exits[last:][::-1]
     return last
+
+
+def _fixed_length_law(
+    mean_arrivals: float, buffer_cap: int, bucket: int, md1: bool
+) -> np.ndarray:
+    """``_gth`` of ``build_md1_chain`` if ``md1``, else of
+    ``build_periodic_transfer_chain``, in O(n) memory.  Both chains fall one
+    state a period, only with no arrival (weight ``p0``), so ``_cut_sums``
+    leaves ``T(k + 1 - i) / p0`` at row ``i < k`` of column ``k``, ``T(m)``
+    the weight of ``m`` or more arrivals.  M/D/1's idle row reads ``T(k)``;
+    only it reaches the top state, whose exit is ``T(0)``.  So each column
+    is a slice of one array of tails; back substitution runs as ``_gth``'s.
+    """
+    arr = ArrivalDistribution.from_mean(mean_arrivals)
+    top, p0 = buffer_cap + bucket, arr.pmf[0]
+    # tails[j] = T(top - j), summed up from the cut tail as ``_cut_sums`` does
+    tails = np.cumsum(np.r_[arr.tail, arr.pmf[::-1]])
+    tails = np.r_[np.full(max(0, top + 1 - len(tails)), arr.tail), tails][-top - 1 :]
+    zeros = int(np.count_nonzero(tails == 0))  # T is nonincreasing
+    last = max(top - 1, 0) if p0 < np.finfo(float).tiny else 0
+    pi = np.zeros(top + 1)
+    pi[last] = 1.0
+    # column k's row i at [top - k - 1 + i]; a subnormal p0 divides nothing
+    col = tails[:top] / p0 if last + 1 < top else None
+    for k in range(last + 1, top):
+        at = top - k - 1
+        r = zeros - at if zeros - at > md1 else 0  # the first nonzero row
+        if md1:  # the idle row reads T(k), the entry after its own
+            held, col[at] = col[at], col[at + 1]
+        pi[k] = np.dot(pi[r:k], col[at + r : top - 1])
+        if md1:
+            col[at] = held
+        if pi[k] > 1.0:
+            pi[: k + 1] /= pi[k]
+    if md1 and top:
+        pi[top] = pi[0] * (tails[0] / tails[top])
+        if pi[top] > 1.0:
+            pi /= pi[top]
+    return pi / pi.sum()
 
 
 def stationary_dense(chain: np.ndarray) -> np.ndarray:

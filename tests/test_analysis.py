@@ -717,11 +717,8 @@ class TestGTH:
         chain = rng.random((12, 12)) * (rng.random((12, 12)) < 0.5) + 0.01
         chain = np.array(chain / chain.sum(axis=1, keepdims=True), order=layout)
         kept = chain.copy(order="K")
-        pi = _gth(chain, root)
+        _gth(chain, root)
         assert np.array_equal(chain, kept)
-        if root == 0:
-            # eliminated in place, the same law to the bits
-            assert np.array_equal(_gth(chain, 0, overwrite=True), pi)
 
     @pytest.mark.parametrize("rate", [50.0, 1000.0])
     def test_heavy_load_past_the_float_range(self, rate):
@@ -801,22 +798,6 @@ class TestOnePassElimination:
         # pivot elimination keeps GTH's stop and rescaling rules
         monkeypatch.setattr(markov, "_cut_sums", _per_pivot)
         assert np.abs(pi - _gth(chain)).sum() <= 1e-15
-
-    @pytest.mark.parametrize("cells", [64, 1000])
-    def test_the_sums_are_the_same_in_any_block(self, monkeypatch, cells):
-        # 61 states: one block by default, a column a block at 64 cells
-        chain = _unit_period(0.99, 20, 40)
-        pi = _gth(chain)
-        one_pass, calls = markov._cut_sums, []
-
-        def spy(a: np.ndarray) -> int:
-            calls.append(markov._ENVELOPE_CELLS)
-            return one_pass(a)
-
-        monkeypatch.setattr(markov, "_ENVELOPE_CELLS", cells)
-        monkeypatch.setattr(markov, "_cut_sums", spy)
-        assert np.array_equal(_gth(chain), pi)
-        assert calls == [cells]
 
     def test_the_reference_chain_keeps_the_pivot_by_pivot_elimination(
         self, monkeypatch

@@ -629,8 +629,8 @@ class TestRunFixedLength:
             assert np.abs(pi - stationary_dense(chain)).sum() <= 1e-10
 
     def test_each_chain_is_held_once(self, tmp_path):
-        # 1,006 states: each chain is eliminated where it was built, so the
-        # run never holds a second n-by-n array beside it
+        # 1,006 states: each law is read off one array of Poisson tails, so
+        # the run holds a few vectors of the states, no n-by-n array
         raw = {
             "traffic": {"sizes": [1], "probs": [1.0], "rate": 0.5},
             "filter": {"bucket": 5, "buffer": 1000, "period": 1.0},
@@ -645,7 +645,7 @@ class TestRunFixedLength:
         finally:
             tracemalloc.stop()
         assert len(block["md1"]) == n
-        assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
+        assert peak < 100 * n * 8, peak / (n * 8)
 
 
 class TestRunSimulateAndCompare:

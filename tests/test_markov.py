@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from tbstat import (
 )
 from tbstat.markov import (
     ArrivalDistribution,
+    _fixed_length_law,
+    _gth,
     reachable_chain,
     reachable_period,
     row_sum_defect,
@@ -231,6 +234,31 @@ class TestFixedLengthChains:
                     expected[s, step(s, a, buffer_cap, bucket)] += p
                 expected[s, step(s, n, buffer_cap, bucket)] += arr.tail
             assert np.array_equal(build(rate, buffer_cap, bucket), expected)
+
+    @pytest.mark.parametrize("md1", [False, True], ids=["transfer", "md1"])
+    @pytest.mark.parametrize(
+        "mean, buffer_cap, bucket",
+        [
+            # 2 to 9 states, from no arrivals to a subnormal chance of none
+            (mean, buffer_cap, bucket)
+            for mean in (0.0, 5e-324, 1e-300, 1e-17, 1e-9, 709.0, 740.0, 745.0)
+            for buffer_cap, bucket in (
+                (1, 0), (1, 1), (2, 1), (3, 1), (4, 1), (2, 4), (5, 2), (3, 5)
+            )
+        ]
+        + [(0.5, 4000, 5), (700.0, 4000, 5)],
+    )
+    def test_the_law_is_gth_of_the_built_chain(self, mean, buffer_cap, bucket, md1):
+        # read off the Poisson tails, the law agrees with eliminating the
+        # chain to the digits a report keeps; past mean 709 the chance of no
+        # arrival is subnormal, and dividing by it would overflow
+        build = build_md1_chain if md1 else build_periodic_transfer_chain
+        expected = _gth(build(mean, buffer_cap, bucket))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = _fixed_length_law(mean, buffer_cap, bucket, md1)
+        assert np.abs(law - expected).sum() <= 1e-15
+        assert [f"{x:.12g}" for x in law] == [f"{x:.12g}" for x in expected]
 
     def test_the_two_chains_differ(self):
         transfer = stationary_dense(build_periodic_transfer_chain(0.5, 5, 5))
