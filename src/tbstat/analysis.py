@@ -35,6 +35,7 @@ from .markov import (
     SERIES_TOL,
     Uniformization,
     _DENSE_STATES,
+    _fixed_length_law,
     _gth,
     expm_action,  # unused; perfbench's layer spans look it up here
     reachable_chain,
@@ -72,12 +73,14 @@ class StationaryResult:
     """Stationary distribution over the full state space, with diagnostics.
 
     Built by ``solve_stationary``.  ``chain`` is the reachable chain the
-    solve ran on, ``kernel`` its period's uniformization, ``solve_matvecs``
-    and ``power_steps`` the period-operator products of BiCGSTAB (0 after a
-    GTH elimination) and of the certifying power steps, ``period_nnz`` the
-    nonzero entries of the assembled period operator (None when the solve
-    stepped vector by vector), and ``averaged`` the time-averaged law over
-    one period, which this module's statistics read at ``chain.keep`` alone.
+    solve ran on, ``kernel`` its period's uniformization, ``route`` the
+    solver that gave the power steps their start (``"transfer"``, ``"gth"``
+    or ``"bicgstab"``), ``solve_matvecs`` and ``power_steps`` the
+    period-operator products of BiCGSTAB (0 on the other routes) and of the
+    certifying power steps, ``period_nnz`` the nonzero entries of the
+    assembled period operator (None when the solve stepped vector by
+    vector), and ``averaged`` the time-averaged law over one period, which
+    this module's statistics read at ``chain.keep`` alone.
     ``pi`` and ``averaged`` are the only full-length float arrays a run builds.
     """
 
@@ -88,6 +91,7 @@ class StationaryResult:
     solve_matvecs: int
     power_steps: int
     period_nnz: int | None
+    route: str
     chain: ReachableChain = field(repr=False)
     kernel: Uniformization = field(repr=False)
 
@@ -219,34 +223,50 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     applies the token grant, on the states reachable from the full-bucket
     idle state (``markov.reachable_chain``).  The period's exponential is
     uniformized once, as ``kernel``, cut at ``min(SERIES_TOL, tol / 10)``,
-    in the form the chain was built in.  ``markov.reachable_period`` builds
-    ``P^T = G^T exp(R t)^T``, each row of ``exp(R t)^T`` added at its grant
-    target, to the bits of ``grant_t @ kernel.operator()``: a dense chain's
-    whole, a sparse chain's when a column holds at most
+    in the form the chain was built in.  Three routes give the power steps
+    their start, named by ``route``.
+
+    ``"transfer"``: traffic of one size of one token whose Poisson arrival
+    law is representable (``exp(-rate * period) > 0``) is the classic
+    fixed-size filter, whose net coordinate ``backlog - tokens + bucket``
+    follows the periodic transfer chain.  Its law is read off the Poisson
+    tails by ``markov._fixed_length_law`` at each kept state's coordinate,
+    one-to-one on the reachable states because a waiting packet means an
+    empty bucket, with no period operator and no elimination.  The steps
+    that certify it run vector by vector, each entry of ``kernel.point``
+    added at its grant target (``period_nnz`` None), so the transfer law
+    must pass the reachable chain's own step or be moved by it.
+
+    Any other chain has ``P^T = G^T exp(R t)^T`` built by
+    ``markov.reachable_period``, each row of ``exp(R t)^T`` added at its
+    grant target, to the bits of ``grant_t @ kernel.operator()``: a dense
+    chain's whole, a sparse chain's when a column holds at most
     ``_ENTRIES_PER_STATE`` entries.  Between grants the buffer only gains
     packets, so a state is reached only from itself and its nonempty
     prefixes, one per series jump and per queued packet at most, and from
-    idle states at most ``kernel.jumps * max(sizes)`` tokens above it.  A
-    dense ``P^T`` is permuted into debt order (``_debt_order``), the
-    full-bucket idle state first, without renumbering the chain itself, and
-    ``P`` is solved exactly by GTH elimination (``markov._gth``), rooted at
-    that state, which every state returns to.  A period lowers the debt by at
-    most one, so the elimination stays in a band; where each debt holds one
-    state, as with unit sizes, each row starts one state left of the diagonal
-    and every pivot is eliminated in one pass: 61 states at load 0.99 with unit
-    sizes have lower bandwidth 1 and upper bandwidth 15.  The power steps run
-    in debt order too.  A sparse chain past the bound steps vector by vector,
-    each entry of ``point`` added at its grant target (``period_nnz`` None).  BiCGSTAB
-    solves a sparse chain's ``x - P^T x + (1^T x) u = u``, the balance
-    equations with the normalization added for the uniform ``u``, from
-    ``x = u`` to ``tol / 100`` relative to ``|u|`` in at most
-    ``_MAX_MATVECS`` products, on either path with the grant forest
-    (``_grant_forest``) as right preconditioner: sizes 1..4 at M=8, L=12
-    take 49 products where the plain method took 116, and at L=16 71 where
-    it took 161.
-    Either answer, clipped at zero and renormalized, starts power iteration,
+    idle states at most ``kernel.jumps * max(sizes)`` tokens above it.
+
+    ``"gth"``: a dense ``P^T`` is permuted into debt order
+    (``_debt_order``), the full-bucket idle state first, without
+    renumbering the chain itself, and ``P`` is solved exactly by GTH
+    elimination (``markov._gth``), rooted at that state, which every state
+    returns to.  A period lowers the debt by at most one, so the
+    elimination stays in a band; where each debt holds one state, as with
+    a single size, each row starts one state left of the diagonal and every
+    pivot is eliminated in one pass.  The power steps run in debt order too.
+
+    ``"bicgstab"``: BiCGSTAB solves a sparse chain's
+    ``x - P^T x + (1^T x) u = u``, the balance equations with the
+    normalization added for the uniform ``u``, from ``x = u`` to
+    ``tol / 100`` relative to ``|u|`` in at most ``_MAX_MATVECS`` products,
+    with the grant forest (``_grant_forest``) as right preconditioner:
+    sizes 1..4 at M=8, L=12 take 49 products where the plain method took
+    116, and at L=16 71 where it took 161.  A sparse chain past the entry
+    bound steps vector by vector, as the transfer route does.
+
+    Each start, clipped at zero and renormalized, begins power iteration,
     which stops at the first iterate that one step moves by at most ``tol``
-    in L1, so ``residual`` is verified whatever the solver reached; a chain
+    in L1, so ``residual`` is verified whatever the route reached; a chain
     it cannot settle raises ``ConvergenceError``.  No mass leaves the
     reachable set, so that is the residual of a step on the full space, and
     ``pi`` is exactly zero on every other state.  A packet size above
@@ -257,8 +277,8 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     """
     if not tol >= TOLERANCE_FLOOR:
         raise ValueError(f"tol {tol!r} is below the floor {TOLERANCE_FLOOR:g}")
-    config = space.config
-    largest = max(space.traffic.sizes)
+    config, traffic = space.config, space.traffic
+    largest = max(traffic.sizes)
     if largest > config.bucket + 1:
         raise ValueError(
             f"largest size {largest} exceeds bucket + 1 = {config.bucket + 1}, "
@@ -272,23 +292,33 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     n = len(chain.keep)
     dense = isinstance(chain.rates, np.ndarray)
     kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
-    jumps, packets = kernel.jumps, config.buffer // min(space.traffic.sizes)
-    sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
+    mean = traffic.rate * config.period
     labels, period_t, period_nnz = chain.keep, None, None
-    if dense or sources <= _ENTRIES_PER_STATE:
-        period_t = reachable_period(space, chain, kernel)
-        if dense:
-            order = _debt_order(space, chain)
-            labels, period_t = labels[order], period_t[np.ix_(order, order)]
-        period_nnz = int(np.count_nonzero(period_t)) if dense else period_t.nnz
+    if traffic.sizes == (1,) and math.exp(-mean) > 0.0:
+        route = "transfer"
+    else:
+        route = "gth" if dense else "bicgstab"
+        jumps, packets = kernel.jumps, config.buffer // min(traffic.sizes)
+        sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
+        if dense or sources <= _ENTRIES_PER_STATE:
+            period_t = reachable_period(space, chain, kernel)
+            if dense:
+                order = _debt_order(space, chain)
+                labels, period_t = labels[order], period_t[np.ix_(order, order)]
+            period_nnz = int(np.count_nonzero(period_t)) if dense else period_t.nnz
 
     def step(vec: np.ndarray) -> np.ndarray:
         if period_t is None:
             return np.bincount(chain.grant, kernel.point(vec), n)
         return period_t @ vec
 
-    if dense:
-        kept, matvecs = _gth(period_t.T), 0
+    matvecs = 0
+    if route == "transfer":
+        level, string = np.divmod(chain.keep, space.n_strings)
+        net = space.string_backlogs[string] - level + config.bucket
+        kept = _fixed_length_law(mean, config.buffer, config.bucket, md1=False)[net]
+    elif route == "gth":
+        kept = _gth(period_t.T)
     else:
         uniform = np.full(n, 1.0 / n)
         kept, matvecs = _bicgstab(
@@ -303,7 +333,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     elapsed = time.perf_counter() - began
     return StationaryResult(
         space, pi, solve.residual, elapsed, matvecs, solve.iterations,
-        period_nnz, chain, kernel,
+        period_nnz, route, chain, kernel,
     )
 
 

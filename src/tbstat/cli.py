@@ -499,6 +499,7 @@ def _analytic(scenario: Scenario, out: Path) -> tuple[dict, list]:
         "solver": {
             "states": space.n_states,
             "reachable_states": len(result.chain.keep),
+            "route": result.route,
             "solve_matvecs": result.solve_matvecs,
             "power_steps": result.power_steps,
             "iterations": result.iterations,

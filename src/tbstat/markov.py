@@ -9,22 +9,26 @@ small per-period chains for the unit-size filter.  ``oracle`` builds the
 same generator and grant over the full space, from the same entries.
 Matrix exponential actions use uniformization, the generator uniformized
 once per chain (``uniformize``) and each series summed by Horner's rule.
-The stationary solve applies the whole period as one matrix, which
-``reachable_period`` builds for every chain, dense or sparse, to the bits
+Where the stationary solve applies the whole period as one matrix,
+``reachable_period`` builds it, dense or sparse, to the bits
 of the grant applied to ``Uniformization.operator``: a dense chain runs the
 series on the identity, a sparse one a series a free room and dense blocks
 for the idle states, and ``_fold`` adds each row of a dense series at its
 grant target.  ``stationary_power`` iterates a per-period operator to a
-verified fixed point from a start index or a start vector, so the exact
-elimination or iterative solve of ``analysis.solve_stationary`` can hand it
-a law to certify.  ``_gth`` solves the dense reachable chain exactly in
-debt order (backlog minus tokens), on its envelope: where every row holds at
-most one entry left of the diagonal, as every unit- or single-size chain
-does (skip-free to the left, Neuts 1989), all pivots are eliminated at once
-(``_cut_sums``), else one by one (``_eliminate``).  Both fixed-length chains
-fall one state a period, so ``_fixed_length_law`` reads their cut sums off
-the Poisson tails with no matrix; the built chains are its reference.  A
-dense linear solve is kept as a cross-check.
+verified fixed point from a start index or a start vector, so the transfer
+law, exact elimination or iterative solve of ``analysis.solve_stationary``
+can hand it a law to certify.  ``_gth`` solves the dense reachable chain
+exactly in debt order (backlog minus tokens), on its envelope: where every
+row holds at most one entry left of the diagonal, as every unit- or
+single-size chain does (skip-free to the left, Neuts 1989), all pivots are
+eliminated at once (``_cut_sums``), else one by one (``_eliminate``).  Both
+fixed-length chains fall one state a period, so ``_fixed_length_law`` reads
+their cut sums off the Poisson tails with no matrix; the built chains are
+its reference.  The transfer chain's law is also the start of every
+unit-size solve whose arrival law is representable, read at each reachable
+state's net coordinate, so such a chain reaches neither
+``reachable_period`` nor ``_gth``.  A dense linear solve is kept as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -696,12 +700,16 @@ def _fixed_length_law(
     mean_arrivals: float, buffer_cap: int, bucket: int, md1: bool
 ) -> np.ndarray:
     """``_gth`` of ``build_md1_chain`` if ``md1``, else of
-    ``build_periodic_transfer_chain``, in O(n) memory.  Both chains fall one
+    ``build_periodic_transfer_chain``, in O(n) memory: the fixed-length
+    mode's two laws, and the start of ``analysis.solve_stationary`` on
+    unit sizes.  Both chains fall one
     state a period, only with no arrival (weight ``p0``), so ``_cut_sums``
     leaves ``T(k + 1 - i) / p0`` at row ``i < k`` of column ``k``, ``T(m)``
     the weight of ``m`` or more arrivals.  M/D/1's idle row reads ``T(k)``;
     only it reaches the top state, whose exit is ``T(0)``.  So each column
-    is a slice of one array of tails; back substitution runs as ``_gth``'s.
+    is a slice of one array of tails; back substitution runs as ``_gth``'s,
+    each dot and rescale from the first mass not yet underflowed to 0: at
+    high load every step rescales, and the masses it leaves behind vanish.
     """
     arr = ArrivalDistribution.from_mean(mean_arrivals)
     top, p0 = buffer_cap + bucket, arr.pmf[0]
@@ -712,18 +720,22 @@ def _fixed_length_law(
     last = max(top - 1, 0) if p0 < np.finfo(float).tiny else 0
     pi = np.zeros(top + 1)
     pi[last] = 1.0
+    first = last  # the first mass not underflowed to 0
     # column k's row i at [top - k - 1 + i]; a subnormal p0 divides nothing
     col = tails[:top] / p0 if last + 1 < top else None
     for k in range(last + 1, top):
         at = top - k - 1
         r = zeros - at if zeros - at > md1 else 0  # the first nonzero row
+        r = max(r, first)
         if md1:  # the idle row reads T(k), the entry after its own
             held, col[at] = col[at], col[at + 1]
         pi[k] = np.dot(pi[r:k], col[at + r : top - 1])
         if md1:
             col[at] = held
         if pi[k] > 1.0:
-            pi[: k + 1] /= pi[k]
+            pi[first : k + 1] /= pi[k]
+            while pi[first] == 0.0:
+                first += 1
     if md1 and top:
         pi[top] = pi[0] * (tails[0] / tails[top])
         if pi[top] > 1.0:

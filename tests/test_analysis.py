@@ -57,6 +57,7 @@ from tbstat.markov import (
     reachable_period,
     uniformize,
 )
+from tbstat.dynamics import periodic_transfer_steps
 from tests.conftest import reference_traffic
 from tests.test_markov import _exact_average
 
@@ -248,10 +249,24 @@ class TestToleranceFloor:
         assert abs(result.pi.sum() - 1.0) <= 1e-14
 
 
+def _long_double_gth(a: np.ndarray) -> np.ndarray:
+    """Stationary law of a long-double stochastic matrix by GTH, state 0
+    eliminated last, with no subtraction."""
+    a, n = a.copy(), len(a)
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n, dtype=a.dtype)
+    pi[0] = 1
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
+
+
 def _long_double_law(space, chain) -> np.ndarray:
     """Stationary law of a chain's period operator ``exp(R t) G`` in long
     double, densely: ``R`` uniformized with its series cut at 1e-30, then
-    GTH, rooted at the full-bucket idle state, with no subtraction."""
+    GTH, rooted at the full-bucket idle state."""
     ld = np.longdouble
     n = len(chain.keep)
     dense = chain.rates.toarray() if scipy.sparse.issparse(chain.rates) else chain.rates
@@ -270,17 +285,27 @@ def _long_double_law(space, chain) -> np.ndarray:
     np.add.at(period_t, chain.grant, point.T)  # column i lands at grant[i]
     root = int(np.searchsorted(chain.keep, space.empty_indices[-1]))
     order = np.r_[root, np.delete(np.arange(n), root)]
-    a = period_t.T[np.ix_(order, order)]
-    for k in range(n - 1, 0, -1):
-        a[:k, k] /= a[k, :k].sum()
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    pi = np.zeros(n, dtype=ld)
-    pi[0] = 1
-    for k in range(1, n):
-        pi[k] = pi[:k] @ a[:k, k]
     law = np.empty(n, dtype=ld)
-    law[order] = pi / pi.sum()
+    law[order] = _long_double_gth(period_t.T[np.ix_(order, order)])
     return law
+
+
+def _long_double_transfer_law(mean: float, buffer_cap: int, bucket: int) -> np.ndarray:
+    """Stationary law of the periodic transfer chain in long double: the
+    Poisson weights cut at 1e-30, the rest at the top, then GTH, rooted at
+    net coordinate 0, the full-bucket idle state."""
+    ld = np.longdouble
+    n = buffer_cap + bucket + 1
+    states = np.arange(n)
+    weight, k = np.exp(-ld(mean)), 0
+    chain = np.zeros((n, n), dtype=ld)
+    while weight > ld(1e-30) or k < mean:
+        chain[states, periodic_transfer_steps(states, k, buffer_cap, bucket)] += weight
+        k += 1
+        weight *= ld(mean) / k
+    rest = 1 - chain.sum(axis=1)
+    chain[states, periodic_transfer_steps(states, n, buffer_cap, bucket)] += rest
+    return _long_double_gth(chain)
 
 
 @pytest.mark.skipif(
@@ -293,8 +318,9 @@ def _long_double_law(space, chain) -> np.ndarray:
         (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 1e-11),
         (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 1e-13),
         (reference_traffic(0.45), FilterConfig(4, 6, 1.0), 1e-11),
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(150, 300, 1.0), 1e-10),
     ],
-    ids=["critical_unit", "reference", "assembled"],
+    ids=["critical_unit", "reference", "assembled", "near_critical_unit"],
 )
 def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
     # the reported residual cannot see the kernel's truncation times the
@@ -302,7 +328,15 @@ def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
     space = build_state_space(traffic, config)
     result = solve_stationary(space)
     chain = result.chain
+    if traffic.sizes == (1,):
+        # the transfer chain in long double, on the net coordinate; its
+        # Poisson weights are cut at 1e-30, the solve's at SERIES_TOL
+        exact = _long_double_transfer_law(traffic.rate, config.buffer, config.bucket)
+        assert abs(exact.sum() - 1) <= 1e-17
+        assert np.abs(_net_law(result) - exact).sum() <= bound
     if len(chain.keep) > _DENSE_STATES:
+        if result.route == "transfer":
+            return  # 451 states: the series in long double takes 11 s
         # the assembled period operator, solved by BiCGSTAB
         assert result.period_nnz is not None and result.solve_matvecs > 0
     exact = _long_double_law(space, chain)
@@ -322,31 +356,39 @@ def _per_column_bound(space, kernel) -> int:
 
 class TestAssembledPeriodOperator:
     @pytest.mark.parametrize(
-        "traffic, config, matvecs",
+        "traffic, config, matvecs, route",
         [
-            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 0),
-            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 49),
-            (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 0),
+            (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 0, "transfer"),
+            (TrafficSpec((2,), (1.0,), 0.495), FilterConfig(20, 40, 1.0), 0, "gth"),
+            (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 49, "bicgstab"),
+            (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 0, "gth"),
         ],
-        ids=["critical_unit", "large_space", "reference"],
+        ids=["critical_unit", "sizes_2", "large_space", "reference"],
     )
-    def test_solver_work_on_the_benchmark_chains(self, traffic, config, matvecs):
+    def test_solver_work_on_the_benchmark_chains(self, traffic, config, matvecs, route):
+        # unit sizes take the transfer law; a single size of two tokens at
+        # the same load (61 states) and the reference chain's 58 are
+        # eliminated densely, 5,473 solved by BiCGSTAB
         space = build_state_space(traffic, config)
         result = solve_stationary(space)
-        # 61 and 58 states are eliminated densely, 5,473 solved by BiCGSTAB
+        assert result.route == route
         assert result.solve_matvecs == matvecs
         assert result.power_steps == 1
-        kernel = uniformize(result.chain.rates, config.period, 1e-14)
-        n = len(result.chain.keep)
-        assert result.period_nnz is not None
-        assert result.period_nnz <= n * _per_column_bound(space, kernel)
+        if route == "transfer":
+            # no period operator: the certifying step runs vector by vector
+            assert result.period_nnz is None
+        else:
+            kernel = uniformize(result.chain.rates, config.period, 1e-14)
+            n = len(result.chain.keep)
+            assert result.period_nnz is not None
+            assert result.period_nnz <= n * _per_column_bound(space, kernel)
 
     def test_deep_chain_steps_vector_by_vector(self):
-        # unit sizes, a long buffer and a high rate: a column of the
-        # period's exponential may hold far more entries than the solve
-        # holds per state, so no matrix is assembled
+        # a single size of two tokens, a long buffer and a high rate: a
+        # column of the period's exponential may hold far more entries than
+        # the solve holds per state, so no matrix is assembled
         space = build_state_space(
-            TrafficSpec((1,), (1.0,), 200.0), FilterConfig(5, 600, 1.0)
+            TrafficSpec((2,), (1.0,), 200.0), FilterConfig(5, 600, 1.0)
         )
         chain = reachable_chain(space)
         n = len(chain.keep)
@@ -358,6 +400,7 @@ class TestAssembledPeriodOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert result.route == "bicgstab"
         assert result.period_nnz is None
         assert peak <= 2 * _ENTRIES_PER_STATE * n * 8
 
@@ -376,6 +419,14 @@ class TestAssembledPeriodOperator:
         assert np.array_equal(result.pi[chain.keep], stepped.pi)
         assert result.solve_matvecs == matvecs
         assert result.power_steps == stepped.iterations
+
+        # unit sizes on the same filter take the transfer law, certified by
+        # a step that runs vector by vector too
+        unit = solve_stationary(
+            build_state_space(TrafficSpec((1,), (1.0,), 200.0), space.config)
+        )
+        assert (unit.route, unit.solve_matvecs, unit.power_steps) == ("transfer", 0, 1)
+        assert unit.period_nnz is None
 
     @pytest.mark.parametrize(
         "rate, config",
@@ -885,6 +936,28 @@ class TestNetToBacklogDistribution:
             net_to_backlog_distribution(np.ones(4) / 4, 5, 5)
 
 
+# unit sizes whose Poisson arrival law is representable: (rate, bucket, buffer)
+ROUTED_UNIT_CHAINS = [
+    pytest.param(0.99, 20, 40, id="critical_unit"),
+    pytest.param(0.99, 60, 120, id="m60_l120"),
+    pytest.param(0.99, 150, 300, id="m150_l300"),
+    pytest.param(0.5, 5, 4000, id="buffer_4000_rate_0.5"),
+    pytest.param(0.97, 5, 4000, id="buffer_4000_rate_0.97"),
+    pytest.param(200.0, 5, 600, id="rate_200"),
+] + [
+    pytest.param(mean, 5, 60, id=f"mean_{mean:g}")
+    for mean in (700.0, 709.0, 740.0, 745.0)
+]
+
+
+def _net_law(result) -> np.ndarray:
+    """A unit-size law summed onto the net coordinate backlog - tokens + bucket."""
+    space, bucket = result.space, result.space.config.bucket
+    out = np.zeros(space.config.buffer + bucket + 1)
+    np.add.at(out, space.backlog_of_state - space.token_of_state + bucket, result.pi)
+    return out
+
+
 class TestUnitSizeUnification:
     @pytest.mark.parametrize("rate", [0.25, 0.5, 1.0])
     def test_variable_solver_reproduces_the_transfer_chain(self, rate):
@@ -916,7 +989,7 @@ class TestUnitSizeUnification:
         assert np.abs(embedded - pi_net).sum() < 1e-9
 
     def test_unattainable_krylov_tolerance_hands_over_to_power_steps(self):
-        # 61 states are eliminated densely; power steps certify at 1e-14
+        # 61 states take the transfer law; power steps certify at 1e-14
         space = build_state_space(
             TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)
         )
@@ -925,17 +998,75 @@ class TestUnitSizeUnification:
         assert result.iterations < 1000
 
     def test_stagnating_iterative_solve_stops_within_its_cap(self):
-        # 121 states take BiCGSTAB, whose tol / 100 lies below what the
-        # kernel resolves: the recurrence stagnates and must stop in
-        # bounded work, leaving power steps to certify
+        # a single size of two tokens at load 0.99: 121 states take
+        # BiCGSTAB, whose tol / 100 lies below what the kernel resolves: the
+        # recurrence stagnates and must stop in bounded work, leaving power
+        # steps to certify
         space = build_state_space(
-            TrafficSpec((1,), (1.0,), 0.99), FilterConfig(40, 80, 1.0)
+            TrafficSpec((2,), (1.0,), 0.495), FilterConfig(40, 80, 1.0)
         )
         result = solve_stationary(space, tol=1e-14)
         assert len(result.chain.keep) == 121
+        assert result.route == "bicgstab"
         assert result.residual <= 1e-14
         assert 0 < result.solve_matvecs <= _MAX_MATVECS
         assert result.iterations < 1000
+        # unit sizes on the same filter take the transfer law, no product
+        unit = solve_stationary(
+            build_state_space(TrafficSpec((1,), (1.0,), 0.99), space.config), tol=1e-14
+        )
+        assert (unit.route, unit.solve_matvecs) == ("transfer", 0)
+        assert unit.residual <= 1e-14
+        assert unit.iterations < 1000
+
+    @pytest.mark.parametrize("rate, bucket, buffer", ROUTED_UNIT_CHAINS)
+    def test_the_transfer_route_is_the_transfer_chains_law(self, rate, bucket, buffer):
+        # the transfer law passes the reachable chain's own step at once
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), rate), FilterConfig(bucket, buffer, 1.0)
+        )
+        result = solve_stationary(space)
+        assert result.route == "transfer"
+        assert (result.solve_matvecs, result.power_steps) == (0, 1)
+        assert result.period_nnz is None
+        law = _gth(build_periodic_transfer_chain(rate, buffer, bucket))
+        assert np.abs(_net_law(result) - law).sum() <= 1e-15
+
+    @pytest.mark.parametrize("tol", [1e-14, TOLERANCE_FLOOR])
+    def test_the_transfer_route_settles_at_fine_tolerances(self, tol):
+        # the kernel is cut finer than the transfer law's Poisson weights,
+        # so at the floor a few power steps move the law
+        space = build_state_space(
+            TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)
+        )
+        result = solve_stationary(space, tol=tol)
+        assert (result.route, result.solve_matvecs) == ("transfer", 0)
+        assert result.residual <= tol
+        assert result.power_steps < 1000
+
+    def test_a_misplaced_start_is_not_returned(self, monkeypatch):
+        # each state read one net coordinate off: the chain's own step
+        # moves the start, so it is not certified after one step
+        space = build_state_space(TrafficSpec((1,), (1.0,), 0.5), FilterConfig(5, 5, 1.0))
+        right = solve_stationary(space)
+        law = markov._fixed_length_law
+        monkeypatch.setattr(
+            tbstat.analysis, "_fixed_length_law", lambda *a, **k: np.roll(law(*a, **k), 1)
+        )
+        wrong = solve_stationary(space)
+        assert wrong.route == "transfer"
+        assert wrong.power_steps > 1
+        assert wrong.residual <= 1e-10
+        assert np.abs(wrong.pi - right.pi).sum() <= 1e-8
+
+    @pytest.mark.parametrize("rate", [1000.0, 100000.0])
+    def test_an_underflowing_arrival_law_keeps_the_elimination(self, rate):
+        # exp(-rate) is 0: the transfer law cannot be formed
+        space = build_state_space(TrafficSpec((1,), (1.0,), rate), FilterConfig(5, 5, 1.0))
+        result = solve_stationary(space)
+        assert result.route == "gth"
+        assert result.period_nnz is not None
+        assert result.power_steps == 1
 
 
 class TestTimeAverage:

@@ -366,6 +366,7 @@ class TestRunAnalytic:
         # 3 idle states, then heads the banked tokens cannot pay for: size 1
         # at no token over 4 strings, size 2 at 0 or 1 token over 2 strings
         assert solver["reachable_states"] == 11
+        assert solver["route"] == "gth"
         assert solver["power_steps"] >= 1
         assert solver["iterations"] == solver["solve_matvecs"] + solver["power_steps"]
         # a column holds at most 3 queued packets' prefixes and 3 idle states
@@ -380,6 +381,8 @@ class TestRunAnalytic:
         assert report["solver"]["period_nnz"] is None
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["solver"]["period_nnz"] is None
+        # unit sizes start from the transfer chain's law
+        assert written["solver"]["route"] == "transfer"
 
     def test_solve_time_is_part_of_the_wall_time(self, run):
         _, report = run
