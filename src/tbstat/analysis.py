@@ -226,13 +226,15 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     in the form the chain was built in.  Three routes give the power steps
     their start, named by ``route``.
 
-    ``"transfer"``: traffic of one size of one token whose Poisson arrival
-    law is representable (``exp(-rate * period) > 0``) is the classic
-    fixed-size filter, whose net coordinate ``backlog - tokens + bucket``
-    follows the periodic transfer chain.  Its law is read off the Poisson
-    tails by ``markov._fixed_length_law`` at each kept state's coordinate,
-    one-to-one on the reachable states because a waiting packet means an
-    empty bucket, with no period operator and no elimination.  The steps
+    ``"transfer"``: traffic of one size of ``s`` tokens whose Poisson
+    arrival law is representable (``exp(-rate * period) > 0``) follows the
+    periodic transfer chain of its coordinate ``backlog - tokens +
+    bucket``, the debt plus the bucket, raised ``s`` by each packet that
+    fits and lowered one by each grant.  The coordinate is one-to-one on
+    the reachable states, as a waiting packet leaves fewer than ``s``
+    tokens banked.  Its law is read off the Poisson tails, cut where the
+    kernel is, by ``markov._fixed_length_law`` at each kept state's
+    coordinate, with no period operator and no elimination.  The steps
     that certify it run vector by vector, each entry of ``kernel.point``
     added at its grant target (``period_nnz`` None), so the transfer law
     must pass the reachable chain's own step or be moved by it.
@@ -251,9 +253,7 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     renumbering the chain itself, and ``P`` is solved exactly by GTH
     elimination (``markov._gth``), rooted at that state, which every state
     returns to.  A period lowers the debt by at most one, so the
-    elimination stays in a band; where each debt holds one state, as with
-    a single size, each row starts one state left of the diagonal and every
-    pivot is eliminated in one pass.  The power steps run in debt order too.
+    elimination stays in a band.  The power steps run in debt order too.
 
     ``"bicgstab"``: BiCGSTAB solves a sparse chain's
     ``x - P^T x + (1^T x) u = u``, the balance equations with the
@@ -291,10 +291,11 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     chain = reachable_chain(space, keep)
     n = len(chain.keep)
     dense = isinstance(chain.rates, np.ndarray)
-    kernel = uniformize(chain.rates, config.period, min(SERIES_TOL, tol / 10))
+    series_tol = min(SERIES_TOL, tol / 10)
+    kernel = uniformize(chain.rates, config.period, series_tol)
     mean = traffic.rate * config.period
     labels, period_t, period_nnz = chain.keep, None, None
-    if traffic.sizes == (1,) and math.exp(-mean) > 0.0:
+    if len(traffic.sizes) == 1 and math.exp(-mean) > 0.0:
         route = "transfer"
     else:
         route = "gth" if dense else "bicgstab"
@@ -316,7 +317,10 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     if route == "transfer":
         level, string = np.divmod(chain.keep, space.n_strings)
         net = space.string_backlogs[string] - level + config.bucket
-        kept = _fixed_length_law(mean, config.buffer, config.bucket, md1=False)[net]
+        law = _fixed_length_law(
+            mean, config.buffer, config.bucket, md1=False, size=largest, tol=series_tol
+        )
+        kept = law[net]
     elif route == "gth":
         kept = _gth(period_t.T)
     else:

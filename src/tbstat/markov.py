@@ -18,17 +18,15 @@ grant target.  ``stationary_power`` iterates a per-period operator to a
 verified fixed point from a start index or a start vector, so the transfer
 law, exact elimination or iterative solve of ``analysis.solve_stationary``
 can hand it a law to certify.  ``_gth`` solves the dense reachable chain
-exactly in debt order (backlog minus tokens), on its envelope: where every
-row holds at most one entry left of the diagonal, as every unit- or
-single-size chain does (skip-free to the left, Neuts 1989), all pivots are
-eliminated at once (``_cut_sums``), else one by one (``_eliminate``).  Both
-fixed-length chains fall one state a period, so ``_fixed_length_law`` reads
-their cut sums off the Poisson tails with no matrix; the built chains are
-its reference.  The transfer chain's law is also the start of every
-unit-size solve whose arrival law is representable, read at each reachable
-state's net coordinate, so such a chain reaches neither
-``reachable_period`` nor ``_gth``.  A dense linear solve is kept as a
-cross-check.
+exactly in debt order (backlog minus tokens), pivot by pivot on its
+envelope (``_eliminate``).  A chain of one packet size falls one state a
+period in debt order (skip-free to the left, Neuts 1989), as both
+fixed-length chains do, so ``_fixed_length_law`` reads its cut equations
+off the Poisson tails with no matrix; the built chains are its reference.
+That law is the start of every one-size solve whose arrival law is
+representable, read at each reachable state's debt plus the bucket, so
+such a chain reaches neither ``reachable_period`` nor ``_gth``.  A dense
+linear solve is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -72,30 +70,31 @@ SERIES_TOL = 1e-14
 # split so the Poisson weights stay far from underflow.
 _MAX_RATE_HORIZON = 128.0
 # Most states a reachable chain holds densely, to be eliminated by GTH.  The
-# preconditioned BiCGSTAB wins between 61 and 108 states: sizes 1..4 at rate
-# 0.45 solve by BiCGSTAB or GTH in 2.7 or 3.8 ms at 108 states (M=4 L=6), 3.0
-# or 15.8 ms at 208 (M=5 L=7) and 3.6 or 85 ms at 400 (M=6 L=8), most of
-# GTH's time spent building the dense period, while unit sizes at load 0.99
-# (M=20 L=40, 61 states) take 5.2 or 1.4 ms, GTH's answer exact; median of
-# 11, on a shared 2-vCPU Xeon host with BLAS on one thread.
+# preconditioned BiCGSTAB wins between 65 and 108 states: sizes 1 and 2 at
+# load 0.99 solve by BiCGSTAB or GTH in 2.9 or 1.4 ms at 65 states (M=20
+# L=6) and 3.2 or 5.0 ms at 131 (M=10 L=8), the reference chain (58 states)
+# in 2.3 or 1.4 ms, and sizes 1..4 at rate 0.45 in 2.1 or 3.2 ms at 108 (M=4
+# L=6) and 1.7 or 12.4 ms at 208 (M=5 L=7), most of GTH's time spent
+# building the dense period; median of 11, Python 3.11 on a shared 2-vCPU
+# Xeon host with BLAS on one thread.
 _DENSE_STATES = 81
 
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """Poisson arrival counts in one period, cut at ``SERIES_TOL``."""
+    """Poisson arrival counts in one period, cut at ``tol``."""
 
     mean: float
     pmf: np.ndarray
     tail: float
 
     @classmethod
-    def from_mean(cls, mean: float) -> "ArrivalDistribution":
+    def from_mean(cls, mean: float, tol: float = SERIES_TOL) -> "ArrivalDistribution":
         if mean < 0 or not math.isfinite(mean):
             raise ValueError("mean arrival count must be finite and >= 0")
         if math.exp(-mean) == 0.0:
             raise ValueError("mean arrival count too large for a dense pmf")
-        pmf = np.array(_poisson_weights(mean, SERIES_TOL, average=False))
+        pmf = np.array(_poisson_weights(mean, tol, average=False))
         return cls(mean, pmf, max(0.0, 1.0 - pmf.sum()))
 
 
@@ -463,12 +462,18 @@ def _basis_point(kernel: Uniformization, apply, shape, cells) -> np.ndarray:
 
 def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:
     """One piece's series weights for ``m`` mean jumps, cut once the weight
-    left is below ``tol`` or after ``m + 12 sqrt(m) + 60`` terms."""
-    term = math.exp(-m)
+    left is below ``tol`` or after ``m + 12 sqrt(m) + 60`` terms.
+
+    A subnormal ``exp(-m)`` would carry its lost digits through every term
+    of the recurrence, so there the terms run from ``exp(-m / 2)`` and each
+    is scaled back by ``exp(-m / 2)``; elsewhere the scale is 1.
+    """
+    shift = m / 2 if math.exp(-m) < np.finfo(float).tiny else 0.0
+    term, scale = math.exp(shift - m), math.exp(-shift)
     # ``1 - exp(-m)`` cancels for small m and the average's first weight,
     # survival / m, magnifies the error: that series starts from expm1
-    survival = -math.expm1(-m) if average else 1.0 - term
-    w = survival / m if average else term
+    survival = -math.expm1(-m) if average else 1.0 - term * scale
+    w = survival / m if average else term * scale
     remaining = 1.0 - w if average else survival
     weights = [w]
     k = 0
@@ -476,8 +481,8 @@ def _poisson_weights(m: float, tol: float, average: bool) -> tuple[float, ...]:
     while remaining >= tol and k < cap:
         k += 1
         term = term * m / k
-        survival -= term
-        w = max(0.0, survival) / m if average else term
+        survival -= term * scale
+        w = max(0.0, survival) / m if average else term * scale
         weights.append(w)
         remaining -= w
     return tuple(weights)
@@ -625,23 +630,18 @@ def _gth(chain: np.ndarray, root: int = 0) -> np.ndarray:
     entries toward the states left, so no step subtracts, and none vanishes
     when every state reaches ``root``.  One below the smallest normal float
     means the floats lost the way back: elimination stops there and the
-    states left get no mass.  The route is read off the envelope
-    (``_envelope``): rows from each column's first nonzero, columns from
-    each row's.  When every row has at most one entry left of the diagonal,
-    as each unit- or single-size period chain has in debt order (Neuts
-    1989), all pivots are eliminated in one pass (``_cut_sums``).  Otherwise
-    each pivot's division and rank-1 update run on its envelope
-    (``_eliminate``), so only exact zeros are skipped.  Back substitution
-    reads each column from its first nonzero and keeps the largest mass at
-    1, so masses spanning more than the float range do not overflow.
+    states left get no mass.  Each pivot's division and rank-1 update run on
+    its envelope (``_envelope``): rows from each column's first nonzero,
+    columns from each row's, so only exact zeros are skipped
+    (``_eliminate``).  Back substitution reads each column from its first
+    nonzero and keeps the largest mass at 1, so masses spanning more than
+    the float range do not overflow.
     """
     n = chain.shape[0]
     order = np.r_[root, np.delete(np.arange(n), root)]
     a = chain[np.ix_(order, order)] if root else chain.copy(order="K")
-    rows, cols = _envelope(a)
-    skip_free = (cols >= np.arange(n) - 1).all()
-    rows, cols = rows.tolist(), cols.tolist()
-    last = _cut_sums(a) if skip_free else _eliminate(a, rows, cols)
+    rows, cols = (starts.tolist() for starts in _envelope(a))
+    last = _eliminate(a, rows, cols)
     pi = np.zeros(n)
     pi[last] = 1.0
     for k in range(last + 1, n):
@@ -673,65 +673,57 @@ def _eliminate(a: np.ndarray, rows: list, cols: list) -> int:
     return 0
 
 
-def _cut_sums(a: np.ndarray) -> int:
-    """GTH's elimination of a chain that falls at most one state a step,
-    every pivot at once, in place above the diagonal.
-
-    Pivot ``k``'s one exit is ``P[k, k-1]``, which no later pivot changes;
-    eliminating it divides column ``k`` by that exit and adds it to column
-    ``k - 1``.  So column ``k`` ends as ``U[:, k] / P[k, k-1]``, where
-    ``U[i, k]``, the sum of ``P[i, j]`` over ``j >= k``, is row ``i``'s mass
-    across the cut below ``k``: back substitution then solves the cut
-    equations ``pi[k] P[k, k-1] = sum over i < k of pi[i] U[i, k]``.  The
-    sums run right to left in place.  Returns the highest pivot whose exit
-    is below the smallest normal float, where elimination stops, else 0.
-    """
-    exits = a.diagonal(-1).copy()  # P[k, k-1] at k - 1
-    low = np.flatnonzero(exits < np.finfo(float).tiny)
-    last = int(low[-1]) + 1 if len(low) else 0
-    # the rows above the last column's diagonal, columns right to left
-    sums = a[: len(a) - 1, last + 1 :][:, ::-1]
-    np.cumsum(sums, axis=1, out=sums)
-    sums /= exits[last:][::-1]
-    return last
-
-
 def _fixed_length_law(
-    mean_arrivals: float, buffer_cap: int, bucket: int, md1: bool
+    mean_arrivals: float,
+    buffer_cap: int,
+    bucket: int,
+    md1: bool,
+    size: int = 1,
+    tol: float = SERIES_TOL,
 ) -> np.ndarray:
-    """``_gth`` of ``build_md1_chain`` if ``md1``, else of
-    ``build_periodic_transfer_chain``, in O(n) memory: the fixed-length
-    mode's two laws, and the start of ``analysis.solve_stationary`` on
-    unit sizes.  Both chains fall one
-    state a period, only with no arrival (weight ``p0``), so ``_cut_sums``
-    leaves ``T(k + 1 - i) / p0`` at row ``i < k`` of column ``k``, ``T(m)``
-    the weight of ``m`` or more arrivals.  M/D/1's idle row reads ``T(k)``;
-    only it reaches the top state, whose exit is ``T(0)``.  So each column
-    is a slice of one array of tails; back substitution runs as ``_gth``'s,
-    each dot and rescale from the first mass not yet underflowed to 0: at
-    high load every step rescales, and the masses it leaves behind vanish.
+    """``_gth`` of ``build_md1_chain`` if ``md1``, else of the transfer
+    chain of packets of ``size`` tokens (``build_periodic_transfer_chain``
+    at size 1), its Poisson weights cut at ``tol``, in O(n) memory.  The
+    coordinate, the debt plus the bucket, rises ``size`` a packet that fits
+    and falls one a period, so GTH reduces to the cut equations (Neuts
+    1989): ``pi[k]`` times the fall from ``k`` is the sum over ``i < k`` of
+    ``pi[i] T(ceil((k + 1 - i) / size))``, ``T(m)`` the weight of ``m`` or
+    more arrivals, and each column is a slice of one array of tails.  The
+    fall is ``p0``, the weight of no arrival, up to ``top - size``, where
+    elimination stops if ``p0`` is subnormal; above, no packet fits, the
+    fall is certain and a row crosses only if its room holds the rise.
+    M/D/1's idle row reads ``T(k)``; only it reaches the top state, whose
+    exit is ``T(0)``.  Back substitution runs as ``_gth``'s, each dot and
+    rescale from the first mass not yet underflowed to 0: at high load
+    every step rescales, and the masses it leaves behind vanish.
     """
-    arr = ArrivalDistribution.from_mean(mean_arrivals)
-    top, p0 = buffer_cap + bucket, arr.pmf[0]
-    # tails[j] = T(top - j), summed up from the cut tail as ``_cut_sums`` does
-    tails = np.cumsum(np.r_[arr.tail, arr.pmf[::-1]])
-    tails = np.r_[np.full(max(0, top + 1 - len(tails)), arr.tail), tails][-top - 1 :]
+    arr = ArrivalDistribution.from_mean(mean_arrivals, tol)
+    top, p0 = bucket + buffer_cap // size * size, arr.pmf[0]
+    # T(m) up to the cut, summed from the cut tail up; past it T is the tail
+    tails = np.cumsum(np.r_[arr.tail, arr.pmf[::-1]])[::-1]
+    # tails[j] = T(ceil((top - j) / size)), the packets a rise of top - j needs
+    tails = tails[np.minimum(-(np.arange(-top, 1) // size), len(arr.pmf))]
     zeros = int(np.count_nonzero(tails == 0))  # T is nonincreasing
-    last = max(top - 1, 0) if p0 < np.finfo(float).tiny else 0
+    fits = top - size  # the last state a packet fits in: it falls only with none
+    last = max(fits, 0) if p0 < np.finfo(float).tiny else 0
     pi = np.zeros(top + 1)
     pi[last] = 1.0
     first = last  # the first mass not underflowed to 0
     # column k's row i at [top - k - 1 + i]; a subnormal p0 divides nothing
-    col = tails[:top] / p0 if last + 1 < top else None
+    col = tails[:top] / p0 if last < fits else None
     for k in range(last + 1, top):
         at = top - k - 1
-        r = zeros - at if zeros - at > md1 else 0  # the first nonzero row
-        r = max(r, first)
-        if md1:  # the idle row reads T(k), the entry after its own
-            held, col[at] = col[at], col[at + 1]
-        pi[k] = np.dot(pi[r:k], col[at + r : top - 1])
-        if md1:
-            col[at] = held
+        if k <= fits:
+            r = zeros - at if zeros - at > md1 else 0  # the first nonzero row
+            r = max(r, first)
+            if md1:  # the idle row reads T(k), the entry after its own
+                held, col[at] = col[at], col[at + 1]
+            pi[k] = np.dot(pi[r:k], col[at + r : top - 1])
+            if md1:
+                col[at] = held
+        else:  # row i crosses if its room, (top - i) // size packets, holds the rise
+            cross = (top - np.arange(first, k)) % size <= at
+            pi[k] = np.dot(pi[first:k][cross], tails[at + first : at + k][cross])
         if pi[k] > 1.0:
             pi[first : k + 1] /= pi[k]
             while pi[first] == 0.0:

@@ -359,16 +359,16 @@ class TestAssembledPeriodOperator:
         "traffic, config, matvecs, route",
         [
             (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 0, "transfer"),
-            (TrafficSpec((2,), (1.0,), 0.495), FilterConfig(20, 40, 1.0), 0, "gth"),
+            (TrafficSpec((2,), (1.0,), 0.495), FilterConfig(20, 40, 1.0), 0, "transfer"),
             (reference_traffic(0.45), FilterConfig(8, 12, 1.0), 49, "bicgstab"),
             (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 0, "gth"),
         ],
         ids=["critical_unit", "sizes_2", "large_space", "reference"],
     )
     def test_solver_work_on_the_benchmark_chains(self, traffic, config, matvecs, route):
-        # unit sizes take the transfer law; a single size of two tokens at
-        # the same load (61 states) and the reference chain's 58 are
-        # eliminated densely, 5,473 solved by BiCGSTAB
+        # one size of one or two tokens takes the transfer law; the
+        # reference chain's 58 states are eliminated densely, 5,473 solved
+        # by BiCGSTAB
         space = build_state_space(traffic, config)
         result = solve_stationary(space)
         assert result.route == route
@@ -384,11 +384,11 @@ class TestAssembledPeriodOperator:
             assert result.period_nnz <= n * _per_column_bound(space, kernel)
 
     def test_deep_chain_steps_vector_by_vector(self):
-        # a single size of two tokens, a long buffer and a high rate: a
-        # column of the period's exponential may hold far more entries than
-        # the solve holds per state, so no matrix is assembled
+        # two sizes, a deep bucket and a high rate: a column of the period's
+        # exponential may hold far more entries than the solve holds per
+        # state, so no matrix is assembled
         space = build_state_space(
-            TrafficSpec((2,), (1.0,), 200.0), FilterConfig(5, 600, 1.0)
+            TrafficSpec((1, 2), (0.5, 0.5), 200.0), FilterConfig(100, 8, 1.0)
         )
         chain = reachable_chain(space)
         n = len(chain.keep)
@@ -420,13 +420,14 @@ class TestAssembledPeriodOperator:
         assert result.solve_matvecs == matvecs
         assert result.power_steps == stepped.iterations
 
-        # unit sizes on the same filter take the transfer law, certified by
-        # a step that runs vector by vector too
-        unit = solve_stationary(
-            build_state_space(TrafficSpec((1,), (1.0,), 200.0), space.config)
-        )
-        assert (unit.route, unit.solve_matvecs, unit.power_steps) == ("transfer", 0, 1)
-        assert unit.period_nnz is None
+        # each of its sizes alone takes the transfer law, certified by a
+        # step that runs vector by vector too
+        for size in (1, 2):
+            one = solve_stationary(
+                build_state_space(TrafficSpec((size,), (1.0,), 200.0), space.config)
+            )
+            assert (one.route, one.solve_matvecs, one.power_steps) == ("transfer", 0, 1)
+            assert one.period_nnz is None
 
     @pytest.mark.parametrize(
         "rate, config",
@@ -797,11 +798,6 @@ def _debt_period(traffic: TrafficSpec, config: FilterConfig) -> np.ndarray:
     return period_t[np.ix_(order, order)].T
 
 
-def _per_pivot(a: np.ndarray) -> int:
-    """``_cut_sums``'s stand-in: the general elimination, pivot by pivot."""
-    return markov._eliminate(a, *(starts.tolist() for starts in markov._envelope(a)))
-
-
 def _unit_period(rate: float, bucket: int, buffer: int) -> np.ndarray:
     traffic = TrafficSpec((1,), (1.0,), rate)
     return _debt_period(traffic, FilterConfig(bucket, buffer, 1.0))
@@ -826,45 +822,30 @@ SKIP_FREE_CHAINS = [
 
 class TestOnePassElimination:
     """A chain that falls at most one state a step toward the root, as the
-    unit- and single-size period chains do in debt order and the
-    fixed-length chains as built, is eliminated in one pass."""
+    single-size period chains do in debt order and the fixed-length chains
+    as built, holds one entry left of the diagonal a row, so each pivot's
+    division and update cover one column of its envelope."""
 
     @pytest.mark.parametrize("build, finite", SKIP_FREE_CHAINS)
-    def test_skip_free_chains_take_the_one_pass(self, monkeypatch, build, finite):
+    def test_skip_free_chains_take_the_one_pass(self, build, finite):
         chain = build()
-        one_pass, calls = markov._cut_sums, []
-
-        def spy(a: np.ndarray) -> int:
-            calls.append(len(a))
-            return one_pass(a)
-
-        monkeypatch.setattr(markov, "_cut_sums", spy)
+        n = len(chain)
+        assert (markov._envelope(chain)[1] >= np.arange(n) - 1).all()
         pi = _gth(chain)
-        assert calls == [len(chain)]
         assert np.abs(pi @ chain - pi).sum() <= 1e-14
         if finite:
             # whole-column GTH without rescaling: the masses stay in range
             assert np.abs(pi - _unrestricted_gth(chain)).sum() <= 1e-15
-        # past the float range, and where exits underflow to 0, the pivot by
-        # pivot elimination keeps GTH's stop and rescaling rules
-        monkeypatch.setattr(markov, "_cut_sums", _per_pivot)
-        assert np.abs(pi - _gth(chain)).sum() <= 1e-15
 
-    def test_the_reference_chain_keeps_the_pivot_by_pivot_elimination(
-        self, monkeypatch
-    ):
+    def test_the_reference_chain_keeps_the_pivot_by_pivot_elimination(self):
         # sizes 1..4: several states share each debt, so a row reaches
         # states one debt lower that sit several positions to its left
         chain = _debt_period(reference_traffic(0.5), FilterConfig(5, 5, 1.0))
         n = len(chain)
         assert (markov._envelope(chain)[1] < np.arange(n) - 1).any()
-        calls = []
-        monkeypatch.setattr(markov, "_cut_sums", lambda a: calls.append(a))
         pi = _gth(chain)
-        assert calls == []
         assert np.abs(pi @ chain - pi).sum() <= 1e-14
         assert np.abs(pi - _unrestricted_gth(chain)).sum() <= 1e-15
-
 
 
 @pytest.mark.parametrize("traffic, config", DENSE_CHAINS)
@@ -998,26 +979,25 @@ class TestUnitSizeUnification:
         assert result.iterations < 1000
 
     def test_stagnating_iterative_solve_stops_within_its_cap(self):
-        # a single size of two tokens at load 0.99: 121 states take
-        # BiCGSTAB, whose tol / 100 lies below what the kernel resolves: the
-        # recurrence stagnates and must stop in bounded work, leaving power
-        # steps to certify
+        # sizes 1 and 2 at load 0.99: 881 states take BiCGSTAB, whose
+        # tol / 100 lies below what the kernel resolves: the recurrence
+        # stagnates and must stop in bounded work, leaving power steps to
+        # certify
         space = build_state_space(
-            TrafficSpec((2,), (1.0,), 0.495), FilterConfig(40, 80, 1.0)
+            TrafficSpec((1, 2), (0.5, 0.5), 0.66), FilterConfig(40, 12, 1.0)
         )
         result = solve_stationary(space, tol=1e-14)
-        assert len(result.chain.keep) == 121
+        assert len(result.chain.keep) == 881
         assert result.route == "bicgstab"
         assert result.residual <= 1e-14
         assert 0 < result.solve_matvecs <= _MAX_MATVECS
         assert result.iterations < 1000
-        # unit sizes on the same filter take the transfer law, no product
-        unit = solve_stationary(
-            build_state_space(TrafficSpec((1,), (1.0,), 0.99), space.config), tol=1e-14
-        )
-        assert (unit.route, unit.solve_matvecs) == ("transfer", 0)
-        assert unit.residual <= 1e-14
-        assert unit.iterations < 1000
+        # each size alone on the same filter takes the transfer law, no product
+        for size in (1, 2):
+            traffic = TrafficSpec((size,), (1.0,), 0.99 / size)
+            one = solve_stationary(build_state_space(traffic, space.config), tol=1e-14)
+            assert (one.route, one.solve_matvecs, one.power_steps) == ("transfer", 0, 1)
+            assert one.residual <= 1e-14
 
     @pytest.mark.parametrize("rate, bucket, buffer", ROUTED_UNIT_CHAINS)
     def test_the_transfer_route_is_the_transfer_chains_law(self, rate, bucket, buffer):
@@ -1034,15 +1014,15 @@ class TestUnitSizeUnification:
 
     @pytest.mark.parametrize("tol", [1e-14, TOLERANCE_FLOOR])
     def test_the_transfer_route_settles_at_fine_tolerances(self, tol):
-        # the kernel is cut finer than the transfer law's Poisson weights,
-        # so at the floor a few power steps move the law
+        # the transfer law's Poisson weights are cut where the kernel is,
+        # so it passes the chain's own step at once at the floor too
         space = build_state_space(
             TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0)
         )
         result = solve_stationary(space, tol=tol)
         assert (result.route, result.solve_matvecs) == ("transfer", 0)
         assert result.residual <= tol
-        assert result.power_steps < 1000
+        assert result.power_steps == 1
 
     def test_a_misplaced_start_is_not_returned(self, monkeypatch):
         # each state read one net coordinate off: the chain's own step
@@ -1067,6 +1047,70 @@ class TestUnitSizeUnification:
         assert result.route == "gth"
         assert result.period_nnz is not None
         assert result.power_steps == 1
+
+
+def _debt_gth(result) -> np.ndarray:
+    """``_gth`` of the densified ``P^T`` in debt order, its series cut at
+    1e-16, at the kept states."""
+    space, chain = result.space, result.chain
+    kernel = uniformize(chain.rates, space.config.period, 1e-16)
+    period_t = reachable_period(space, chain, kernel)
+    if not isinstance(period_t, np.ndarray):
+        period_t = period_t.toarray()
+    order = _debt_order(space, chain)
+    law = np.empty(len(order))
+    law[order] = _gth(period_t[np.ix_(order, order)].T)
+    return law
+
+
+class TestOneSizeRoute:
+    """One size of ``s`` tokens: a packet raises the debt by ``s`` and a
+    grant lowers it by one, so the transfer law of packets of ``s`` tokens
+    is the chain's law."""
+
+    @pytest.mark.parametrize(
+        "size, bucket, buffer",
+        [
+            (size, bucket, buffer)
+            for size in (2, 3, 5)
+            for bucket, buffer in ((size - 1, size), (size, 2 * size + 1), (5, 12))
+        ],
+    )
+    def test_the_law_is_gth_of_the_period_in_debt_order(self, size, bucket, buffer):
+        # from light traffic to a subnormal chance of no arrival, where the
+        # chain all but cycles through the states of a full buffer
+        for mean in (1e-9, 0.3, 1.0, 5.0, 50.0, 700.0, 720.0, 740.0, 745.0):
+            space = build_state_space(
+                TrafficSpec((size,), (1.0,), mean), FilterConfig(bucket, buffer, 1.0)
+            )
+            result = solve_stationary(space)
+            assert result.route == "transfer"
+            assert (result.solve_matvecs, result.power_steps) == (0, 1)
+            law = result.pi[result.chain.keep]
+            assert np.abs(law - _debt_gth(result)).sum() <= 1e-14
+
+    @pytest.mark.parametrize("bucket, buffer", [(40, 80), (150, 300)])
+    def test_long_buffers_near_critical_load(self, bucket, buffer):
+        space = build_state_space(
+            TrafficSpec((2,), (1.0,), 0.495), FilterConfig(bucket, buffer, 1.0)
+        )
+        result = solve_stationary(space)
+        assert (result.route, result.solve_matvecs, result.power_steps) == (
+            "transfer", 0, 1,
+        )
+        assert np.abs(result.pi[result.chain.keep] - _debt_gth(result)).sum() <= 1e-10
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_the_floor_takes_one_power_step(self, size):
+        # the law's Poisson weights are cut where the kernel's are, at 1e-16
+        space = build_state_space(
+            TrafficSpec((size,), (1.0,), 0.99 / size), FilterConfig(150, 300, 1.0)
+        )
+        result = solve_stationary(space, tol=TOLERANCE_FLOOR)
+        assert (result.route, result.solve_matvecs, result.power_steps) == (
+            "transfer", 0, 1,
+        )
+        assert result.residual <= TOLERANCE_FLOOR
 
 
 class TestTimeAverage:

@@ -70,6 +70,15 @@ class TestArrivalDistribution:
         with pytest.raises(ValueError):
             ArrivalDistribution.from_mean(1e6)
 
+    @pytest.mark.parametrize("mean", [709.0, 720.0, 740.0, 745.0])
+    def test_a_subnormal_chance_of_none_keeps_the_weights(self, mean):
+        # exp(-mean) is subnormal: run from it, the recurrence would carry
+        # its lost digits into every weight
+        dist = ArrivalDistribution.from_mean(mean)
+        assert abs(dist.pmf.sum() - 1.0) <= 1e-13
+        want = scipy.stats.poisson.pmf(np.arange(len(dist.pmf)), mean)
+        assert np.abs(dist.pmf - want).max() <= 1e-13
+
 
 class TestReplenishmentMatrix:
     def test_exactly_one_unit_entry_per_row(self, reference_space):
