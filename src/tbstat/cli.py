@@ -3,7 +3,8 @@
 ``tbstat run scenario.json`` evaluates one scenario and writes a JSON report
 plus plot-ready CSV tables; ``tbstat sweep scenario.json --grid grid.json``
 repeats that over a cartesian parameter grid, isolating per-point failures
-and rewriting its ``index.json`` as each point finishes.
+and rewriting its ``index.json`` as each point finishes, from the text of
+each finished entry kept as it was encoded.
 Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, packets the bucket can
@@ -19,7 +20,9 @@ code 2, as are paths that cannot be read or written, with the path named.  Solve
 ``markov._fixed_length_law`` solves both fixed-length chains with no matrix.
 Each table is built once as records rounded to 12 significant digits, and
 written from them to the report and the CSV files as ``json.dumps(indent=2)``
-and ``csv.writer`` would.
+and ``csv.writer`` would.  Every artifact is written over in place and cut to
+its new length (``_write``), never truncated to zero first; ``_write`` says
+what that trades in crash consistency.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ import copy
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -389,20 +394,65 @@ def _cell(x) -> str:
     return f"{x:.12g}"
 
 
+def _leaf(x) -> str:
+    """``json.dumps(x)`` for a leaf; a string or a finite number takes no json
+    call (``float.__repr__``, as json's, also writes a numpy float)."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return json.dumps(x)  # NaN, Infinity, and what json alone may refuse
+
+
 def _dumps(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for string keys.  An indent sends json to
     its Python encoder, so each list of numbers goes to the C one in one call."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _leaf(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = indent + "  "
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)  # a leaf, [] or {}
     if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
-    elif {*map(type, obj)} <= {int, float, bool, type(None)}:
-        items = json.dumps(obj)[1:-1].split(", ")  # no number's text holds ", "
+        quote = encode_basestring_ascii
+        items = [f"{quote(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if {*map(type, obj)} <= {int, float, bool, type(None)}:
+        # no number's text holds ", "
+        items = json.dumps(obj)[1:-1].replace(", ", "," + inner)
     else:
-        items = [_dumps(x, inner) for x in obj]
-    ends = "{}" if isinstance(obj, dict) else "[]"
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+        items = ("," + inner).join([_dumps(x, inner) for x in obj])
+    return "[" + inner + items + indent + "]"
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` over ``path`` in place, then cut the file to its length.
+
+    Opening without ``O_TRUNC`` keeps the inode, its permissions and links, and
+    spares ext4 the flush it makes at close after a truncate to zero (its
+    ``auto_da_alloc``), most of the cost of rewriting a file.  The trade is
+    crash consistency: after a power loss or OS crash in the middle of a
+    rewrite, the file may hold new bytes followed by the earlier run's tail,
+    where a truncating write would leave it empty or short.  A file that did
+    not exist has no old bytes to show.  An error or interrupt during the
+    write cuts the file to the bytes written so far, a prefix of the new text,
+    as a truncating write leaves it.
+    """
+    data = memoryview(text.encode())
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666)
+    done = 0
+    try:
+        while done < len(data):
+            done += os.write(fd, data[done:])
+    finally:
+        try:
+            os.ftruncate(fd, done)  # at most the bytes written, if cut short
+        finally:
+            os.close(fd)
 
 
 def _write_csv(path: Path, records: list[dict]) -> None:
@@ -410,25 +460,21 @@ def _write_csv(path: Path, records: list[dict]) -> None:
     # CRLF line ends, and no quotes: no key or cell holds ',', '"' or a newline
     lines = [",".join(records[0])]
     lines += [",".join([_cell(x) for x in r.values()]) for r in records]
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    _write(path, "\r\n".join(lines) + "\r\n")
 
 
 def _occupancy(table: np.ndarray, path: Path) -> list[list[float]]:
     """Write the table as ``_write_csv`` would; return the grid its cells read."""
     width = table.shape[1]
     flat = table.ravel().tolist()
-    text = ["0"] * len(flat)
-    for i in np.flatnonzero((table != 0) | np.signbit(table)).tolist():
-        text[i] = f"{flat[i]:.12g}"  # also the text of its _sig-rounded float
-        flat[i] = float(text[i])
-    cols = [f"{b}," for b in range(width)]
-    rows = range(0, len(flat), width)
-    lines = ["tokens,backlog,probability"]
-    for start in rows:
-        lead = f"\r\n{start // width},"
-        lines += [lead, lead.join(map(str.__add__, cols, text[start : start + width]))]
-    path.write_text("".join(lines) + "\r\n", newline="")
-    return [flat[start : start + width] for start in rows]
+    for i in np.flatnonzero(table).tolist():
+        flat[i] = float(f"{flat[i]:.12g}")  # _sig, whose .12g text is x's
+    grid = [flat[start : start + width] for start in range(0, len(flat), width)]
+    # a row's lines "t,b,cell" from one template, each cell as _cell writes it
+    cells = ["", *[f"{b},%.12g" for b in range(width)]]
+    lines = [f"\r\n{t},".join(cells) % tuple(row) for t, row in enumerate(grid)]
+    _write(path, "tokens,backlog,probability" + "".join(lines) + "\r\n")
+    return grid
 
 
 def _laws(key: str, transfer: np.ndarray, md1: np.ndarray) -> list[dict]:
@@ -631,7 +677,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> dict:
             report.update(simulated)
         if scenario.mode == "compare":
             report.update(_compare(report, metrics, sim_table, out))
-    (out / "report.json").write_text(_dumps(report) + "\n")
+    _write(out / "report.json", _dumps(report) + "\n")
     return report
 
 
@@ -658,7 +704,8 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
 
     Any exception a point raises is recorded as its ``error``, with its type
     name as ``error_class``, and the sweep goes on.  ``index.json`` is
-    rewritten after every point, so it lists each point finished so far.
+    rewritten after every point, so it lists each point finished so far;
+    each entry is encoded once, and the file is built from the kept texts.
     """
     raw = _read_json(scenario_path, "scenario")
     parse_scenario(raw)  # validate the baseline before spending any work
@@ -675,7 +722,12 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
     index = {"scenario": str(scenario_path), "grid": grid_raw, "points": entries}
-    (out_dir / "index.json").write_text(_dumps(index) + "\n")
+    # _dumps(index): its head without the closing "\n}", then the points
+    # from the text each entry was encoded to once, when it finished
+    head = _dumps({"scenario": index["scenario"], "grid": grid_raw})[:-2]
+    texts: list[str] = []
+    path = out_dir / "index.json"
+    _write(path, head + ',\n  "points": []\n}\n')
     for i, combo in enumerate(points):
         overrides = dict(zip(names, combo))
         point_name = f"point_{i:03d}"
@@ -690,7 +742,9 @@ def run_sweep(scenario_path: Path, grid_path: Path, out_dir: Path) -> dict:
             entry["error"] = str(exc)
             entry["error_class"] = type(exc).__name__
         entries.append(entry)
-        (out_dir / "index.json").write_text(_dumps(index) + "\n")
+        texts.append(_dumps(entry, "\n    "))
+        listed = ",\n    ".join(texts)
+        _write(path, head + ',\n  "points": [\n    ' + listed + "\n  ]\n}\n")
     return index
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from tbstat.cli import (
     _fixed_length,
     _occupancy,
     _sig,
+    _write,
     _write_csv,
     load_scenario,
     main,
@@ -534,6 +536,82 @@ def test_dumps_matches_json_dumps_with_an_indent():
     assert _dumps(obj) == json.dumps(obj, indent=2)
     for leaf in (1, 2.5, None, True, "a, b", [], {}, (), [[]], float("nan")):
         assert _dumps(leaf) == json.dumps(leaf, indent=2)
+    # the edges of the leaves written with no json call, and of the rest
+    edges = [
+        -0.0, 5e-324, 1e-5, 1e16, 10**20, -(10**20), float("nan"), float("inf"),
+        -float("inf"), True, False, None, np.float64(0.1), np.float64(-0.0),
+        "ü, é", "中文 \u2028 \x00", "",
+    ]
+    for x in edges:
+        for shape in (x, [x], [x, 1.5], [[x], "s"], {"k": x}, {"ключ é": [x]}):
+            assert _dumps(shape) == json.dumps(shape, indent=2), shape
+    keyed = {"ü": "é", "中文": ["中文", 1e16], "\u2028": {"\x00": 10**20}}
+    assert _dumps(keyed) == json.dumps(keyed, indent=2)
+
+
+class TestWrite:
+    def test_a_longer_file_is_cut_to_the_new_bytes_in_place(self, tmp_path):
+        path, link = tmp_path / "a.txt", tmp_path / "link.txt"
+        path.write_bytes(b"x" * 10_000)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        _write(path, "new\r\ntext ü\n")
+        assert path.read_bytes() == "new\r\ntext ü\n".encode()
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes()
+
+    def test_a_missing_file_is_created(self, tmp_path):
+        _write(tmp_path / "new.csv", "a,b\r\n")
+        assert (tmp_path / "new.csv").read_bytes() == b"a,b\r\n"
+
+    @pytest.mark.parametrize(
+        "stop", [OSError(28, "No space left on device"), KeyboardInterrupt()]
+    )
+    def test_a_write_cut_short_leaves_a_prefix_of_the_new_bytes(
+        self, stop, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"old run " * 1_000)
+        write, calls = os.write, []
+
+        def short_then_stop(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise stop
+            return write(fd, data[:5])  # a short write, as a full disk gives
+
+        monkeypatch.setattr(tbstat.cli.os, "write", short_then_stop)
+        with pytest.raises(type(stop)):
+            _write(path, "new text")
+        monkeypatch.undo()
+        assert calls == [8, 3]
+        # what a truncating write leaves when it stops at the same byte
+        assert path.read_bytes() == b"new t"
+
+    def test_an_artifact_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        taken = tmp_path / "out" / "report.json"
+        taken.mkdir(parents=True)
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(taken) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", sorted(MODE_SCENARIOS))
+    def test_a_run_over_padded_artifacts_writes_a_fresh_runs_bytes(
+        self, mode, tmp_path, monkeypatch
+    ):
+        def run_into(out):
+            clock = iter(range(10**6))  # the same wall times in each run
+            monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+            run_scenario(parse_scenario(MODE_SCENARIOS[mode]), out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        fresh = run_into(tmp_path / "fresh")
+        (tmp_path / "stale").mkdir()
+        for name, data in fresh.items():
+            (tmp_path / "stale" / name).write_bytes(data + b"junk" * 5_000)
+        assert run_into(tmp_path / "stale") == fresh
 
 
 class TestRunCountStates:
@@ -900,6 +978,37 @@ class TestSweep:
         monkeypatch.setattr(tbstat.cli, "run_scenario", watched)
         run_sweep(scenario, grid, tmp_path / "sweep")
         assert seen == {"point_000": [], "point_001": ["point_000"]}
+
+    def test_the_index_is_built_from_each_entry_encoded_once(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(small_raw()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"traffic.rate": [0.25, -1.0, 0.5]}))
+        path = tmp_path / "sweep" / "index.json"
+        write, dumps, texts, encoded = tbstat.cli._write, tbstat.cli._dumps, [], []
+
+        def watched(target, text):
+            write(target, text)
+            if target == path:
+                texts.append(path.read_text())
+
+        def spy(obj, *args):
+            if isinstance(obj, dict) and "point" in obj:
+                encoded.append(obj["point"])
+            return dumps(obj, *args)
+
+        monkeypatch.setattr(tbstat.cli, "_write", watched)
+        monkeypatch.setattr(tbstat.cli, "_dumps", spy)
+        index = run_sweep(scenario, grid, tmp_path / "sweep")
+        assert [e["status"] for e in index["points"]] == ["ok", "error", "ok"]
+        # the file before the first point and after each is the index so far
+        assert len(texts) == 4
+        for done, text in enumerate(texts):
+            so_far = {**index, "points": index["points"][:done]}
+            assert text == json.dumps(so_far, indent=2) + "\n"
+        assert encoded == ["point_000", "point_001", "point_002"]
 
     def test_invalid_baseline_fails_fast(self, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -3,8 +3,9 @@
 Run as a script, this file draws scenarios over all five modes and runs each
 through ``tbstat.cli.main`` in one process under an address-space cap,
 printing one JSON record a run; the test starts it as a child and checks
-the records.  Each field is drawn from a small pool of sane values or, now
-and then, from a pool of edge values.
+the records, and that each report is ``json.dumps(indent=2)`` of itself.
+Each field is drawn from a small pool of sane values or, now and then, from
+a pool of edge values.
 """
 
 import contextlib
@@ -131,7 +132,9 @@ def test_random_scenarios_exit_0_or_2_naming_a_field(tmp_path):
     assert 0 < len(passed) < SCENARIOS
     assert {records[i]["scenario"]["mode"] for i in passed} == set(MODES)
     for i in passed:
-        report = json.loads((tmp_path / f"run_{i}" / "report.json").read_text())
+        text = (tmp_path / f"run_{i}" / "report.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n", records[i]["scenario"]
         for law in _laws(report):
             assert all(p >= 0 for p in law), (records[i]["scenario"], min(law))
             assert abs(sum(law) - 1) <= 1e-9, (records[i]["scenario"], sum(law))
