@@ -226,20 +226,20 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     in the form the chain was built in.  Three routes give the power steps
     their start, named by ``route``.
 
-    ``"transfer"``: traffic of one size of ``s`` tokens whose Poisson
-    arrival law is representable (``exp(-rate * period) > 0``) follows the
-    periodic transfer chain of its coordinate ``backlog - tokens +
-    bucket``, the debt plus the bucket, raised ``s`` by each packet that
-    fits and lowered one by each grant.  The coordinate is one-to-one on
-    the reachable states, as a waiting packet leaves fewer than ``s``
-    tokens banked.  Its law is read off the Poisson tails, cut where the
-    kernel is, by ``markov._fixed_length_law`` at each kept state's
-    coordinate, with no period operator and no elimination.  The steps
-    that certify it run vector by vector, each entry of ``kernel.point``
-    added at its grant target (``period_nnz`` None), so the transfer law
-    must pass the reachable chain's own step or be moved by it.
+    ``"transfer"``: traffic of one size of ``s`` tokens, at any rate,
+    follows the periodic transfer chain of its coordinate ``backlog -
+    tokens + bucket``, the debt plus the bucket, raised ``s`` by each
+    packet that fits and lowered one by each grant.  The coordinate is
+    one-to-one on the reachable states, as a waiting packet leaves fewer
+    than ``s`` tokens banked.  Its law is read off the Poisson tails, cut
+    where the kernel is, by ``markov._fixed_length_law`` at each kept
+    state's coordinate, with no period operator and no elimination.  The
+    steps that certify it run vector by vector, each entry of
+    ``kernel.point`` added at its grant target (``period_nnz`` None), so
+    the transfer law must pass the reachable chain's own step or be moved
+    by it.
 
-    Any other chain has ``P^T = G^T exp(R t)^T`` built by
+    A chain of two or more sizes has ``P^T = G^T exp(R t)^T`` built by
     ``markov.reachable_period``, each row of ``exp(R t)^T`` added at its
     grant target, to the bits of ``grant_t @ kernel.operator()``: a dense
     chain's whole, a sparse chain's when a column holds at most
@@ -293,12 +293,9 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     dense = isinstance(chain.rates, np.ndarray)
     series_tol = min(SERIES_TOL, tol / 10)
     kernel = uniformize(chain.rates, config.period, series_tol)
-    mean = traffic.rate * config.period
     labels, period_t, period_nnz = chain.keep, None, None
-    if len(traffic.sizes) == 1 and math.exp(-mean) > 0.0:
-        route = "transfer"
-    else:
-        route = "gth" if dense else "bicgstab"
+    route = "transfer" if len(traffic.sizes) == 1 else "gth" if dense else "bicgstab"
+    if route != "transfer":
         jumps, packets = kernel.jumps, config.buffer // min(traffic.sizes)
         sources = min(packets, jumps + 1) + min(config.bucket, jumps * largest) + 1
         if dense or sources <= _ENTRIES_PER_STATE:
@@ -317,10 +314,10 @@ def solve_stationary(space: StateSpace, tol: float = 1e-10) -> StationaryResult:
     if route == "transfer":
         level, string = np.divmod(chain.keep, space.n_strings)
         net = space.string_backlogs[string] - level + config.bucket
-        law = _fixed_length_law(
+        mean = traffic.rate * config.period
+        kept = _fixed_length_law(
             mean, config.buffer, config.bucket, md1=False, size=largest, tol=series_tol
-        )
-        kept = law[net]
+        )[net]
     elif route == "gth":
         kept = _gth(period_t.T)
     else:

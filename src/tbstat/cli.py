@@ -12,11 +12,12 @@ never pay for (in the analytic, simulate and compare modes), analytic
 chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
 ``WORK_BUDGET`` states times mean arrivals a period, simulations over
 ``EVENT_BUDGET`` expected events or ``OCCUPANCY_CELLS`` occupancy cells,
-fixed-length chains whose Poisson law underflows or that hold over
-``FIXED_LENGTH_STATES`` states, ``count-states`` limits over
-``BOUNDS_LIMIT`` or past the float range of the estimate, and tolerances
+fixed-length runs of any sizes but ``[1]``, of a non-finite mean arrival
+count or of more than ``TABLE_ROWS`` coordinates, ``count-states`` limits
+over ``TABLE_ROWS`` or past the float range of the estimate, and tolerances
 below ``TOLERANCE_FLOOR`` are rejected with the offending field named, exit
-code 2, as are paths that cannot be read or written, with the path named.  Solver failures exit with code 1.
+code 2, as are paths that cannot be read or written, with the path named.
+Solver failures exit with code 1.
 ``markov._fixed_length_law`` solves both fixed-length chains with no matrix.
 Each table is built once as records rounded to 12 significant digits, and
 written from them to the report and the CSV files as ``json.dumps(indent=2)``
@@ -67,18 +68,11 @@ STATE_BUDGET = 1_000_000
 STRING_ROW_BUDGET = 2_000_000_000
 # Most states times mean arrivals a period, states * rate * period, an
 # analytic chain may have: one period product sums about two series terms a
-# mean arrival, each a pass over the chain, and the solve may make 811 of
-# them.  A product on unit sizes at bucket 0 and buffer 20,000 takes 0.095 s
-# at rate 500 (1e7), 2.5 s at 1e4 (2e8), and 43 s at buffer 60,000 and rate
-# 1e5 (6e9); small chains add about 4 us a series term, 0.78 s a product on
-# the 36- and 186-state spaces at rate 1e5 (Python 3.11.7, Xeon host).
+# mean arrival, each a pass over the chain.  BiCGSTAB may make 811 products on
+# two or more sizes; one size makes one, the step certifying its transfer law,
+# which on unit sizes at bucket 0 and buffer 20,000 takes 0.036 s at rate 500
+# (1e7) and 1.0 s at 1e4 (2e8) (Python 3.11.7, 2-vCPU Xeon, one BLAS thread).
 WORK_BUDGET = 10_000_000
-# Most states, buffer + bucket + 1, of the fixed-length chains.  Their laws
-# hold no matrix, but back substitution takes time about squared: at bucket 5
-# and buffer 16,000 ``tbstat run`` takes 0.29 to 0.47 s in process (0.44 to
-# 0.70 s with start-up) and 36 to 38 MB at rates 0.5, 0.97 and 700; 5 runs
-# each, on the same host with BLAS on one thread.
-FIXED_LENGTH_STATES = 16_384
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
@@ -92,11 +86,12 @@ EVENT_BUDGET = 1_000_000_000
 # 3, whose tables alone would take 2 * 29.8 GiB.
 OCCUPANCY_CELLS = 32_000_000
 
-# Largest ``bounds`` upper limit.  ``count-states`` counts strings of every
-# total up to it and writes one row per limit, so its cost grows with the
-# limit: sizes (1,) over [0, 100000] take about 1.6 s and 133 MB and write
-# 9.2 MB, over [0, 300000] 4.1 s and 342 MB (Python 3.11.7, 2-vCPU Xeon).
-BOUNDS_LIMIT = 100_000
+# Most rows of the tables a run fills row by row: ``count-states``' upper
+# limit and the fixed-length coordinates, buffer + bucket + 1.  At the cap,
+# sizes (1,) over [0, 100000] count in about 1.6 s and 133 MB and write 9.2 MB;
+# fixed-length laws at bucket 5 and buffer 99,994 take 1.1 to 1.8 s and 71 to
+# 81 MB at rates 0.5, 0.97 and 700 (Python 3.11.7, 2-vCPU Xeon).
+TABLE_ROWS = 100_000
 
 
 class ScenarioError(ValueError):
@@ -251,9 +246,9 @@ def parse_scenario(raw: dict) -> Scenario:
         or bounds_raw[0] < 0
     ):
         raise ScenarioError("bounds", "expected [low, high] with 0 <= low <= high")
-    if bounds_raw[1] > BOUNDS_LIMIT:
+    if bounds_raw[1] > TABLE_ROWS:
         raise ScenarioError(
-            "bounds", f"upper limit {bounds_raw[1]} is over the cap of {BOUNDS_LIMIT:,}"
+            "bounds", f"upper limit {bounds_raw[1]} is over the cap of {TABLE_ROWS:,}"
         )
 
     tolerance = _as_number(raw.get("tolerance", 1e-10), "tolerance")
@@ -285,18 +280,16 @@ def parse_scenario(raw: dict) -> Scenario:
                 f"{WORK_BUDGET:,}",
             )
     if mode == "fixed-length":
-        if math.exp(-mean) == 0.0:
-            raise ScenarioError(
-                "traffic.rate",
-                f"{mean:g} mean arrivals a period underflow the Poisson law of "
-                f"the fixed-length chains (exp(-mean) is 0 past about 745)",
-            )
+        if traffic.sizes != (1,):
+            raise ScenarioError("traffic.sizes", "fixed-length chains take [1] only")
+        if not math.isfinite(mean):
+            raise ScenarioError("traffic.rate", f"rate * filter.period is {mean:g}")
         states = config.buffer + config.bucket + 1
-        if states > FIXED_LENGTH_STATES:
+        if states > TABLE_ROWS:
             raise ScenarioError(
                 "filter.buffer",
                 f"the fixed-length chains have {states:,} states, buffer + "
-                f"bucket + 1, over the cap of {FIXED_LENGTH_STATES:,}",
+                f"bucket + 1, over the cap of {TABLE_ROWS:,}",
             )
     cells = (config.bucket + 1) * (config.buffer + 1)
     if mode in ("simulate", "compare") and cells > OCCUPANCY_CELLS:

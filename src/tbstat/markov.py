@@ -23,10 +23,10 @@ envelope (``_eliminate``).  A chain of one packet size falls one state a
 period in debt order (skip-free to the left, Neuts 1989), as both
 fixed-length chains do, so ``_fixed_length_law`` reads its cut equations
 off the Poisson tails with no matrix; the built chains are its reference.
-That law is the start of every one-size solve whose arrival law is
-representable, read at each reachable state's debt plus the bucket, so
-such a chain reaches neither ``reachable_period`` nor ``_gth``.  A dense
-linear solve is kept as a cross-check.
+That law is the start of every one-size solve, at any rate, read at each
+reachable state's debt plus the bucket, so only chains of two or more
+sizes reach ``reachable_period`` and ``_gth``.  A dense linear solve is
+kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ _DENSE_STATES = 81
 
 @dataclass(frozen=True)
 class ArrivalDistribution:
-    """Poisson arrival counts in one period, cut at ``tol``."""
+    """Poisson arrival counts in one period, cut at ``tol``: ``pmf`` holds
+    the weights of 0 to ``len(pmf) - 1`` arrivals, and ``tail`` the mass
+    left, which the fixed-length chains count as ``len(pmf)`` arrivals."""
 
     mean: float
     pmf: np.ndarray
@@ -178,16 +180,17 @@ def _chain_from_step(
     mean_arrivals: float,
     n_states: int,
 ) -> np.ndarray:
+    """The dense chain stepping each state by ``steps(states, arrivals)``,
+    the cut's mass at ``len(pmf)`` arrivals, the first count past the cut."""
     arr = ArrivalDistribution.from_mean(mean_arrivals)
     # Fortran order, so each column GTH passes over is contiguous
     chain = np.zeros((n_states, n_states), order="F")
     states = np.arange(n_states)
-    saturating = n_states  # enough arrivals to pin the capped sum at its max
     # one target per state and count, so no cell is named twice in one sum;
     # each cell adds its counts' weights in increasing order, then the tail
     for a, p in enumerate(arr.pmf):
         chain[states, steps(states, a)] += p
-    chain[states, steps(states, saturating)] += arr.tail
+    chain[states, steps(states, len(arr.pmf))] += arr.tail
     return chain
 
 
@@ -688,24 +691,29 @@ def _fixed_length_law(
     and falls one a period, so GTH reduces to the cut equations (Neuts
     1989): ``pi[k]`` times the fall from ``k`` is the sum over ``i < k`` of
     ``pi[i] T(ceil((k + 1 - i) / size))``, ``T(m)`` the weight of ``m`` or
-    more arrivals, and each column is a slice of one array of tails.  The
-    fall is ``p0``, the weight of no arrival, up to ``top - size``, where
-    elimination stops if ``p0`` is subnormal; above, no packet fits, the
-    fall is certain and a row crosses only if its room holds the rise.
-    M/D/1's idle row reads ``T(k)``; only it reaches the top state, whose
-    exit is ``T(0)``.  Back substitution runs as ``_gth``'s, each dot and
-    rescale from the first mass not yet underflowed to 0: at high load
-    every step rescales, and the masses it leaves behind vanish.
+    more arrivals, and each column is a slice of one array of tails, which
+    ends in zeros: ``T`` is 0 past the cut's mass, at ``K = len(pmf)``
+    arrivals, so the work is O(n K size).  The fall is ``p0``, the weight
+    of no arrival, up to ``top - size``, where elimination stops if ``p0``
+    is subnormal, and the rows above read only ``T(1) = 1 - p0``, 1 in
+    floats, so no pmf is formed; there no packet fits, the fall is certain
+    and a row crosses only if its room holds the rise.  M/D/1's idle row
+    reads ``T(k)``; only it reaches the top state, whose exit is ``T(0)``.
+    Back substitution runs as ``_gth``'s, each dot and rescale from the
+    first mass not yet underflowed to 0: at high load every step rescales,
+    and the masses it leaves behind vanish.
     """
-    arr = ArrivalDistribution.from_mean(mean_arrivals, tol)
-    top, p0 = bucket + buffer_cap // size * size, arr.pmf[0]
-    # T(m) up to the cut, summed from the cut tail up; past it T is the tail
-    tails = np.cumsum(np.r_[arr.tail, arr.pmf[::-1]])[::-1]
-    # tails[j] = T(ceil((top - j) / size)), the packets a rise of top - j needs
-    tails = tails[np.minimum(-(np.arange(-top, 1) // size), len(arr.pmf))]
-    zeros = int(np.count_nonzero(tails == 0))  # T is nonincreasing
+    top, p0 = bucket + buffer_cap // size * size, math.exp(-mean_arrivals)
     fits = top - size  # the last state a packet fits in: it falls only with none
-    last = max(fits, 0) if p0 < np.finfo(float).tiny else 0
+    if p0 < np.finfo(float).tiny:
+        last, tails = max(fits, 0), np.ones(top + 1)
+    else:
+        arr = ArrivalDistribution.from_mean(mean_arrivals, tol)
+        # T(m) summed up from the cut's mass at K arrivals, then 0 at K + 1
+        cut = np.cumsum(np.r_[0.0, arr.tail, arr.pmf[::-1]])[::-1]
+        # tails[j] = T(ceil((top - j) / size)), the packets a rise of top - j needs
+        last, tails = 0, cut[np.minimum(-(np.arange(-top, 1) // size), len(cut) - 1)]
+    zeros = int(np.count_nonzero(tails == 0))  # T is nonincreasing
     pi = np.zeros(top + 1)
     pi[last] = 1.0
     first = last  # the first mass not underflowed to 0

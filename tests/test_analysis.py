@@ -290,21 +290,31 @@ def _long_double_law(space, chain) -> np.ndarray:
     return law
 
 
-def _long_double_transfer_law(mean: float, buffer_cap: int, bucket: int) -> np.ndarray:
-    """Stationary law of the periodic transfer chain in long double: the
-    Poisson weights cut at 1e-30, the rest at the top, then GTH, rooted at
-    net coordinate 0, the full-bucket idle state."""
+def _long_double_transfer_law(
+    mean: float, buffer_cap: int, bucket: int, size: int = 1
+) -> np.ndarray:
+    """Stationary law of the periodic transfer chain of packets of ``size``
+    tokens in long double: the Poisson weights cut at 1e-30, the rest at
+    the top, then GTH, rooted at net coordinate 0, the full-bucket idle
+    state.  Each packet that fits raises the coordinate by ``size``, each
+    grant lowers it by one, as ``periodic_transfer_steps`` does at size 1."""
     ld = np.longdouble
-    n = buffer_cap + bucket + 1
-    states = np.arange(n)
+    top = bucket + buffer_cap // size * size
+    states = np.arange(top + 1)
+
+    def steps(arrivals: int) -> np.ndarray:
+        if size == 1:
+            return periodic_transfer_steps(states, arrivals, buffer_cap, bucket)
+        fitting = np.minimum(arrivals, (top - states) // size)
+        return np.maximum(0, states + size * fitting - 1)
+
     weight, k = np.exp(-ld(mean)), 0
-    chain = np.zeros((n, n), dtype=ld)
+    chain = np.zeros((top + 1, top + 1), dtype=ld)
     while weight > ld(1e-30) or k < mean:
-        chain[states, periodic_transfer_steps(states, k, buffer_cap, bucket)] += weight
+        chain[states, steps(k)] += weight
         k += 1
         weight *= ld(mean) / k
-    rest = 1 - chain.sum(axis=1)
-    chain[states, periodic_transfer_steps(states, n, buffer_cap, bucket)] += rest
+    chain[states, steps(top + 1)] += 1 - chain.sum(axis=1)
     return _long_double_gth(chain)
 
 
@@ -318,7 +328,7 @@ def _long_double_transfer_law(mean: float, buffer_cap: int, bucket: int) -> np.n
         (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(20, 40, 1.0), 1e-11),
         (reference_traffic(0.5), FilterConfig(5, 5, 1.0), 1e-13),
         (reference_traffic(0.45), FilterConfig(4, 6, 1.0), 1e-11),
-        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(150, 300, 1.0), 1e-10),
+        (TrafficSpec((1,), (1.0,), 0.99), FilterConfig(150, 300, 1.0), 1e-12),
     ],
     ids=["critical_unit", "reference", "assembled", "near_critical_unit"],
 )
@@ -342,6 +352,24 @@ def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
     exact = _long_double_law(space, chain)
     assert abs(exact.sum() - 1) <= 1e-17
     assert np.abs(result.pi[chain.keep] - exact).sum() <= bound
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="long double is no wider than a double here",
+)
+@pytest.mark.parametrize(
+    "mean, buffer_cap, bucket, size",
+    [(0.99, 300, 150, 1), (0.99, 40, 20, 1), (0.5, 400, 5, 2), (0.3, 300, 150, 3)],
+    ids=["near_critical_unit", "critical_unit", "size_2", "size_3"],
+)
+def test_the_one_size_law_is_near_its_long_double_chain(mean, buffer_cap, bucket, size):
+    # the mass past the Poisson cut counts as the first count past it, not
+    # as a full buffer: there it moved these laws by 4.9e-11, 5.9e-13,
+    # 8.2e-12 and 6.7e-12 L1 from the chain cut at 1e-30
+    law = markov._fixed_length_law(mean, buffer_cap, bucket, md1=False, size=size)
+    exact = _long_double_transfer_law(mean, buffer_cap, bucket, size)
+    assert np.abs(law - exact).sum() <= 1e-13
 
 
 def _per_column_bound(space, kernel) -> int:
@@ -1040,13 +1068,16 @@ class TestUnitSizeUnification:
         assert np.abs(wrong.pi - right.pi).sum() <= 1e-8
 
     @pytest.mark.parametrize("rate", [1000.0, 100000.0])
-    def test_an_underflowing_arrival_law_keeps_the_elimination(self, rate):
-        # exp(-rate) is 0: the transfer law cannot be formed
+    def test_an_underflowing_arrival_law_takes_the_transfer_route(self, rate):
+        # exp(-rate) is 0: elimination stops where a packet last fits, and
+        # the law reads no Poisson weight
         space = build_state_space(TrafficSpec((1,), (1.0,), rate), FilterConfig(5, 5, 1.0))
         result = solve_stationary(space)
-        assert result.route == "gth"
-        assert result.period_nnz is not None
-        assert result.power_steps == 1
+        assert result.route == "transfer"
+        assert (result.solve_matvecs, result.power_steps) == (0, 1)
+        assert result.period_nnz is None
+        law = result.pi[result.chain.keep]
+        assert np.abs(law - _debt_gth(result)).sum() <= 1e-15
 
 
 def _debt_gth(result) -> np.ndarray:
@@ -1072,14 +1103,17 @@ class TestOneSizeRoute:
         "size, bucket, buffer",
         [
             (size, bucket, buffer)
-            for size in (2, 3, 5)
+            for size in (1, 2, 3, 5)
             for bucket, buffer in ((size - 1, size), (size, 2 * size + 1), (5, 12))
         ],
     )
     def test_the_law_is_gth_of_the_period_in_debt_order(self, size, bucket, buffer):
         # from light traffic to a subnormal chance of no arrival, where the
-        # chain all but cycles through the states of a full buffer
-        for mean in (1e-9, 0.3, 1.0, 5.0, 50.0, 700.0, 720.0, 740.0, 745.0):
+        # chain all but cycles through the states of a full buffer, and on
+        # to rates whose chance of no arrival is 0, where the law reads no pmf
+        for mean in (
+            1e-9, 0.3, 1.0, 5.0, 50.0, 700.0, 720.0, 740.0, 745.0, 746.0, 1e3, 1e4, 1e5
+        ):
             space = build_state_space(
                 TrafficSpec((size,), (1.0,), mean), FilterConfig(bucket, buffer, 1.0)
             )
@@ -1088,6 +1122,19 @@ class TestOneSizeRoute:
             assert (result.solve_matvecs, result.power_steps) == (0, 1)
             law = result.pi[result.chain.keep]
             assert np.abs(law - _debt_gth(result)).sum() <= 1e-14
+
+    def test_a_sparse_chain_builds_no_operator_at_any_rate(self, monkeypatch):
+        # a sparse one-size chain whose chance of no arrival is 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-size solve reached an operator solver")
+
+        for name in ("reachable_period", "_gth", "_bicgstab"):
+            monkeypatch.setattr(tbstat.analysis, name, refuse)
+        space = build_state_space(TrafficSpec((2,), (1.0,), 1e4), FilterConfig(5, 300, 1.0))
+        result = solve_stationary(space)
+        assert (result.route, result.solve_matvecs, result.power_steps) == (
+            "transfer", 0, 1,
+        )
 
     @pytest.mark.parametrize("bucket, buffer", [(40, 80), (150, 300)])
     def test_long_buffers_near_critical_load(self, bucket, buffer):

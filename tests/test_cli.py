@@ -214,8 +214,8 @@ class TestParseScenario:
     @pytest.mark.parametrize(
         "mode, rate, period, horizon, fieldname",
         [
-            # exp(-1000) underflows, so the fixed-length chains have no pmf
-            ("fixed-length", 1000.0, 1.0, 5, "traffic.rate"),
+            # the mean overflows, and the report would carry Infinity
+            ("fixed-length", 1e300, 1e300, 5, "traffic.rate"),
             # uniformization would cut the period into 8e297 pieces
             ("analytic", 1e300, 1.0, 5, "traffic.rate"),
             ("analytic", 1.0, 1e300, 5, "traffic.rate"),
@@ -235,7 +235,8 @@ class TestParseScenario:
 
     def test_the_heaviest_runs_in_use_stay_admitted(self):
         # the deep chain of the CLI tests, the reference scenario's 1.5M
-        # simulated events, and a Poisson law just inside the float range
+        # simulated events, and fixed-length laws just inside the float
+        # range of the Poisson law and past it
         deep = small_raw(mode="analytic")
         deep["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 200.0}
         deep["filter"] = {"bucket": 5, "buffer": 600, "period": 1.0}
@@ -243,8 +244,9 @@ class TestParseScenario:
         scenarios = Path(__file__).resolve().parents[1] / "scenarios"
         assert load_scenario(scenarios / "reference.json").horizon == 1_000_000
         fixed = small_raw(mode="fixed-length")
-        fixed["traffic"] = {"sizes": [1], "probs": [1.0], "rate": 700.0}
-        assert parse_scenario(fixed).mode == "fixed-length"
+        for rate in (700.0, 1000.0):
+            fixed["traffic"] = {"sizes": [1], "probs": [1.0], "rate": rate}
+            assert parse_scenario(fixed).mode == "fixed-length"
 
     @pytest.mark.parametrize(
         "buffer, rate, work",
@@ -274,8 +276,29 @@ class TestParseScenario:
             parse_scenario(raw)
         assert err.value.fieldname == "filter.buffer"
         assert "200,006 states" in str(err.value)
-        raw["filter"].update(buffer=4_000)
-        assert parse_scenario(raw).config.buffer == 4_000
+        raw["filter"].update(buffer=99_995)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert "100,001 states" in str(err.value)
+        # the cap itself: 100,000 coordinates
+        raw["filter"].update(buffer=99_994)
+        assert parse_scenario(raw).config.buffer == 99_994
+
+    @pytest.mark.parametrize(
+        "sizes, bucket, buffer",
+        [([1, 2], 5, 5), ([7], 2, 3), ([2], 5, 5)],
+        ids=["two_sizes", "unpayable", "one_size_of_two"],
+    )
+    def test_fixed_length_chains_take_unit_sizes_only(self, sizes, bucket, buffer):
+        # the chains are the unit-size filter's, and no other sizes have one
+        raw = small_raw(mode="fixed-length")
+        probs = [1 / len(sizes)] * len(sizes)
+        raw["traffic"] = {"sizes": sizes, "probs": probs, "rate": 0.5}
+        raw["filter"].update(bucket=bucket, buffer=buffer)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "traffic.sizes"
 
     @pytest.mark.parametrize(
         "mode, sizes, bucket, buffer, cells",
@@ -708,6 +731,19 @@ class TestRunFixedLength:
             assert block[key] == [_sig(x) for x in pi]  # the law reported
             assert np.abs(pi @ chain - pi).sum() <= 1e-14
             assert np.abs(pi - stationary_dense(chain)).sum() <= 1e-10
+
+    @pytest.mark.parametrize("rate", [1e3, 1e300])
+    def test_a_rate_past_the_poisson_law_fills_the_buffer(self, tmp_path, rate):
+        # no arrival has a chance a float can hold: a packet lands in every
+        # period and each law sits where the last packet that fits leaves it
+        raw = {
+            "traffic": {"sizes": [1], "probs": [1.0], "rate": rate},
+            "filter": {"bucket": 5, "buffer": 40, "period": 1.0},
+            "mode": "fixed-length",
+        }
+        block = run_scenario(parse_scenario(raw), tmp_path)["fixed_length"]
+        for key in ("periodic_transfer", "md1"):
+            assert block[key] == [float(i == 40 + 5 - 1) for i in range(46)]
 
     def test_each_chain_is_held_once(self, tmp_path):
         # 1,006 states: each law is read off one array of Poisson tails, so
@@ -1206,7 +1242,7 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
         ("analytic", ([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1], 0.45), (8, 12), True),
         ("simulate", None, None, False),
         ("count-states", None, None, False),
-        ("fixed-length", None, None, False),
+        ("fixed-length", ([1], [1.0], 0.5), (5, 5), False),
     ],
     ids=[
         "reference", "reference_compare", "critical_unit", "large_space",

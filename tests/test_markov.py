@@ -241,7 +241,7 @@ class TestFixedLengthChains:
             for s in range(n):
                 for a, p in enumerate(arr.pmf):
                     expected[s, step(s, a, buffer_cap, bucket)] += p
-                expected[s, step(s, n, buffer_cap, bucket)] += arr.tail
+                expected[s, step(s, len(arr.pmf), buffer_cap, bucket)] += arr.tail
             assert np.array_equal(build(rate, buffer_cap, bucket), expected)
 
     @pytest.mark.parametrize("md1", [False, True], ids=["transfer", "md1"])
@@ -270,6 +270,22 @@ class TestFixedLengthChains:
             law = _fixed_length_law(mean, buffer_cap, bucket, md1)
         assert np.abs(law - expected).sum() <= 1e-15
         assert [f"{x:.12g}" for x in law] == [f"{x:.12g}" for x in expected]
+
+    @pytest.mark.parametrize("md1", [False, True], ids=["transfer", "md1"])
+    def test_each_dot_is_cut_to_the_poisson_weights(self, monkeypatch, md1):
+        # the cut's mass sits at len(pmf) arrivals and T is 0 past it, so no
+        # column reads further back than the weights kept: O(n K), not O(n^2)
+        kept = len(ArrivalDistribution.from_mean(0.5).pmf)
+        lengths, dot = [], np.dot
+
+        def spy(a, b, *args):
+            lengths.append(len(a))
+            return dot(a, b, *args)
+
+        monkeypatch.setattr(np, "dot", spy)
+        _fixed_length_law(0.5, 4000, 5, md1)
+        monkeypatch.undo()
+        assert len(lengths) == 4004 and max(lengths) <= kept + 1
 
     def test_the_two_chains_differ(self):
         transfer = stationary_dense(build_periodic_transfer_chain(0.5, 5, 5))
