@@ -8,10 +8,10 @@ each finished entry kept as it was encoded.
 Every scenario goes through ``parse_scenario``: the ``run`` flags and each
 grid point are written into their dotted scenario fields and validated like
 the file itself.  Unknown keys, malformed values, packets the bucket can
-never pay for (in the analytic, simulate and compare modes), analytic
-chains over ``STATE_BUDGET`` states, ``STRING_ROW_BUDGET`` table rows or
-``WORK_BUDGET`` states times mean arrivals a period, simulations over
-``EVENT_BUDGET`` expected events or ``OCCUPANCY_CELLS`` occupancy cells,
+never pay for or occupancy tables over ``STATE_BUDGET`` cells (in the
+analytic, simulate and compare modes), analytic chains over ``STATE_BUDGET``
+states, ``STRING_ROW_BUDGET`` table rows or ``WORK_BUDGET`` states times
+mean arrivals a period, simulations over ``EVENT_BUDGET`` expected events,
 fixed-length runs of any sizes but ``[1]``, of a non-finite mean arrival
 count or of more than ``TABLE_ROWS`` coordinates, ``count-states`` limits
 over ``TABLE_ROWS`` or past the float range of the estimate, and tolerances
@@ -58,8 +58,11 @@ from .des import InsufficientData, batch_confidence, simulate
 __all__ = ["main", "load_scenario", "parse_scenario", "run_scenario", "ScenarioError"]
 
 MODES = ("analytic", "simulate", "compare", "count-states", "fixed-length")
-# Most states an analytic chain may have: sizes 1..4 at M=11 L=17, 988,704
-# states of which 145,490 are reachable, run in 1.6 s at 181 MB peak RSS.
+# Most states an analytic chain may have, and most cells, (bucket + 1) *
+# (buffer + 1), of the occupancy table a run fills: 988,704 states (sizes
+# 1..4 at M=11 L=17, 145,490 reachable) run in 1.6 s at 181 MB peak RSS, and
+# 10^6 cells (sizes (10,), M=9, L=99,999, horizon 1,000) take 1.7 s and 155 MB
+# analytic, 1.3 s and 199 MB simulated, 2.9 s and 305 MB compared (2-vCPU Xeon).
 STATE_BUDGET = 1_000_000
 # Most rows the string tables may copy, once per size for each string of total
 # at most r, r = 0..buffer: at 1 to 2.3 ns a row, unit sizes take 0.20 s at
@@ -68,29 +71,22 @@ STATE_BUDGET = 1_000_000
 STRING_ROW_BUDGET = 2_000_000_000
 # Most states times mean arrivals a period, states * rate * period, an
 # analytic chain may have: one period product sums about two series terms a
-# mean arrival, each a pass over the chain.  BiCGSTAB may make 811 products on
-# two or more sizes; one size makes one, the step certifying its transfer law,
-# which on unit sizes at bucket 0 and buffer 20,000 takes 0.036 s at rate 500
-# (1e7) and 1.0 s at 1e4 (2e8) (Python 3.11.7, 2-vCPU Xeon, one BLAS thread).
+# mean arrival, each a pass over the chain.  Sized for two or more sizes,
+# which may make 811 BiCGSTAB products; one size makes one, the step that
+# certifies its transfer law (unit sizes at bucket 0, buffer 20,000: 0.044 s
+# at rate 500, 1e7; 1.4 s at 1e4, refused though the run takes 3.1 s; Python
+# 3.11.7, 2-vCPU Xeon, one BLAS thread).
 WORK_BUDGET = 10_000_000
 # Most events a simulation may expect, horizon * (1 + rate * period): at 0.13
 # to 0.29 us an event (the reference scenario, and unit sizes or sizes 1..4
 # at M=L=5 up to rate 1e6) that is 2 to 5 minutes.  Long overloaded buffers
 # run 34 to 77 us an event, which the count alone does not bound.
 EVENT_BUDGET = 1_000_000_000
-# Most cells, (bucket + 1) * (buffer + 1), of the occupancy table a simulation
-# tallies and writes.  A run holds about 340 bytes a cell: sizes (5,) at
-# bucket 4 and buffer 199,999 (10^6 cells), horizon 100, take 1.7 s and
-# 340 MB.  The cap admits buffer 6,000,000 at bucket 4 (30,000,005 cells),
-# whose admission the parser's tests pin, and refuses buffer 10^9 at bucket
-# 3, whose tables alone would take 2 * 29.8 GiB.
-OCCUPANCY_CELLS = 32_000_000
-
 # Most rows of the tables a run fills row by row: ``count-states``' upper
 # limit and the fixed-length coordinates, buffer + bucket + 1.  At the cap,
 # sizes (1,) over [0, 100000] count in about 1.6 s and 133 MB and write 9.2 MB;
 # fixed-length laws at bucket 5 and buffer 99,994 take 1.1 to 1.8 s and 71 to
-# 81 MB at rates 0.5, 0.97 and 700 (Python 3.11.7, 2-vCPU Xeon).
+# 81 MB at rates 0.5, 0.97, 1.05 and 700 (Python 3.11.7, 2-vCPU Xeon).
 TABLE_ROWS = 100_000
 
 
@@ -269,6 +265,13 @@ def parse_scenario(raw: dict) -> Scenario:
                 f"largest size {largest} exceeds filter.bucket + 1 = "
                 f"{config.bucket + 1}, so it can never be paid for",
             )
+        cells = (config.bucket + 1) * (config.buffer + 1)
+        if cells > STATE_BUDGET:
+            raise ScenarioError(
+                "filter.buffer",
+                f"the occupancy table has {cells:,} cells, (filter.bucket + 1) "
+                f"* (filter.buffer + 1), over the budget of {STATE_BUDGET:,}",
+            )
     mean = traffic.rate * config.period
     if mode in ("analytic", "compare"):
         states = _check_state_budget(traffic, config)
@@ -291,13 +294,6 @@ def parse_scenario(raw: dict) -> Scenario:
                 f"the fixed-length chains have {states:,} states, buffer + "
                 f"bucket + 1, over the cap of {TABLE_ROWS:,}",
             )
-    cells = (config.bucket + 1) * (config.buffer + 1)
-    if mode in ("simulate", "compare") and cells > OCCUPANCY_CELLS:
-        raise ScenarioError(
-            "filter.buffer",
-            f"the occupancy table has {cells:,} cells, (filter.bucket + 1) * "
-            f"(filter.buffer + 1), over the budget of {OCCUPANCY_CELLS:,}",
-        )
     events = horizon * (1 + mean)
     if mode in ("simulate", "compare") and events > EVENT_BUDGET:
         raise ScenarioError(
@@ -331,18 +327,15 @@ def parse_scenario(raw: dict) -> Scenario:
 def _check_state_budget(traffic: TrafficSpec, config: FilterConfig) -> int:
     """The analytic chain's state count, refused over either budget."""
     levels = config.bucket + 1
-    # Repeats of the smallest size alone make buffer // size + 1 strings; a
-    # buffer over budget on those is not counted.  Otherwise within[r], the
-    # strings of total at most r (the empty one, and each size followed by
-    # those of total at most r - size), is counted until the chain passes the
-    # budget squared, so the counts stay small numbers.
-    states = (config.buffer // traffic.sizes[0] + 1) * levels
+    # within[r], the strings of total at most r (the empty one, and each size
+    # followed by those of total at most r - size), is counted until the
+    # chain passes the budget squared, so the counts stay small numbers; the
+    # cell budget caps the steps at STATE_BUDGET
     within = [1]
-    if states <= STATE_BUDGET:
-        while len(within) <= config.buffer and within[-1] * levels <= STATE_BUDGET**2:
-            r = len(within)
-            within.append(1 + sum(within[r - s] for s in traffic.sizes if s <= r))
-        states = within[-1] * levels
+    while len(within) <= config.buffer and within[-1] * levels <= STATE_BUDGET**2:
+        r = len(within)
+        within.append(1 + sum(within[r - s] for s in traffic.sizes if s <= r))
+    states = within[-1] * levels
     exact = len(within) == config.buffer + 1
     if states > STATE_BUDGET:
         raise ScenarioError(

@@ -637,24 +637,31 @@ def _gth(chain: np.ndarray, root: int = 0) -> np.ndarray:
     its envelope (``_envelope``): rows from each column's first nonzero,
     columns from each row's, so only exact zeros are skipped
     (``_eliminate``).  Back substitution reads each column from its first
-    nonzero and keeps the largest mass at 1, so masses spanning more than
-    the float range do not overflow.
+    nonzero and rescales past ``_rescale_limit`` of n times the largest
+    entry, so masses spanning more than the float range do not overflow.
     """
     n = chain.shape[0]
     order = np.r_[root, np.delete(np.arange(n), root)]
     a = chain[np.ix_(order, order)] if root else chain.copy(order="K")
     rows, cols = (starts.tolist() for starts in _envelope(a))
     last = _eliminate(a, rows, cols)
+    limit = _rescale_limit(n * float(a.max()))
     pi = np.zeros(n)
     pi[last] = 1.0
     for k in range(last + 1, n):
         r = rows[k]
         pi[k] = np.dot(pi[r:k], a[r:k, k])
-        if pi[k] > 1.0:
+        if pi[k] > limit:
             pi[: k + 1] /= pi[k]
     out = np.empty(n)
     out[order] = pi / pi.sum()
     return out
+
+
+def _rescale_limit(most: float) -> float:
+    """Where back substitution rescales: 2**1000 over ``most``, the most a
+    dot adds per unit of the largest mass, so no dot overflows; at least 1."""
+    return max(1.0, 2.0**1000 / most)
 
 
 def _eliminate(a: np.ndarray, rows: list, cols: list) -> int:
@@ -699,9 +706,10 @@ def _fixed_length_law(
     floats, so no pmf is formed; there no packet fits, the fall is certain
     and a row crosses only if its room holds the rise.  M/D/1's idle row
     reads ``T(k)``; only it reaches the top state, whose exit is ``T(0)``.
-    Back substitution runs as ``_gth``'s, each dot and rescale from the
-    first mass not yet underflowed to 0: at high load every step rescales,
-    and the masses it leaves behind vanish.
+    Back substitution runs as ``_gth``'s, a dot adding at most the tails'
+    sum over ``p0``, each dot and rescale from the first mass not yet
+    underflowed to 0: at high load every step rescales, and the masses it
+    leaves behind vanish.
     """
     top, p0 = bucket + buffer_cap // size * size, math.exp(-mean_arrivals)
     fits = top - size  # the last state a packet fits in: it falls only with none
@@ -714,6 +722,7 @@ def _fixed_length_law(
         # tails[j] = T(ceil((top - j) / size)), the packets a rise of top - j needs
         last, tails = 0, cut[np.minimum(-(np.arange(-top, 1) // size), len(cut) - 1)]
     zeros = int(np.count_nonzero(tails == 0))  # T is nonincreasing
+    limit = _rescale_limit(float(tails.sum()) / (p0 if last < fits else 1.0))
     pi = np.zeros(top + 1)
     pi[last] = 1.0
     first = last  # the first mass not underflowed to 0
@@ -732,14 +741,12 @@ def _fixed_length_law(
         else:  # row i crosses if its room, (top - i) // size packets, holds the rise
             cross = (top - np.arange(first, k)) % size <= at
             pi[k] = np.dot(pi[first:k][cross], tails[at + first : at + k][cross])
-        if pi[k] > 1.0:
+        if pi[k] > limit:
             pi[first : k + 1] /= pi[k]
             while pi[first] == 0.0:
                 first += 1
-    if md1 and top:
+    if md1 and top:  # T(k) <= T(0), so no larger than pi[0]
         pi[top] = pi[0] * (tails[0] / tails[top])
-        if pi[top] > 1.0:
-            pi /= pi[top]
     return pi / pi.sum()
 
 

@@ -251,11 +251,14 @@ class TestToleranceFloor:
 
 def _long_double_gth(a: np.ndarray) -> np.ndarray:
     """Stationary law of a long-double stochastic matrix by GTH, state 0
-    eliminated last, with no subtraction."""
+    eliminated last, with no subtraction; each update skips the columns
+    its row holds no mass in, so a chain falling one state a step costs
+    O(n^2)."""
     a, n = a.copy(), len(a)
     for k in range(n - 1, 0, -1):
         a[:k, k] /= a[k, :k].sum()
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+        cols = np.flatnonzero(a[k, :k])
+        a[:k, cols] += np.outer(a[:k, k], a[k, cols])
     pi = np.zeros(n, dtype=a.dtype)
     pi[0] = 1
     for k in range(1, n):
@@ -290,6 +293,15 @@ def _long_double_law(space, chain) -> np.ndarray:
     return law
 
 
+def _one_size_steps(
+    states: np.ndarray, arrivals: int, top: int, size: int
+) -> np.ndarray:
+    """Each packet of ``size`` tokens that fits below ``top`` raises the
+    coordinate by ``size``, and the grant lowers it by one."""
+    fitting = np.minimum(arrivals, (top - states) // size)
+    return np.maximum(0, states + size * fitting - 1)
+
+
 def _long_double_transfer_law(
     mean: float, buffer_cap: int, bucket: int, size: int = 1
 ) -> np.ndarray:
@@ -305,8 +317,7 @@ def _long_double_transfer_law(
     def steps(arrivals: int) -> np.ndarray:
         if size == 1:
             return periodic_transfer_steps(states, arrivals, buffer_cap, bucket)
-        fitting = np.minimum(arrivals, (top - states) // size)
-        return np.maximum(0, states + size * fitting - 1)
+        return _one_size_steps(states, arrivals, top, size)
 
     weight, k = np.exp(-ld(mean)), 0
     chain = np.zeros((top + 1, top + 1), dtype=ld)
@@ -360,16 +371,32 @@ def test_the_law_is_near_its_long_double_solve(traffic, config, bound):
 )
 @pytest.mark.parametrize(
     "mean, buffer_cap, bucket, size",
-    [(0.99, 300, 150, 1), (0.99, 40, 20, 1), (0.5, 400, 5, 2), (0.3, 300, 150, 3)],
-    ids=["near_critical_unit", "critical_unit", "size_2", "size_3"],
+    [
+        (0.99, 300, 150, 1),
+        (0.99, 40, 20, 1),
+        (0.5, 400, 5, 2),
+        (0.3, 300, 150, 3),
+        (1.05, 2000, 5, 1),
+        (0.5, 2000, 9, 10),
+    ],
+    ids=[
+        "near_critical_unit", "critical_unit", "size_2", "size_3", "load_1.05", "size_10"
+    ],
 )
 def test_the_one_size_law_is_near_its_long_double_chain(mean, buffer_cap, bucket, size):
     # the mass past the Poisson cut counts as the first count past it, not
-    # as a full buffer: there it moved these laws by 4.9e-11, 5.9e-13,
-    # 8.2e-12 and 6.7e-12 L1 from the chain cut at 1e-30
+    # as a full buffer: there it moved the first four laws by 4.9e-11,
+    # 5.9e-13, 8.2e-12 and 6.7e-12 L1 from the chain cut at 1e-30; in the
+    # last two each mass is a little over the last, and rescaling at every
+    # mass past 1 made back substitution quadratic (64 s a law at load 1.05
+    # and buffer 99,994)
     law = markov._fixed_length_law(mean, buffer_cap, bucket, md1=False, size=size)
     exact = _long_double_transfer_law(mean, buffer_cap, bucket, size)
     assert np.abs(law - exact).sum() <= 1e-13
+    top = bucket + buffer_cap // size * size
+    steps = partial(_one_size_steps, top=top, size=size)
+    chain = markov._chain_from_step(steps, mean, top + 1)
+    assert np.abs(law - _gth(chain)).sum() <= 1e-15
 
 
 def _per_column_bound(space, kernel) -> int:

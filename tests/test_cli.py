@@ -171,8 +171,8 @@ class TestParseScenario:
         [
             # counted: 15,701,951 strings at each of 6 token levels
             ([1, 2, 3, 4], 25, 5, "has 94,211,706 states"),
-            # over budget on repeats of size 5 alone, so not counted
-            ([5], 6_000_000, 4, "has at least 6,000,005 states"),
+            # refused on the occupancy table's cells before any count
+            ([5], 6_000_000, 4, "has 30,000,005 cells"),
         ],
     )
     def test_analytic_chain_over_the_state_budget(self, sizes, buffer, bucket, count):
@@ -187,9 +187,13 @@ class TestParseScenario:
             parse_scenario(raw)
         assert err.value.fieldname == "filter.buffer"
         assert count in str(err.value)
-        # the simulator never builds the chain
         raw["mode"] = "simulate"
-        assert parse_scenario(raw).config.buffer == buffer
+        if "cells" in count:  # a simulated table of 30M cells needs about 10 GB
+            with pytest.raises(ScenarioError, match=count) as err:
+                parse_scenario(raw)
+            assert err.value.fieldname == "filter.buffer"
+        else:  # the simulator never builds the chain
+            assert parse_scenario(raw).config.buffer == buffer
 
     def test_analytic_string_tables_over_the_row_budget(self):
         # 500,001 states, but the string tables copy 1.25e11 rows
@@ -251,9 +255,9 @@ class TestParseScenario:
     @pytest.mark.parametrize(
         "buffer, rate, work",
         [
-            # one period product takes 2.5 s: 79 pieces of 322 terms
+            # one period product takes 1.4 s: 79 pieces of 322 terms
             (20_000, 1e4, "20,001 states times 10000"),
-            # one period product takes 43 s: 782 pieces of 230 terms
+            # one period product takes 33 s: 782 pieces of 230 terms
             (60_000, 1e5, "60,001 states times 100000"),
         ],
         ids=["buffer_20000", "buffer_60000"],
@@ -311,8 +315,10 @@ class TestParseScenario:
             ("simulate", [1, 2], 3, 10**9, "4,000,000,004 cells"),
             # 100,000 states pass the analytic budget, not the table's cells
             ("compare", [1000], 999, 99_999, "100,000,000 cells"),
+            # unchecked, writing the table ended in a MemoryError at 2 GB
+            ("analytic", [1000], 999, 99_999, "100,000,000 cells"),
         ],
-        ids=["1e18", "int64_max", "1e9", "compare"],
+        ids=["1e18", "int64_max", "1e9", "compare", "analytic"],
     )
     def test_simulated_occupancy_over_the_budget(
         self, mode, sizes, bucket, buffer, cells
@@ -325,6 +331,19 @@ class TestParseScenario:
             parse_scenario(raw)
         assert err.value.fieldname == "filter.buffer"
         assert cells in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["analytic", "simulate", "compare"])
+    def test_one_budget_bounds_the_occupancy_table_in_every_mode(self, mode):
+        # the cap itself, 1,000,000 cells, and one more row of 10 cells
+        raw = small_raw(mode=mode)
+        raw["traffic"] = {"sizes": [10], "probs": [1.0], "rate": 0.5}
+        raw["filter"].update(bucket=9, buffer=99_999)
+        assert parse_scenario(raw).config.buffer == 99_999
+        raw["filter"].update(buffer=100_000)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(raw)
+        assert err.value.fieldname == "filter.buffer"
+        assert "1,000,010 cells" in str(err.value)
 
     def test_every_scenario_and_workload_stays_admitted(self):
         # the scenario files, the benchmark's analytic workloads, and the

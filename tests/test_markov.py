@@ -255,14 +255,16 @@ class TestFixedLengthChains:
                 (1, 0), (1, 1), (2, 1), (3, 1), (4, 1), (2, 4), (5, 2), (3, 5)
             )
         ]
-        + [(mean, 4000, 5) for mean in (0.5, 0.97, 50.0, 700.0)],
+        + [(mean, 4000, 5) for mean in (0.5, 0.97, 50.0, 700.0)]
+        + [(1.05, 2000, 5)],
     )
     def test_the_law_is_gth_of_the_built_chain(self, mean, buffer_cap, bucket, md1):
         # read off the Poisson tails, the law agrees with eliminating the
         # chain to the digits a report keeps; past mean 709 the chance of no
         # arrival is subnormal, and dividing by it would overflow; at means
         # 50 and 700 back substitution rescales at every step, and the
-        # masses it leaves behind underflow to 0
+        # masses it leaves behind underflow to 0; at mean 1.05 each mass is
+        # a little over the last, and rescales are rare
         build = build_md1_chain if md1 else build_periodic_transfer_chain
         expected = _gth(build(mean, buffer_cap, bucket))
         with warnings.catch_warnings():
